@@ -13,7 +13,6 @@ from .index_sets import (
     IndexSet,
     embedding_eigenvalues,
     hyperbolic_cross,
-    index_set_difference,
     mixed_weight,
     select_largest_eigenvalues,
 )

@@ -78,7 +78,7 @@ def _run_experiment(args: argparse.Namespace, runner) -> int:
     try:
         cfg = _experiment_config(args)
         report = runner(cfg)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     paths = emit_report(report, args.format)

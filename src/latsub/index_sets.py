@@ -9,14 +9,14 @@ cross
 the natural truncation for dominating mixed smoothness.  Each frequency
 carries a product weight ``w_s(k) = prod_j (1 + (2*pi*|k_j|)^(2s))^(1/2)``
 whose inverse square is the eigenvalue of the associated embedding operator;
-those eigenvalues drive sampling densities and error diagnostics downstream.
+:func:`select_largest_eigenvalues` ranks frequencies by those eigenvalues.
 
 All types are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "mixed_weight",
     "embedding_eigenvalues",
     "select_largest_eigenvalues",
-    "index_set_difference",
 ]
 
 #: Refuse to enumerate crosses larger than this unless the caller raises the cap.
@@ -98,28 +97,7 @@ class IndexSet:
         k = np.asarray(k, dtype=np.int64)
         if k.shape != (self.dimension,):
             return False
-        lo = np.searchsorted(self._keys(), _row_key(k[None, :], self._span())[0])
-        return lo < len(self) and bool(np.all(self.frequencies[lo] == k))
-
-    # Packed scalar keys for O(log n) membership lookups.  Cached lazily; the
-    # cache is an implementation detail and does not affect equality.
-    _key_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, init=False)
-
-    def _span(self) -> int:
-        cache = self._key_cache
-        if "span" not in cache:
-            if len(self) == 0:
-                cache["span"] = 1
-            else:
-                cache["span"] = int(np.abs(self.frequencies).max()) * 2 + 2
-        return cache["span"]
-
-    def _keys(self) -> np.ndarray:
-        cache = self._key_cache
-        if "keys" not in cache:
-            cache["keys"] = _row_key(self.frequencies, self._span())
-        return cache["keys"]
+        return bool(np.any(np.all(self.frequencies == k, axis=1)))
 
     def to_text(self) -> str:
         """Serialize to the line-oriented text format (bit-exact round trip)."""
@@ -147,14 +125,6 @@ class IndexSet:
     def load(cls, path) -> "IndexSet":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
-
-
-def _row_key(rows: np.ndarray, span: int) -> np.ndarray:
-    """Collision-free int128-ish packing of small integer rows (object dtype)."""
-    key = np.zeros(len(rows), dtype=object)
-    for j in range(rows.shape[1]):
-        key = key * span + (rows[:, j].astype(object) + span // 2)
-    return key
 
 
 def _check_smoothness(s: float) -> float:
@@ -280,20 +250,3 @@ def select_largest_eigenvalues(parent: IndexSet, m: int, s: float) -> IndexSet:
     # stable sort on -lambda keeps lexicographic order within ties
     order = np.argsort(-lam, kind="stable")[:m]
     return IndexSet(dimension=parent.dimension, frequencies=parent.frequencies[order])
-
-
-def index_set_difference(superset: IndexSet, subset: IndexSet) -> np.ndarray:
-    """Rows of ``superset`` not contained in ``subset``.
-
-    Raises if ``subset`` is not fully contained in ``superset`` (the callers
-    use this for tail sets ``I_MZ \\ I`` where containment is a precondition).
-    """
-    if superset.dimension != subset.dimension:
-        raise ValueError("dimension mismatch between index sets")
-    span = max(superset._span(), subset._span())
-    sup_keys = _row_key(superset.frequencies, span)
-    sub_keys = _row_key(subset.frequencies, span)
-    member = np.isin(sup_keys, sub_keys)
-    if member.sum() != len(subset):
-        raise ValueError("subset is not contained in superset")
-    return superset.frequencies[~member]

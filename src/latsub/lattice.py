@@ -13,11 +13,11 @@ very large M.  Nothing is ever allowed to wrap silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from sympy import nextprime
 
 from .index_sets import IndexSet
 
@@ -244,11 +244,30 @@ def _prefix_structure(K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return structure
 
 
+def _is_prime(n: int) -> bool:
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+
+def _next_prime(n: int) -> int:
+    """The smallest prime greater than ``n``.
+
+    Trial division costs O(sqrt(n)) per candidate, a few milliseconds at
+    2**32, which is beyond any size the generator search accepts
+    (``_INT64_SAFE_M``).
+    """
+    n = max(n, 1) + 1
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
 def _default_schedule(start: int, ceiling: int) -> Iterable[int]:
-    M = int(nextprime(start - 1))
+    M = _next_prime(start - 1)
     while M <= ceiling:
         yield M
-        M = int(nextprime(2 * M))
+        M = _next_prime(2 * M)
 
 
 def search_generator(

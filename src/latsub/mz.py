@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fourier import SystemOperator
 from .index_sets import IndexSet
@@ -127,6 +126,9 @@ def estimate_bounds_iterative(
     starts).  Non-convergence is not fatal: the best available estimates are
     returned with ``converged=False``.
     """
+    # imported here so that `import latsub` does not load scipy.sparse
+    import scipy.sparse.linalg as spla
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = len(op.index_set)

@@ -102,7 +102,7 @@ def _solve_direct(op, weights, samples, rhs):
     )
     sw = np.sqrt(weights)
     a, *_ = np.linalg.lstsq(sw[:, None] * L, sw * samples, rcond=None)
-    return a, True
+    return a, False
 
 
 def _solve_cg(op, weights, rhs, cfg):
@@ -147,7 +147,8 @@ def least_squares(
     """Minimize ``|| W^(1/2) (L a - f) ||`` and return (coefficients, diagnostics).
 
     Direct mode factorizes the dense normal matrix (positive definiteness is
-    verified; failure downgrades to a least-norm solve with a warning).
+    verified; failure downgrades to a least-norm solve with a warning and
+    ``converged=False``).
     Iterative mode runs conjugate gradients on the normal operator from a
     zero start, stopping at ``residual_tolerance`` (relative, on the normal
     residual) or ``max_iterations``, whichever comes first; hitting the cap

@@ -4,6 +4,8 @@ Stage 1 draws n points i.i.d. (with duplicates) from a weighted sample plan
 under a Christoffel-type discrete density and reweights them by
 ``w_i / (n * rho_i)``, preserving the two-sided L2 stability of the plan up
 to factors [1/2, 3/2] with high probability at logarithmic oversampling.
+On the torus every character has unit modulus, so that density is exactly
+the plan's normalized quadrature weights, ``rho_i = w_i / sum_j w_j``.
 
 Stage 2 reduces further to linear oversampling ``<= ceil(b * |I|)`` with the
 deterministic barrier-potential greedy of spectral (frame) sparsification:
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .index_sets import IndexSet, embedding_eigenvalues, index_set_difference
+from .index_sets import IndexSet
 from .lattice import SamplePlan
 from .mz import SpectralBounds, mz_constants
 
@@ -188,42 +190,23 @@ class SubsampleSelection:
         )
 
 
-def density_weights(
-    plan: SamplePlan,
-    index_set: IndexSet,
-    index_set_mz: IndexSet,
-    s: float,
-) -> DensityWeights:
-    """The three-term sampling density over the points of ``plan``.
+def density_weights(plan: SamplePlan) -> DensityWeights:
+    """The stage-1 sampling density ``rho_i = w_i / sum_j w_j`` over ``plan``.
 
-    Convex combination (equal thirds) of: the discrete Christoffel density of
-    the reconstruction space, the eigenvalue-weighted density of the tail
-    frequencies ``I_MZ \\ I``, and the plan's own quadrature density.  The
-    last term is normalized by ``sum_j w_j`` so the result is a proper
-    density for any weight scale.  When the tail is empty the second term is
-    dropped and the remaining two renormalized.
-
-    On the torus every character has unit modulus, so the Christoffel and
-    tail factors are constant in x and all terms collapse to
-    ``w_i / sum_j w_j`` (uniform weights give exactly ``rho_i = 1/M``); the
-    structure is kept explicit so the collapse stays visible and testable.
+    The general construction mixes three densities in equal parts: the
+    discrete Christoffel density of the reconstruction space I, an
+    eigenvalue-weighted density of the tail frequencies ``I_MZ \\ I``, and
+    the plan's quadrature density.  On the torus every character has unit
+    modulus, so the Christoffel and tail functions are constant in x and each
+    of the three terms equals ``w_i / sum_j w_j``; the mixture is therefore
+    that density itself, whatever I, I_MZ and the smoothness order are.
+    Uniform weights give ``rho_i = 1/M``.
     """
     w = plan.weights
     wsum = w.sum()
     if wsum <= 0:
         raise ValueError("parent plan has all-zero weights")
-    tail = index_set_difference(index_set_mz, index_set)
-
-    m = len(plan)
-    # |eta_k(x)|^2 == 1 for every character: Christoffel function == |I|,
-    # tail function == sum of tail eigenvalues, both independent of x.
-    christoffel = np.full(m, float(len(index_set)))
-    terms = [w * christoffel / np.dot(w, christoffel), w / wsum]
-    if len(tail):
-        tail_vals = np.full(m, float(np.sum(embedding_eigenvalues(tail, s))))
-        terms.insert(1, w * tail_vals / np.dot(w, tail_vals))
-    rho = sum(terms) / len(terms)
-    return DensityWeights(rho=rho)
+    return DensityWeights(rho=w / wsum)
 
 
 def random_subsample_size(

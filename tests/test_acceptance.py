@@ -141,7 +141,7 @@ def test_criterion_3_random_subsampling_stability():
     for m, count, d in ((32, 67, 2), (64, 67, 2), (128, 66, 3)):
         I = trimmed_cross(d, 1.0, m)
         lat, plan = tight_plan_for(I, seed=m)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         n = random_subsample_size(1.0, 1.0, 1.0 / 3.0, m, 1.0)
         for t in range(count):
             sel = random_subsample(plan, rho, n, seed=1000 * m + t)
@@ -170,7 +170,7 @@ def test_criterion_4_sparsification_certificates():
         d = 2 if m <= 24 else 3
         I = trimmed_cross(d, 1.0, m)
         lat, plan = tight_plan_for(I, seed=idx)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         n = math.ceil(5 * m * (math.log(m) + 1))
         sel = None
         for attempt in range(10):
@@ -306,7 +306,7 @@ def test_criterion_8_fft_beats_dense():
     start = time.perf_counter()
     I = hyperbolic_cross(5, 0.5, 24.0)  # |I| = 1321 >= 1e3
     lat, plan = tight_plan_for(I, seed=0)
-    rho = density_weights(plan, I, I, 1.5)
+    rho = density_weights(plan)
     n = math.ceil(len(I) * math.log(len(I)))
     sel = random_subsample(plan, rho, n, seed=1)
     rng = np.random.default_rng(2)

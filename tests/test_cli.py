@@ -3,9 +3,10 @@
 import json
 import os
 
+import latsub.experiments
 from latsub.cli import main
 from latsub.index_sets import hyperbolic_cross
-from latsub.lattice import Rank1Lattice, is_reconstructing
+from latsub.lattice import GeneratorSearchError, Rank1Lattice, is_reconstructing
 
 
 def test_lattice_search_and_audit(tmp_path, capsys):
@@ -83,3 +84,15 @@ def test_assertion_failure_exit_code(tmp_path, capsys):
         assert "assertion failed" in captured.err
     else:
         assert rc == 0
+
+
+def test_generator_search_error_exits_2(tmp_path, capsys, monkeypatch):
+    def no_generator(index_set, rng_seed):
+        raise GeneratorSearchError("no generator within the injected budget")
+
+    monkeypatch.setattr(latsub.experiments, "search_generator", no_generator)
+    rc = main(["exp1", "--d", "2", "--gamma", "0.5", "--radii", "4",
+               "--reps", "1", "--strategies", "full", "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: no generator within the injected budget" in captured.err

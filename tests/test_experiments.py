@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import latsub.experiments
 from latsub.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -16,6 +17,7 @@ from latsub.experiments import (
     run_experiment_1,
     run_experiment_2,
 )
+from latsub.subsampling import SpectralCertificateError
 
 DESK = dict(dimension=2, gamma=0.5, radii=(4.0, 8.0, 16.0), repetitions=2, seed=3)
 
@@ -111,6 +113,35 @@ class TestRunExperiment2:
         bad = ExperimentConfig(**{**cfg.__dict__, "b": 1.0 + 0.5 / m})
         with pytest.raises(ValueError, match="1 \\+ 1/"):
             run_experiment_2(bad)
+
+    def test_certificate_miss_retries_with_next_draw(self, tmp_path, monkeypatch):
+        real = latsub.experiments.plain_bss_subsample
+        seeds = []
+
+        def miss_once(sel, index_set, b):
+            seeds.append(sel.seed)
+            if len(seeds) == 1:
+                raise SpectralCertificateError("injected certificate miss")
+            return real(sel, index_set, b)
+
+        monkeypatch.setattr(latsub.experiments, "plain_bss_subsample", miss_once)
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1, strategies=("bss_sub",))
+        (row,) = run_experiment_2(cfg).rows
+        assert not row.skipped
+        assert len(seeds) == 2 and seeds[1] > seeds[0]
+        assert row.seed == seeds[1]
+        assert row.num_points <= math.ceil(cfg.b * row.num_frequencies)
+
+    @pytest.mark.parametrize("name", ["plain_bss_subsample", "mz_constants"])
+    def test_value_error_skips_row_with_message(self, tmp_path, monkeypatch, name):
+        def refuse(*args):
+            raise ValueError(f"injected refusal in {name}")
+
+        monkeypatch.setattr(latsub.experiments, name, refuse)
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1, strategies=("bss_sub",))
+        (row,) = run_experiment_2(cfg).rows
+        assert row.skipped
+        assert row.skip_reason == f"injected refusal in {name}"
 
 
 class TestReports:

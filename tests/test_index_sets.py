@@ -13,7 +13,6 @@ from latsub.index_sets import (
     embedding_eigenvalues,
     hyperbolic_cross,
     hyperbolic_cross_product,
-    index_set_difference,
     mixed_weight,
     select_largest_eigenvalues,
 )
@@ -118,6 +117,8 @@ class TestIndexSetType:
         assert [2, 2] not in I
         assert [3, 0] in I
         assert [0, 0] in I
+        assert [0, 0, 0] not in I
+        assert [0, 0] not in IndexSet(dimension=2, frequencies=np.zeros((0, 2)))
 
     def test_frequencies_immutable(self):
         I = hyperbolic_cross(2, 1.0, 2.0)
@@ -133,16 +134,6 @@ class TestIndexSetType:
         path = tmp_path / "set.txt"
         I.save(path)
         assert np.array_equal(IndexSet.load(path).frequencies, I.frequencies)
-
-    def test_difference(self):
-        outer = hyperbolic_cross(2, 1.0, 4.0)
-        inner = hyperbolic_cross(2, 1.0, 2.0)
-        tail = index_set_difference(outer, inner)
-        assert len(tail) == len(outer) - len(inner)
-        inner_rows = {tuple(r) for r in inner.frequencies}
-        assert all(tuple(r) not in inner_rows for r in tail)
-        with pytest.raises(ValueError, match="not contained"):
-            index_set_difference(inner, outer)
 
 
 class TestWeightsAndEigenvalues:

@@ -8,6 +8,7 @@ from latsub.lattice import (
     GeneratorSearchError,
     Rank1Lattice,
     SamplePlan,
+    _next_prime,
     is_reconstructing,
     lattice_points,
     residues,
@@ -172,6 +173,23 @@ class TestSearchGenerator:
         I = interval_set(-3, 3)
         lat = search_generator(I, rng_seed=0, m_schedule=[7, 11, 13])
         assert lat.size in (7, 11, 13)
+
+
+class TestNextPrime:
+    def test_matches_sieve_below_1e5(self):
+        N = 10**5
+        sieve = np.ones(N + 100, dtype=bool)  # the next prime after 99999 is 100003
+        sieve[:2] = False
+        for p in range(2, int((N + 100) ** 0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.flatnonzero(sieve)
+        n = np.arange(-2, N)
+        expected = primes[np.searchsorted(primes, n, side="right")]
+        assert [_next_prime(int(k)) for k in n] == expected.tolist()
+
+    def test_first_prime_beyond_int64_safe_range(self):
+        assert _next_prime(2**31) == 2147483659
 
 
 class TestSamplePlanSerialization:

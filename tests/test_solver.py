@@ -48,7 +48,7 @@ class TestLeastSquares:
     def test_subsampled_recovery_with_certified_floor(self):
         rng = np.random.default_rng(2)
         I, lat, plan = tight_setup(2, 1.0, 3.0, seed=2)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=8 * len(I), seed=3)
         bounds = mz_constants(sel.as_plan(), I)
         assert bounds.A >= 1e-3  # certified stable instance
@@ -64,7 +64,7 @@ class TestLeastSquares:
         # certified-stable system (uncapped iterations)
         rng = np.random.default_rng(11)
         I, lat, plan = tight_setup(2, 1.0, 3.0, seed=20)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         cfg = SolverConfig(max_iterations=3000, residual_tolerance=1e-15)
         for trial in range(6):
             sel = random_subsample(plan, rho, n=3 * len(I), seed=40 + trial)
@@ -80,7 +80,7 @@ class TestLeastSquares:
     def test_direct_and_iterative_agree(self):
         rng = np.random.default_rng(3)
         I, lat, plan = tight_setup(2, 1.0, 3.0, seed=4)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=10 * len(I), seed=5)
         bounds = mz_constants(sel.as_plan(), I)
         assert bounds.ratio <= 10
@@ -116,15 +116,16 @@ class TestLeastSquares:
         op = LatticeOperator(lat, I).masked(np.arange(4))  # 4 rows < 9
         f = np.ones(4, dtype=complex)
         with pytest.warns(RuntimeWarning, match="least-norm"):
-            a, _ = least_squares(op, np.full(4, 0.25), f,
-                                 SolverConfig(mode="direct_normal"))
+            a, diag = least_squares(op, np.full(4, 0.25), f,
+                                    SolverConfig(mode="direct_normal"))
+        assert not diag.converged
         # least-norm solution still fits the data
         assert np.max(np.abs(op.forward(a) - f)) < 1e-10
 
     def test_iteration_cap_flagged_not_raised(self):
         rng = np.random.default_rng(5)
         I, lat, plan = tight_setup(2, 1.0, 3.0, seed=7)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=3 * len(I), seed=8)
         op = LatticeOperator(lat, I).masked(sel.indices)
         f = crandn(rng, len(sel))
@@ -171,7 +172,7 @@ class TestReconstructWrapper:
     def test_selection_equals_manual_weights(self):
         rng = np.random.default_rng(7)
         I, lat, plan = tight_setup(2, 1.0, 2.0, seed=12)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=6 * len(I), seed=13)
         f = crandn(rng, len(sel))
         a_wrap, _ = reconstruct(sel, I, f)
@@ -206,7 +207,7 @@ class TestReconstructWrapper:
     def test_bss_selection_source(self):
         rng = np.random.default_rng(10)
         I, lat, plan = tight_setup(2, 1.0, 2.0, seed=15)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=8 * len(I), seed=16)
         out = plain_bss_subsample(sel, I, b=3.0)
         op = LatticeOperator(lat, I).masked(out.indices)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latsub.fourier import DenseOperator
-from latsub.index_sets import IndexSet, hyperbolic_cross
+from latsub.index_sets import embedding_eigenvalues, hyperbolic_cross
 from latsub.lattice import SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.subsampling import (
@@ -26,14 +26,19 @@ from latsub.subsampling import (
 
 
 def literal_density_oracle(plan, I, I_mz, s):
-    """Direct evaluation of the three-term density with complex characters."""
-    from latsub.index_sets import embedding_eigenvalues, index_set_difference
+    """Direct evaluation of the three-term density with complex characters.
 
+    Equal thirds of the Christoffel density of I, the eigenvalue-weighted
+    density of the tail ``I_MZ \\ I`` and the quadrature density; with an
+    empty tail the remaining two terms are renormalized.
+    """
     pts, w = plan.points, plan.weights
     chars = np.exp(2j * np.pi * (pts @ I.frequencies.T))
     n_vals = np.sum(np.abs(chars) ** 2, axis=1)
     terms = [w * n_vals / np.dot(w, n_vals), w / w.sum()]
-    tail = index_set_difference(I_mz, I)
+    inner = {tuple(k) for k in I.frequencies}
+    tail = np.array([k for k in I_mz.frequencies if tuple(k) not in inner],
+                    dtype=np.int64).reshape(-1, I.dimension)
     if len(tail):
         lam = embedding_eigenvalues(tail, s)
         tail_chars = np.exp(2j * np.pi * (pts @ tail.T))
@@ -53,13 +58,12 @@ def tight_plan(d, gamma, R, seed):
 class TestDensityWeights:
     def test_uniform_lattice_gives_uniform_density(self):
         I, lat, plan = tight_plan(2, 1.0, 3.0, seed=0)
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         assert np.max(np.abs(rho.rho - 1.0 / lat.size)) < 1e-15
 
     def test_single_point(self):
         plan = SamplePlan(points=[[0.25]], weights=[0.7])
-        I = IndexSet(dimension=1, frequencies=[[0]])
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         assert rho.rho == pytest.approx([1.0])
 
     def test_nonuniform_weights_collapse_to_weight_density(self):
@@ -69,7 +73,7 @@ class TestDensityWeights:
         plan = SamplePlan(points=pts, weights=w)
         inner = hyperbolic_cross(2, 1.0, 2.0)
         outer = hyperbolic_cross(2, 1.0, 4.0)
-        rho = density_weights(plan, inner, outer, 1.25)
+        rho = density_weights(plan)
         assert np.allclose(rho.rho, w / w.sum(), rtol=1e-13)
         oracle = literal_density_oracle(plan, inner, outer, 1.25)
         assert np.allclose(rho.rho, oracle, rtol=1e-12)
@@ -78,7 +82,7 @@ class TestDensityWeights:
         rng = np.random.default_rng(2)
         plan = SamplePlan(points=rng.random((9, 1)), weights=rng.random(9))
         I = hyperbolic_cross(1, 1.0, 3.0)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         oracle = literal_density_oracle(plan, I, I, 1.0)
         assert np.allclose(rho.rho, oracle, rtol=1e-13)
         assert rho.rho.sum() == pytest.approx(1.0, abs=1e-14)
@@ -86,15 +90,13 @@ class TestDensityWeights:
     def test_zero_weight_points_get_zero_density(self):
         w = np.array([0.0, 0.3, 0.0, 0.7])
         plan = SamplePlan(points=np.linspace(0, 0.9, 4)[:, None], weights=w)
-        I = hyperbolic_cross(1, 1.0, 2.0)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         assert np.all((rho.rho == 0) == (w == 0))
 
     def test_all_zero_weights_rejected(self):
         plan = SamplePlan(points=[[0.0], [0.5]], weights=[0.0, 0.0])
-        I = hyperbolic_cross(1, 1.0, 2.0)
         with pytest.raises(ValueError, match="all-zero"):
-            density_weights(plan, I, I, 1.0)
+            density_weights(plan)
 
     def test_density_type_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -136,7 +138,7 @@ class TestRandomSubsample:
         # fixed member of the space: the reweighted discrete square sum has
         # the plan's weighted square sum as its expectation
         I, lat, plan = tight_plan(1, 1.0, 3.0, seed=1)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         rng = np.random.default_rng(3)
         a = rng.standard_normal(len(I)) + 1j * rng.standard_normal(len(I))
         op = DenseOperator(plan.points, I)
@@ -155,7 +157,7 @@ class TestRandomSubsample:
         plan = SamplePlan(points=np.array([[0.0], [0.25], [0.5], [0.75]]),
                           weights=np.array([0.4, 0.1, 0.3, 0.2]))
         I = hyperbolic_cross(1, 1.0, 1.5)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         values_sq = np.abs(
             DenseOperator(plan.points, I).forward(np.array([0.3, 1.0, -0.7j]))
         ) ** 2
@@ -171,7 +173,7 @@ class TestRandomSubsample:
         # quick version of the acceptance check: guarantee-level draw counts keep the
         # lower constant above A/2 (well above) in at least 73% of trials
         I, lat, plan = tight_plan(2, 1.0, 3.0, seed=2)  # |I| = 29
-        rho = density_weights(plan, I, I, 1.5)
+        rho = density_weights(plan)
         n = random_subsample_size(1.0, 1.0, 1 / 3, len(I), 1.0)
         hits = 0
         trials = 25
@@ -183,14 +185,14 @@ class TestRandomSubsample:
 
     def test_cardinality_and_duplicates_kept(self):
         I, lat, plan = tight_plan(1, 1.0, 2.0, seed=3)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=4 * lat.size, seed=9)
         assert len(sel) == 4 * lat.size  # duplicates counted
         assert len(np.unique(sel.indices)) <= lat.size
 
     def test_deterministic_bit_for_bit(self):
         I, lat, plan = tight_plan(2, 1.0, 2.0, seed=4)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         a = random_subsample(plan, rho, n=57, seed=123)
         b = random_subsample(plan, rho, n=57, seed=123)
         c = random_subsample(plan, rho, n=57, seed=124)
@@ -202,13 +204,13 @@ class TestRandomSubsample:
         w = np.array([0.0, 0.5, 0.5, 0.0])
         plan = SamplePlan(points=np.linspace(0, 0.75, 4)[:, None], weights=w)
         I = hyperbolic_cross(1, 1.0, 2.0)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=500, seed=5)
         assert set(np.unique(sel.indices)) <= {1, 2}
 
     def test_csv_and_sidecar_round_trip(self, tmp_path):
         I, lat, plan = tight_plan(1, 1.0, 3.0, seed=5)
-        rho = density_weights(plan, I, I, 1.0)
+        rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=12, seed=77)
         csv_path, json_path = tmp_path / "sel.csv", tmp_path / "sel.json"
         sel.save(csv_path, json_path)
@@ -243,7 +245,7 @@ class TestKappa:
 def stage1_selection(d, gamma, R, seed, n_factor=None):
     """A stage-1 draw from a tight lattice plan, n at the guarantee level."""
     I, lat, plan = tight_plan(d, gamma, R, seed)
-    rho = density_weights(plan, I, I, 1.5)
+    rho = density_weights(plan)
     if n_factor is None:
         n = random_subsample_size(1.0, 1.0, 1 / 3, len(I), 1.0)
     else:
