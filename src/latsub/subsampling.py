@@ -11,26 +11,38 @@ Stage 2 reduces further to linear oversampling ``<= ceil(b * |I|)`` with the
 deterministic barrier-potential greedy of spectral (frame) sparsification:
 a weighted variant that certifies two-sided bounds, and a plain (unweighted)
 variant that certifies the lower bound only.  Both stages are certified a
-posteriori by dense eigensolves of the subsampled Gram matrix; a run that
-cannot meet its certificate raises instead of returning a bad selection.
+posteriori by dense eigensolves of the subsampled |I| x |I| Gram matrix
+(bounded by ``mz.DENSE_EIG_CAP``); a run that cannot meet its certificate
+raises instead of returning a bad selection.
+
+The plain greedy's only per-row step is the product ``conj(rows) @ [w, g]``.
+On a lattice-backed stage-1 draw every row is a character
+``sqrt(rw_i) exp(2 pi i r_k j_i / M)``, so that product is one batched
+length-M FFT gathered at the drawn rows, and a step costs
+O(M log M + |I|^2) with no N x |I| row matrix held; other point sets use
+the dense product at O(N |I|) per step.  Both scorers share one loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; categorical sampling uses a
 deterministically built alias table, so identical seeds give bit-identical
-selections.  The barrier greedy is fully deterministic (ties break to the
-lowest row index).
+selections.  The barrier greedy is fully deterministic: exact ties break to
+the lowest row position.  ``plain_bss_subsample`` passes the exact row norms
+``rw_i |I|``, so on a uniform draw every row ties at the first step and the
+first pick is position 0.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zhemv, zher
 
 from .index_sets import IndexSet
-from .lattice import SamplePlan
+from .lattice import SamplePlan, residues
 from .mz import SpectralBounds, mz_constants
 
 __all__ = [
@@ -49,7 +61,8 @@ __all__ = [
 
 _STREAM_DRAW = 11  # SeedSequence tag for the stage-1 categorical draw
 
-#: Cap on N * |I| entries of the dense row matrix handed to the BSS greedy.
+#: Cap on N * |I| entries of a dense stage-1 row matrix: the weighted greedy
+#: and the plain greedy on draws without a lattice build one.
 BSS_ENTRY_CAP = 1 << 24
 
 
@@ -299,12 +312,57 @@ def kappa(A: float, B: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_quadratic_forms(
-    rows: np.ndarray, basis: np.ndarray, diag: np.ndarray
+def _barrier_greedy(
+    norms: np.ndarray,
+    m: int,
+    b: float,
+    row: Callable[[int], np.ndarray],
+    cross: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """``v^H f(S) v`` for every row v, given the eigenbasis of S."""
-    proj = np.abs(rows.conj() @ basis) ** 2
-    return proj @ diag
+    """The plain lower-barrier greedy over N rows of length m.
+
+    ``norms[i]`` is ``|v_i|^2``, ``row(i)`` returns row v_i, and
+    ``cross(w, g)`` returns ``(conj(rows) @ w, conj(rows) @ g)`` over all N
+    rows; the scorers differ only in those three.  The resolvent
+    ``(S - l I)^{-1}`` is Hermitian; it is kept in its upper triangle and
+    updated in place by BLAS ``zhemv``/``zher``.
+    """
+    if b <= 1.0 + 1.0 / m:
+        raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
+    active = norms > 0
+    n_active = int(active.sum())
+    q = min(int(math.ceil(b * m)), n_active)
+    tr_total = norms[active].sum()
+    # barrier depth: a quarter of the selection's fair-share eigenvalue
+    level = 0.25 * tr_total * q / (max(n_active, 1) * m)
+    if level <= 0:
+        raise ValueError("input rows carry no mass")
+
+    # (S - l I)^{-1} at S = 0; Fortran order so BLAS updates it in place
+    resolvent = np.asfortranarray(np.eye(m, dtype=np.complex128) / level)
+    q1 = norms / level  # row scores  v^H (S - l I)^{-1} v
+    q2 = norms / level**2  # and  v^H (S - l I)^{-2} v
+    blocked = ~active
+    selected = []
+    for _ in range(q):
+        gain = q2 / (1.0 + q1)  # potential decrease when adding the row
+        gain[blocked] = -np.inf
+        i = int(np.argmax(gain))  # exact ties go to the lowest position
+        blocked[i] = True
+        selected.append(i)
+        w = zhemv(1.0, resolvent, row(i))
+        g = zhemv(1.0, resolvent, w)
+        beta = 1.0 / (1.0 + q1[i])
+        a1, a2 = cross(w, g)
+        abs1 = np.abs(a1) ** 2
+        q1 = q1 - beta * abs1
+        q2 = (
+            q2
+            - 2.0 * beta * np.real(a2 * a1.conj())
+            + beta**2 * float(np.real(np.vdot(w, w))) * abs1
+        )
+        zher(-beta, w, a=resolvent, overwrite_a=True)
+    return np.array(selected, dtype=np.int64)
 
 
 def bss_select_plain(rows: np.ndarray, b: float) -> np.ndarray:
@@ -315,51 +373,22 @@ def bss_select_plain(rows: np.ndarray, b: float) -> np.ndarray:
     whole lower end of the selected spectrum up, not just the minimum.  The
     barrier level l is fixed a fraction of the fair-share eigenvalue below
     zero, which keeps the resolvent well conditioned and lets both score
-    vectors update in O(N m) per step via rank-1 (Sherman-Morrison) algebra
-    instead of a fresh eigendecomposition.
+    vectors update by rank-1 (Sherman-Morrison) algebra instead of a fresh
+    eigendecomposition.  Each step costs O(N m) for the dense product
+    ``conj(rows) @ [w, g]`` plus O(m^2) for the in-place resolvent update;
+    ``plain_bss_subsample`` replaces that product by a lattice FFT,
+    O(M log M), when its draw has a lattice parent.
+
+    Exact ties go to the lowest row position.  The row norms are computed
+    here as ``|row|^2``, so rows of equal exact norm can differ by rounding
+    and such near-ties are decided by that noise; ``plain_bss_subsample``
+    passes exact norms instead.
 
     Returns the selected row positions in selection order.
     """
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
-    N, m = rows.shape
-    if b <= 1.0 + 1.0 / m:
-        raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
     norms = np.einsum("ij,ij->i", rows, rows.conj()).real
-    active = norms > 0
-    q = min(int(math.ceil(b * m)), int(active.sum()))
-    tr_total = norms[active].sum()
-    # barrier depth: a quarter of the selection's fair-share eigenvalue
-    level = 0.25 * tr_total * q / (max(int(active.sum()), 1) * m)
-    if level <= 0:
-        raise ValueError("input rows carry no mass")
-
-    resolvent = np.eye(m, dtype=np.complex128) / level  # (S - l I)^{-1}, S = 0
-    q1 = norms / level  # row scores  v^H (S - l I)^{-1} v
-    q2 = norms / level**2  # and  v^H (S - l I)^{-2} v
-    conj_rows = rows.conj()
-    used = np.zeros(N, dtype=bool)
-    selected = []
-    for _ in range(q):
-        gain = q2 / (1.0 + q1)  # potential decrease when adding the row
-        gain[used | ~active] = -np.inf
-        i = int(np.argmax(gain))
-        used[i] = True
-        selected.append(i)
-        v = rows[i]
-        w = resolvent @ v
-        g = resolvent @ w
-        beta = 1.0 / (1.0 + q1[i])
-        cross = conj_rows @ np.column_stack((w, g))
-        a1, a2 = cross[:, 0], cross[:, 1]
-        abs1 = np.abs(a1) ** 2
-        q1 = q1 - beta * abs1
-        q2 = (
-            q2
-            - 2.0 * beta * np.real(a2 * a1.conj())
-            + beta**2 * float(np.real(np.vdot(w, w))) * abs1
-        )
-        resolvent -= beta * np.outer(w, w.conj())
-    return np.array(selected, dtype=np.int64)
+    return _barrier_greedy(norms, rows.shape[1], b, *_dense_scorer(rows))
 
 
 def bss_select_weighted(
@@ -455,6 +484,52 @@ def _stage1_rows(selection: SubsampleSelection, index_set: IndexSet) -> np.ndarr
     rows = np.exp(2j * np.pi * (pts @ index_set.frequencies.T))
     rows *= np.sqrt(selection.reweights)[:, None]
     return rows
+
+
+def _dense_scorer(rows: np.ndarray):
+    """``row(i)`` and ``cross(w, g)`` of the plain greedy on an explicit matrix."""
+    conj_rows = rows.conj()
+
+    def cross(w, g):
+        c = conj_rows @ np.column_stack((w, g))
+        return c[:, 0], c[:, 1]
+
+    return rows.__getitem__, cross
+
+
+def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
+    """``row(i)`` and ``cross(w, g)`` of the plain greedy on a lattice-backed draw.
+
+    Stage-1 row i is ``sqrt(rw_i) exp(2 pi i r_k j_i / M)`` for lattice row
+    j_i and frequency residues ``r_k = <k, z> mod M``, so ``conj(rows) @ w``
+    is the length-M FFT of w scattered onto the residues, gathered at the
+    j_i.  One batched FFT serves both vectors: O(M log M) per call, and no
+    N x |I| matrix is formed.
+    """
+    parent = selection.parent
+    lat = parent.lattice
+    j = (
+        selection.indices
+        if parent.lattice_rows is None
+        else parent.lattice_rows[selection.indices]
+    )
+    res = residues(lat, index_set.frequencies)
+    sqrt_rw = np.sqrt(selection.reweights)
+    pts = parent.points[selection.indices]
+    freqs_t = index_set.frequencies.T
+    spread = np.zeros((2, lat.size), dtype=np.complex128)
+
+    def row(i):
+        return sqrt_rw[i] * np.exp(2j * np.pi * (pts[i] @ freqs_t))
+
+    def cross(w, g):
+        spread[:] = 0.0
+        np.add.at(spread, (slice(None), res), np.stack((w, g)))  # collisions add
+        c = np.fft.fft(spread)[:, j]
+        c *= sqrt_rw
+        return c[0], c[1]
+
+    return row, cross
 
 
 def _weighted_upper_cap(B: float, b: float, kap: float) -> float:
@@ -558,6 +633,12 @@ def plain_bss_subsample(
     with reweights ``w_i / rho_i`` carrying a global ``1/|I|`` scaling.  The
     output's lower MZ constant is certified to be at least
     ``(b-1)^3 / (178 (b+1)^2) * A``; the upper constant is unconstrained.
+
+    On a lattice-backed parent the greedy scores rows through the lattice
+    FFT, O(M log M + |I|^2) per step with no row matrix (so ``BSS_ENTRY_CAP``
+    does not apply); otherwise it uses the dense rows, O(N |I|) per step.
+    Both pass the exact row norms ``rw_i |I|`` and select alike.  The
+    certificate is a dense Gram eigensolve, bounded by ``mz.DENSE_EIG_CAP``.
     """
     if selection.stage != "random":
         raise ValueError("plain sparsification expects a stage-1 selection")
@@ -569,8 +650,13 @@ def plain_bss_subsample(
     if selection.draw_count is None:
         raise ValueError("stage-1 selection must record its draw count")
 
-    rows = _stage1_rows(selection, index_set)
-    chosen = bss_select_plain(rows, b)
+    # |row_i|^2 = rw_i |I| exactly: every character has unit modulus
+    norms = selection.reweights * m
+    if selection.parent.lattice is None:
+        scorer = _dense_scorer(_stage1_rows(selection, index_set))
+    else:
+        scorer = _lattice_scorer(selection, index_set)
+    chosen = _barrier_greedy(norms, m, b, *scorer)
     n = selection.draw_count
     # w_i / rho_i = n * stage-1 reweight; the certified sum carries 1/|I|
     reweights = selection.reweights[chosen] * (n / m)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,40 @@ class TestRunExperiment2:
         assert len(seeds) == 2 and seeds[1] > seeds[0]
         assert row.seed == seeds[1]
         assert row.num_points <= math.ceil(cfg.b * row.num_frequencies)
+
+    def test_bss_times_sum_over_every_attempt(self, tmp_path, monkeypatch):
+        # a fake clock: each draw takes 1 s, each rank check 10 s, the missed
+        # sparsification 100 s and the accepted one 1000 s
+        now = [0.0]
+
+        def ticking(fn, cost):
+            def timed(*args):
+                now[0] += cost() if callable(cost) else cost
+                return fn(*args)
+            return timed
+
+        real_plain = latsub.experiments.plain_bss_subsample
+        calls = []
+
+        def miss_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SpectralCertificateError("injected certificate miss")
+            return real_plain(*args)
+
+        for name, fn, cost in [
+            ("random_subsample", latsub.experiments.random_subsample, 1.0),
+            ("mz_constants", latsub.experiments.mz_constants, 10.0),
+            ("plain_bss_subsample", miss_once, lambda: 100.0 if not calls else 1000.0),
+        ]:
+            monkeypatch.setattr(latsub.experiments, name, ticking(fn, cost))
+        monkeypatch.setattr(latsub.experiments, "time",
+                            SimpleNamespace(perf_counter=lambda: now[0]))
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1, strategies=("bss_sub",))
+        (row,) = run_experiment_2(cfg).rows
+        assert not row.skipped and len(calls) == 2
+        assert row.subsample_time_s == 2 * (1.0 + 10.0)
+        assert row.bss_time_s == 100.0 + 1000.0
 
     @pytest.mark.parametrize("name", ["plain_bss_subsample", "mz_constants"])
     def test_value_error_skips_row_with_message(self, tmp_path, monkeypatch, name):

@@ -2,13 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latsub.subsampling
 from latsub.fourier import DenseOperator
-from latsub.index_sets import embedding_eigenvalues, hyperbolic_cross
-from latsub.lattice import SamplePlan, search_generator
+from latsub.index_sets import IndexSet, embedding_eigenvalues, hyperbolic_cross
+from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.subsampling import (
     DensityWeights,
@@ -22,6 +26,8 @@ from latsub.subsampling import (
     plain_bss_subsample,
     random_subsample,
     random_subsample_size,
+    _lattice_scorer,
+    _stage1_rows,
 )
 
 
@@ -382,3 +388,75 @@ class TestPlainSparsification:
         b = plain_bss_subsample(sel, I, b=2.0)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.reweights, b.reweights)
+
+    def test_uniform_draw_first_pick_is_position_zero(self):
+        # uniform reweights: every row ties exactly at step 0, on both scorers
+        I, sel = stage1_selection(2, 1.0, 3.0, seed=21, n_factor=4)
+        assert np.all(sel.reweights == sel.reweights[0])
+        for s in (sel, stripped(sel)):
+            out = plain_bss_subsample(s, I, b=2.0)
+            assert out.indices[0] == sel.indices[0]
+
+
+def stripped(selection):
+    """The same stage-1 draw on a plan without its lattice link (dense path)."""
+    plan = replace(selection.parent, lattice=None, lattice_rows=None)
+    return replace(selection, parent=plan)
+
+
+class TestLatticeScoredSparsification:
+    @pytest.mark.parametrize("R", [8.0, 10.0, 12.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lattice_and_dense_scorers_select_alike(self, R, seed):
+        I, lat, plan = tight_plan(5, 0.5, R, seed)
+        m = len(I)
+        sel = random_subsample(plan, density_weights(plan),
+                               math.ceil(m * math.log(m)), seed)
+        fast = plain_bss_subsample(sel, I, b=2.0)
+        dense = plain_bss_subsample(stripped(sel), I, b=2.0)
+        assert np.array_equal(fast.indices, dense.indices)
+        assert np.array_equal(fast.reweights, dense.reweights)
+
+    def test_entry_cap_binds_only_the_dense_paths(self, monkeypatch):
+        I, sel = stage1_selection(2, 1.0, 3.0, seed=22, n_factor=4)
+        before = plain_bss_subsample(sel, I, b=2.0)
+        monkeypatch.setattr(latsub.subsampling, "BSS_ENTRY_CAP", 16)
+        after = plain_bss_subsample(sel, I, b=2.0)
+        assert np.array_equal(after.indices, before.indices)
+        assert np.array_equal(after.reweights, before.reweights)
+        with pytest.raises(ValueError, match="dense cap"):
+            plain_bss_subsample(stripped(sel), I, b=2.0)
+        with pytest.raises(ValueError, match="dense cap"):
+            bss_subsample(sel, I, b=16.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        M=st.integers(1, 97),
+        data=st.data(),
+    )
+    def test_lattice_cross_matches_dense_product(self, d, M, data):
+        # arbitrary lattices need not be reconstructing: residues may collide
+        z = data.draw(st.lists(st.integers(0, M - 1), min_size=d, max_size=d))
+        lat = Rank1Lattice(d, np.array(z), M)
+        freqs = data.draw(st.lists(
+            st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=12,
+            unique=True))
+        I = IndexSet(d, np.array(freqs))
+        # a parent that is itself a lattice subset, drawn from with duplicates
+        sub = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=20)))
+        parent = SamplePlan(points=lat.points(sub), weights=np.full(len(sub), 1.0),
+                            lattice=lat, lattice_rows=sub)
+        idx = data.draw(st.lists(st.integers(0, len(sub) - 1), min_size=1, max_size=30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sel = SubsampleSelection(parent=parent, indices=np.array(idx),
+                                 reweights=rng.random(len(idx)) + 0.1,
+                                 stage="random", draw_count=len(idx))
+        w, g = rng.standard_normal((2, len(I))) + 1j * rng.standard_normal((2, len(I)))
+        rows = _stage1_rows(sel, I)
+        row, cross = _lattice_scorer(sel, I)
+        a1, a2 = cross(w, g)
+        np.testing.assert_allclose(a1, rows.conj() @ w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a2, rows.conj() @ g, rtol=0, atol=1e-12)
+        for i in range(len(idx)):
+            np.testing.assert_allclose(row(i), rows[i], rtol=0, atol=1e-12)
