@@ -7,6 +7,16 @@ scattering coefficients onto residues, and ``L* f`` is one FFT followed by a
 gather; both cost O(M log M) independent of |I|.  Subsampled point sets are
 handled by a row mask (duplicate rows permitted, multiplicity preserved).
 
+Arbitrary point sets use an explicit matrix, stored as one contiguous row of
+``L^T`` per frequency.  The rows are built by recursion on the frequencies: a
+frequency's parent is the frequency with its last nonzero coordinate ``j``
+moved one step towards 0, and when the parent is in the set the row is the
+parent's row times the tone ``exp(+-2*pi*i*x_j)``, filled level by level in
+``|k|_1``.  Each entry costs one complex multiply; ``exp`` runs only on the
+tone tables and on the rows of frequencies whose parent is missing (in a
+hyperbolic cross, only ``k = 0``).  The adjoint is ``conj(conj(f) @ L)``,
+which makes no copy of the matrix.
+
 Operators are immutable and reentrant; residues are computed once per
 (lattice, index set) pair at construction and shared by masked views.
 """
@@ -19,6 +29,35 @@ from .index_sets import IndexSet
 from .lattice import Rank1Lattice, residues
 
 __all__ = ["SystemOperator", "LatticeOperator", "DenseOperator"]
+
+
+def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The rows ``exp(2*pi*i*<k, x^i>)`` over the points, one per frequency.
+
+    Returns ``L^T`` as a C-contiguous (len(freqs), len(points)) array.  Rows
+    whose parent (last nonzero coordinate moved one step towards 0) is in
+    ``freqs`` are the parent's row times one tone, written in place; the rest
+    get ``np.exp``.
+    """
+    out = np.empty((len(freqs), points.shape[0]), dtype=np.complex128)
+    up = np.exp(2j * np.pi * np.ascontiguousarray(points.T))
+    tones = (up, up.conj())
+    keys = [tuple(k) for k in freqs.tolist()]
+    row_of = {k: i for i, k in enumerate(keys)}
+    # level by level in |k|_1, so every parent row is filled before its children
+    for i in np.argsort(np.abs(freqs).sum(axis=1), kind="stable").tolist():
+        k = keys[i]
+        nonzero = [j for j, c in enumerate(k) if c]
+        p = None
+        if nonzero:
+            j = nonzero[-1]
+            negative = k[j] < 0
+            p = row_of.get(k[:j] + (k[j] + 1 if negative else k[j] - 1,) + k[j + 1:])
+        if p is None:
+            out[i] = np.exp(2j * np.pi * (points @ freqs[i]))
+        else:
+            np.multiply(out[p], tones[negative][j], out=out[i])
+    return out
 
 
 class SystemOperator:
@@ -145,7 +184,7 @@ class LatticeOperator(SystemOperator):
 
     def dense_matrix(self) -> np.ndarray:
         pts = self.lattice.points(self.rows)
-        return np.exp(2j * np.pi * (pts @ self.index_set.frequencies.T))
+        return _characters(pts, self.index_set.frequencies).T
 
 
 class DenseOperator(SystemOperator):
@@ -165,7 +204,7 @@ class DenseOperator(SystemOperator):
             pts = pts[np.asarray(rows, dtype=np.int64)]
         self.points = pts
         self.index_set = index_set
-        self._matrix = np.exp(2j * np.pi * (pts @ index_set.frequencies.T))
+        self._rows = _characters(pts, index_set.frequencies)  # L^T
 
     @property
     def row_count(self) -> int:
@@ -175,10 +214,10 @@ class DenseOperator(SystemOperator):
         return DenseOperator(self.points, self.index_set, rows)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._matrix @ self._check_coeffs(coeffs)
+        return self._check_coeffs(coeffs) @ self._rows
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
-        return self._matrix.conj().T @ self._check_values(values)
+        return (self._rows @ self._check_values(values).conj()).conj()
 
     def dense_matrix(self) -> np.ndarray:
-        return self._matrix
+        return self._rows.T

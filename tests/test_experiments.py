@@ -23,6 +23,22 @@ from latsub.subsampling import SpectralCertificateError
 DESK = dict(dimension=2, gamma=0.5, radii=(4.0, 8.0, 16.0), repetitions=2, seed=3)
 
 
+def fake_clock(monkeypatch):
+    """Replace the experiments clock; ``ticking(fn, cost)`` wraps ``fn`` so
+    each call advances it by ``cost`` (a number, or a function giving one)."""
+    now = [0.0]
+    monkeypatch.setattr(latsub.experiments, "time",
+                        SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def ticking(fn, cost):
+        def timed(*args):
+            now[0] += cost() if callable(cost) else cost
+            return fn(*args)
+        return timed
+
+    return ticking
+
+
 def desk_config(tmp_path, **over):
     fields = dict(DESK)
     fields["output_dir"] = str(tmp_path / over.pop("subdir", "out"))
@@ -77,6 +93,20 @@ class TestRunExperiment1:
         assert len(files) == len(cfg.radii)
         run_experiment_1(cfg)  # second run hits the cache
         assert sorted(os.listdir(cache)) == files
+
+    def test_dense_build_counts_as_subsample_time(self, tmp_path, monkeypatch):
+        # the dense operator build takes 100 s and the solve 1000 s; the
+        # uniform draw itself takes no fake time
+        ticking = fake_clock(monkeypatch)
+        for name, cost in [("DenseOperator", 100.0), ("least_squares", 1000.0)]:
+            monkeypatch.setattr(latsub.experiments, name,
+                                ticking(getattr(latsub.experiments, name), cost))
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1,
+                          strategies=("continuous_random",))
+        (row,) = run_experiment_1(cfg).rows
+        assert not row.skipped
+        assert row.subsample_time_s == 100.0
+        assert row.solve_time_s == 1000.0
 
     def test_memory_cap_skips_with_reason(self, tmp_path):
         cfg = desk_config(tmp_path, memory_cap_bytes=40_000,
@@ -134,16 +164,9 @@ class TestRunExperiment2:
         assert row.num_points <= math.ceil(cfg.b * row.num_frequencies)
 
     def test_bss_times_sum_over_every_attempt(self, tmp_path, monkeypatch):
-        # a fake clock: each draw takes 1 s, each rank check 10 s, the missed
-        # sparsification 100 s and the accepted one 1000 s
-        now = [0.0]
-
-        def ticking(fn, cost):
-            def timed(*args):
-                now[0] += cost() if callable(cost) else cost
-                return fn(*args)
-            return timed
-
+        # each draw takes 1 s, each rank check 10 s, the missed sparsification
+        # 100 s and the accepted one 1000 s
+        ticking = fake_clock(monkeypatch)
         real_plain = latsub.experiments.plain_bss_subsample
         calls = []
 
@@ -159,8 +182,6 @@ class TestRunExperiment2:
             ("plain_bss_subsample", miss_once, lambda: 100.0 if not calls else 1000.0),
         ]:
             monkeypatch.setattr(latsub.experiments, name, ticking(fn, cost))
-        monkeypatch.setattr(latsub.experiments, "time",
-                            SimpleNamespace(perf_counter=lambda: now[0]))
         cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1, strategies=("bss_sub",))
         (row,) = run_experiment_2(cfg).rows
         assert not row.skipped and len(calls) == 2
