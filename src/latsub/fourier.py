@@ -7,6 +7,17 @@ scattering coefficients onto residues, and ``L* f`` is one FFT followed by a
 gather; both cost O(M log M) independent of |I|.  Subsampled point sets are
 handled by a row mask (duplicate rows permitted, multiplicity preserved).
 
+The normal operator ``L* W L`` never applies ``L`` and ``L*`` in turn on a
+lattice: it is the circular convolution ``(L* W L a)_k = sum_l a_l H[(r_k -
+r_l) mod M]`` over residues ``r``, with ``H = fft_M(h)`` and ``h`` the total
+weight on each lattice point.  ``H`` is computed once per weight vector and
+embedded in a circulant of length ``L``: ``M`` itself when ``M`` is 5-smooth,
+else the smallest 5-smooth length >= 2M-1, with the negative lags wrapped to
+the tail so that no two lags share a slot.  Each application is then two
+FFTs at that fast length instead of two at the (usually prime) lattice size.
+The operator holds two complex length-``L`` buffers, the kernel's spectrum
+and an in-place work array, so at most about 4M complex numbers.
+
 Arbitrary point sets use an explicit matrix, stored as one contiguous row of
 ``L^T`` per frequency.  The rows are built by recursion on the frequencies: a
 frequency's parent is the frequency with its last nonzero coordinate ``j``
@@ -18,10 +29,14 @@ hyperbolic cross, only ``k = 0``).  The adjoint is ``conj(conj(f) @ L)``,
 which makes no copy of the matrix.
 
 Operators are immutable and reentrant; residues are computed once per
-(lattice, index set) pair at construction and shared by masked views.
+(lattice, index set) pair at construction and shared by masked views.  The
+function returned by ``normal`` writes into its own buffer, so one of them
+serves one caller at a time.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -29,6 +44,30 @@ from .index_sets import IndexSet
 from .lattice import Rank1Lattice, residues
 
 __all__ = ["SystemOperator", "LatticeOperator", "DenseOperator"]
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth integer (``2^a 3^b 5^c``) that is >= ``n``."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = -(-n // p35)  # ceil(n / p35)
+            best = min(best, p35 << max(q - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _circulant_length(M: int) -> int:
+    """FFT length of the normal operator's circulant for lattice size M.
+
+    M itself when it is 5-smooth (the convolution is already circular mod M),
+    otherwise the smallest 5-smooth length >= 2M-1, long enough for the lags
+    -(M-1)..M-1 to occupy distinct slots.
+    """
+    return M if _fast_length(M) == M else _fast_length(2 * M - 1)
 
 
 def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -84,8 +123,24 @@ class SystemOperator:
         """View of this operator restricted to the given rows (with duplicates)."""
         raise NotImplementedError
 
+    def normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The normal-equation operator ``a -> L* W L a`` (Hermitian PSD).
+
+        The weights are checked once; the returned function applies the
+        operator to one coefficient vector per call.
+        """
+        w = self._check_weights(weights)
+        return lambda coeffs: self.adjoint(w * self.forward(coeffs))
+
     def apply_normal(self, weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """The normal-equation operator ``a -> L* W L a`` (Hermitian PSD)."""
+        """One application of ``normal(weights)`` to ``coeffs``."""
+        return self.normal(weights)(coeffs)
+
+    def dense_matrix(self) -> np.ndarray:
+        """Materialize L (row_count x |I|); intended for small instances."""
+        raise NotImplementedError
+
+    def _check_weights(self, weights: np.ndarray) -> np.ndarray:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (self.row_count,):
             raise ValueError(
@@ -93,11 +148,7 @@ class SystemOperator:
             )
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        return self.adjoint(w * self.forward(coeffs))
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialize L (row_count x |I|); intended for small instances."""
-        raise NotImplementedError
+        return w
 
     def _check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         a = np.asarray(coeffs)
@@ -181,6 +232,39 @@ class LatticeOperator(SystemOperator):
             full = np.zeros(M, dtype=np.complex128)
             np.add.at(full, self.rows, f)  # duplicates accumulate
         return np.fft.fft(full)[self._res]
+
+    def normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``a -> L* W L a`` as a circular convolution over residues.
+
+        ``(L* W L a)_k = sum_l a_l H[(r_k - r_l) mod M]`` with ``H = fft_M(h)``
+        and ``h`` the total weight on each lattice point.  ``H`` is embedded
+        in a circulant of the fast length ``L`` (negative lags wrapped to the
+        tail), so each call is a scatter, ``fft_L``, a multiply, ``ifft_L``
+        and a gather.  The returned function writes into its own buffer and
+        is not reentrant.
+        """
+        w = self._check_weights(weights)
+        M = self.lattice.size
+        h = w if self.rows is None else np.bincount(self.rows, w, minlength=M)
+        H = np.fft.fft(h)
+        L = _circulant_length(M)
+        kernel = np.zeros(L, dtype=np.complex128)
+        kernel[:M] = H
+        kernel[L - M + 1 :] = H[1:]  # lags -(M-1)..-1; a no-op when L == M
+        np.fft.fft(kernel, out=kernel)
+        buf = np.empty(L, dtype=np.complex128)
+        res = self._res
+
+        def apply(coeffs: np.ndarray) -> np.ndarray:
+            a = self._check_coeffs(coeffs)
+            buf.fill(0)
+            np.add.at(buf, res, a)  # colliding residues accumulate
+            np.fft.fft(buf, out=buf)
+            np.multiply(buf, kernel, out=buf)
+            np.fft.ifft(buf, out=buf)
+            return buf[res]
+
+        return apply
 
     def dense_matrix(self) -> np.ndarray:
         pts = self.lattice.points(self.rows)

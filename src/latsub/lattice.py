@@ -215,8 +215,13 @@ def is_reconstructing(lat: Rank1Lattice, index_set: IndexSet) -> bool:
         raise ValueError("dimension mismatch between lattice and index set")
     if lat.size < len(index_set):
         return False  # pigeonhole
-    r = residues(lat, index_set.frequencies)
-    return len(np.unique(r)) == len(index_set)
+    return _distinct(residues(lat, index_set.frequencies))
+
+
+def _distinct(r: np.ndarray) -> bool:
+    """Whether the entries of ``r`` are pairwise distinct (one sort)."""
+    s = np.sort(r)
+    return bool(np.all(s[1:] != s[:-1]))
 
 
 def _prefix_structure(K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -328,7 +333,7 @@ def search_generator(
                 for _ in range(candidates_per_component):
                     cand = int(rng.integers(1, M)) if M > 1 else 0
                     r_new = (r[parents] + kred * cand % M) % M
-                    if len(np.unique(r_new)) == len(r_new):
+                    if _distinct(r_new):
                         z[j] = cand
                         r = r_new
                         placed = True

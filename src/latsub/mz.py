@@ -137,11 +137,12 @@ def estimate_bounds_iterative(
     if not np.any(w > 0):
         return SpectralBounds(0.0, 0.0)
 
+    apply_normal = op.normal(w)
     if n <= 4:
         G = np.zeros((n, n), dtype=np.complex128)
         eye = np.eye(n, dtype=np.complex128)
         for j in range(n):
-            G[:, j] = op.apply_normal(w, eye[:, j])
+            G[:, j] = apply_normal(eye[:, j])
         lam = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
         return SpectralBounds(max(float(lam[0]), 0.0), float(lam[-1]))
 
@@ -150,7 +151,7 @@ def estimate_bounds_iterative(
     converged = True
 
     normal = spla.LinearOperator(
-        (n, n), matvec=lambda v: op.apply_normal(w, v), dtype=np.complex128
+        (n, n), matvec=apply_normal, dtype=np.complex128
     )
     try:
         vals = spla.eigsh(
@@ -165,7 +166,7 @@ def estimate_bounds_iterative(
     shift = 1.01 * max(B, tol)
     reflected = spla.LinearOperator(
         (n, n),
-        matvec=lambda v: shift * v - op.apply_normal(w, v),
+        matvec=lambda v: shift * v - apply_normal(v),
         dtype=np.complex128,
     )
     try:

@@ -114,12 +114,13 @@ def _solve_cg(op, weights, rhs, cfg):
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return a, 0, 0.0, True
+    normal = op.normal(weights)
     rz = float(np.real(np.vdot(r, r)))
     threshold = cfg.residual_tolerance * rhs_norm
     iterations = 0
     converged = np.sqrt(rz) <= threshold
     while not converged and iterations < cfg.max_iterations:
-        Gp = op.apply_normal(weights, p)
+        Gp = normal(p)
         denom = float(np.real(np.vdot(p, Gp)))
         if denom <= 0:  # numerically semidefinite direction; stop here
             break

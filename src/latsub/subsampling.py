@@ -248,16 +248,20 @@ def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prob = np.zeros(n)
     alias = np.arange(n, dtype=np.int64)
     scaled = p * n
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
+    small = np.flatnonzero(scaled < 1.0).tolist()
+    large = np.flatnonzero(scaled >= 1.0).tolist()
+    mass = scaled.tolist()  # Python floats: the same IEEE doubles, cheaper to index
+    paired, donors = [], []
     while small and large:
         s, g = small.pop(), large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    for i in large + small:  # leftovers are probability-1 cells
-        prob[i] = 1.0
+        paired.append(s)
+        donors.append(g)
+        mass[g] = (mass[g] + mass[s]) - 1.0
+        (small if mass[g] < 1.0 else large).append(g)
+    # a paired cell never changes its mass after it leaves `small`
+    prob[paired] = [mass[s] for s in paired]
+    alias[paired] = donors
+    prob[large + small] = 1.0  # leftovers are probability-1 cells
     return prob, alias
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latsub.fourier import DenseOperator, LatticeOperator
+from latsub.fourier import (
+    DenseOperator,
+    LatticeOperator,
+    _circulant_length,
+    _fast_length,
+)
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, search_generator
 
@@ -171,6 +176,91 @@ class TestAdjointnessAndAgreement:
             ad_f, ad_d = fft_op.adjoint(f), dense_op.adjoint(f)
             assert np.max(np.abs(fw_f - fw_d)) <= 1e-11 * max(np.max(np.abs(fw_d)), 1e-30)
             assert np.max(np.abs(ad_f - ad_d)) <= 1e-11 * max(np.max(np.abs(ad_d)), 1e-30)
+
+
+# primes (the default schedule), 5-smooth sizes (circulant length M) and M = 1
+_NORMAL_SIZES = [1, 2, 3, 7, 11, 13, 31, 61, 101, 4, 8, 12, 30, 60, 100, 125]
+
+
+@st.composite
+def normal_instances(draw):
+    """An operator (full or masked), weights with zeros, and coefficients.
+
+    The generator is either searched (reconstructing) or drawn at random, in
+    which case residues usually collide; masks repeat rows.
+    """
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kmax = draw(st.integers(1, 4))
+    freqs = np.unique(rng.integers(-kmax, kmax + 1, size=(draw(st.integers(1, 30)), d)),
+                      axis=0)
+    I = IndexSet(dimension=d, frequencies=freqs)
+    if draw(st.booleans()):
+        lat = search_generator(I, rng_seed=int(rng.integers(0, 2**31)))
+    else:
+        M = draw(st.sampled_from(_NORMAL_SIZES))
+        lat = Rank1Lattice(dimension=d, generator=rng.integers(0, M, size=d), size=M)
+    op = LatticeOperator(lat, I)
+    if draw(st.booleans()):
+        op = op.masked(rng.integers(0, lat.size, size=draw(st.integers(0, 3 * lat.size))))
+    w = rng.random(op.row_count) * (rng.random(op.row_count) < draw(st.floats(0.0, 1.0)))
+    return op, w, crandn(rng, len(I))
+
+
+class TestNormalOperator:
+    """The circulant normal operator against forward/adjoint and the dense Gram."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(normal_instances())
+    @example((LatticeOperator(Rank1Lattice(dimension=1, generator=np.array([1]), size=7),
+                              IndexSet(dimension=1, frequencies=[[-1], [0], [3]])),
+              np.arange(7.0), np.array([1.0, 2j, -1.0])))
+    def test_matches_adjoint_forward_and_dense_gram(self, instance):
+        op, w, a = instance
+        got = op.normal(w)(a)
+        # every entry of L* W L a is bounded by sum(w) * sum(|a|)
+        scale = np.sum(w) * np.sum(np.abs(a))
+        assert np.max(np.abs(got - op.adjoint(w * op.forward(a)))) <= 1e-12 * scale
+        L = op.dense_matrix()
+        gram = L.conj().T @ (w[:, None] * L)
+        assert np.max(np.abs(got - gram @ a)) <= 1e-12 * scale
+
+    def test_reusable_across_calls(self):
+        rng = np.random.default_rng(8)
+        lat, I = random_instance(rng, max_m=30)
+        op = LatticeOperator(lat, I).masked(rng.integers(0, lat.size, size=2 * lat.size))
+        w = rng.random(op.row_count)
+        normal = op.normal(w)
+        vectors = [crandn(rng, len(I)) for _ in range(3)]
+        first = [normal(a) for a in vectors]
+        for a, out in zip(vectors, first):
+            assert np.array_equal(normal(a), out)
+            assert np.array_equal(op.apply_normal(w, a), out)
+
+    def test_rejects_bad_weights_and_coefficients(self):
+        I = hyperbolic_cross(1, 1.0, 2.0)
+        op = LatticeOperator(Rank1Lattice(dimension=1, generator=np.array([1]), size=7), I)
+        with pytest.raises(ValueError, match="nonnegative"):
+            op.normal(np.full(7, -0.1))
+        with pytest.raises(ValueError, match="weights"):
+            op.normal(np.ones(6))
+        with pytest.raises(ValueError, match="length"):
+            op.normal(np.ones(7))(np.ones(len(I) + 1))
+
+    def test_circulant_length_rule(self):
+        smooth = [n for n in range(1, 5000) if _strip(_strip(_strip(n, 2), 3), 5) == 1]
+        for n in range(1, 4000):
+            assert _fast_length(n) == min(m for m in smooth if m >= n)
+        for M in range(1, 2000):
+            L = _circulant_length(M)
+            assert L == (M if M in smooth else _fast_length(2 * M - 1))
+        assert _circulant_length(32069) == 64800  # d=10, R=14 lattice size
+
+
+def _strip(n, p):
+    while n % p == 0:
+        n //= p
+    return n
 
 
 @st.composite

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import (
     GeneratorSearchError,
     Rank1Lattice,
     SamplePlan,
+    _distinct,
     _next_prime,
     is_reconstructing,
     lattice_points,
@@ -164,6 +167,17 @@ class TestSearchGenerator:
             G = gram_matrix(plan, I)
             assert np.max(np.abs(G - np.eye(len(I)))) < 1e-10
 
+    @pytest.mark.parametrize("d, R, seed, line", [
+        (2, 20.0, 5, "2 163 18 130"),
+        (5, 16.0, 1, "5 6449 508 1842 6286 6261 2941"),
+        (10, 8.0, 3, "10 12659 225 10126 4689 10214 5629 6306 8386 2522 4439 54"),
+        (10, 14.0, 7, "10 64151 15078 48587 60845 46845 56078 35285 44567 49142 16042 22"),
+        (10, 14.0, 41, "10 32069 31629 8001 8192 26795 31014 9511 28914 6024 28300 21129"),
+    ])
+    def test_pinned_generators(self, d, R, seed, line):
+        # lattices found by the np.unique injectivity test, before the sort-based one
+        assert search_generator(hyperbolic_cross(d, 0.5, R), rng_seed=seed).to_line() == line
+
     def test_exhausted_schedule_raises(self):
         I = hyperbolic_cross(2, 1.0, 4.0)
         with pytest.raises(GeneratorSearchError, match="budget"):
@@ -173,6 +187,18 @@ class TestSearchGenerator:
         I = interval_set(-3, 3)
         lat = search_generator(I, rng_seed=0, m_schedule=[7, 11, 13])
         assert lat.size in (7, 11, 13)
+
+
+class TestDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-5, 5), max_size=12))
+    @example([])
+    @example([3])
+    @example([1, 1, 2, 4])
+    @example([2, 4, 7, 7])
+    def test_matches_unique(self, values):
+        r = np.array(values, dtype=np.int64)
+        assert _distinct(r) == (len(np.unique(r)) == len(r))
 
 
 class TestNextPrime:

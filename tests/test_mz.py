@@ -145,6 +145,18 @@ class TestIterativeBounds:
             assert est.B == pytest.approx(dense.B, rel=2 * tol)
             assert est.A == pytest.approx(dense.A, rel=2 * tol, abs=2 * tol * dense.B)
 
+    @pytest.mark.parametrize("R", [1.5, 6.0])  # |I| = 3 (the n <= 4 loop) and 13
+    def test_normal_operator_built_once(self, monkeypatch, R):
+        I = hyperbolic_cross(1, 1.0, R)
+        lat = search_generator(I, rng_seed=2)
+        op = LatticeOperator(lat, I)
+        built = []
+        build = LatticeOperator.normal
+        monkeypatch.setattr(LatticeOperator, "normal",
+                            lambda self, w: built.append(1) or build(self, w))
+        estimate_bounds_iterative(op, np.full(lat.size, 1.0 / lat.size), tol=1e-6)
+        assert built == [1]
+
     def test_zero_weights(self):
         I = hyperbolic_cross(1, 1.0, 3.0)
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=11)

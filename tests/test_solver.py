@@ -158,6 +158,31 @@ class TestLeastSquares:
         assert data["converged"] is True
 
 
+def count_normal_builds(monkeypatch):
+    calls = []
+    build = LatticeOperator.normal
+
+    def counted(self, weights):
+        calls.append(len(weights))
+        return build(self, weights)
+
+    monkeypatch.setattr(LatticeOperator, "normal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["iterative_normal", "direct_normal"])
+def test_normal_operator_built_once_per_solve(monkeypatch, mode):
+    rng = np.random.default_rng(12)
+    I, lat, plan = tight_setup(2, 1.0, 6.0, seed=3)
+    rows = rng.integers(0, lat.size, size=3 * len(I))
+    op = LatticeOperator(lat, I).masked(rows)
+    calls = count_normal_builds(monkeypatch)
+    _, diag = least_squares(op, rng.random(len(rows)), crandn(rng, len(rows)),
+                            SolverConfig(max_iterations=10, mode=mode))
+    assert calls == [len(rows)]
+    assert diag.iterations == (10 if mode == "iterative_normal" else 0)
+
+
 class TestReconstructWrapper:
     def test_full_lattice_equals_scaled_adjoint(self):
         rng = np.random.default_rng(6)

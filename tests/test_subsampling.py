@@ -26,6 +26,7 @@ from latsub.subsampling import (
     plain_bss_subsample,
     random_subsample,
     random_subsample_size,
+    _alias_table,
     _lattice_scorer,
     _stage1_rows,
 )
@@ -127,6 +128,46 @@ class TestSubsampleSize:
             random_subsample_size(1.0, 1.0, 1.5, 10, 1.0)
         with pytest.raises(ValueError):
             random_subsample_size(1.0, 1.0, 0.5, 10, 0.0)
+
+
+def alias_table_loop(p):
+    """The element-by-element Vose construction the vectorized one replaced."""
+    n = len(p)
+    prob = np.zeros(n)
+    alias = np.arange(n, dtype=np.int64)
+    scaled = p * n
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    for i in large + small:
+        prob[i] = 1.0
+    return prob, alias
+
+
+class TestAliasTable:
+    @pytest.mark.parametrize("kind", ["uniform", "random", "heavy", "zeros", "atom"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12659])
+    def test_matches_loop_bytewise(self, kind, n):
+        rng = np.random.default_rng(n)
+        p = {
+            "uniform": np.full(n, 1.0 / n),
+            "random": rng.random(n),
+            "heavy": rng.pareto(0.7, n) + 1e-12,
+            "zeros": rng.random(n) * (rng.random(n) < 0.5),
+            "atom": np.eye(n)[n // 2] + 1e-9 * rng.random(n),
+        }[kind]
+        if kind == "zeros":
+            p[0], p[-1] = 0.0, 1.0
+        p = p / p.sum()
+        prob, alias = _alias_table(p)
+        want_prob, want_alias = alias_table_loop(p)
+        assert prob.tobytes() == want_prob.tobytes()
+        assert np.array_equal(alias, want_alias)
 
 
 class TestRandomSubsample:
