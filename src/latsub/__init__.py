@@ -28,7 +28,6 @@ from .lattice import (
 from .fourier import DenseOperator, LatticeOperator, SystemOperator
 from .mz import (
     SpectralBounds,
-    estimate_bounds_iterative,
     gram_matrix,
     mz_constants,
     mz_report,

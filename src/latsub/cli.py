@@ -24,14 +24,13 @@ from .experiments import (
     run_experiment_2,
 )
 from .index_sets import IndexSet, hyperbolic_cross
-from .lattice import Rank1Lattice, lattice_points, oversampling_factor, search_generator
+from .lattice import Rank1Lattice, lattice_points, search_generator
 from .mz import mz_report
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p.add_argument("--d", type=int, help="dimension")
-    p.add_argument("--s", type=float, help="mixed smoothness order")
     p.add_argument("--gamma", type=float, help="cross shape parameter")
     p.add_argument("--radii", help="comma-separated radius schedule")
     p.add_argument("--strategies", help="comma-separated strategy names")
@@ -48,7 +47,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 _FLAG_TO_FIELD = {
     "d": "dimension",
-    "s": "smoothness",
     "gamma": "gamma",
     "b": "b",
     "seed": "seed",
@@ -114,7 +112,7 @@ def _cmd_lattice_search(args: argparse.Namespace) -> int:
         lat.save(args.out)
         print(f"wrote {args.out}")
     print(line)
-    print(f"oversampling M/|I| = {oversampling_factor(lat, index_set):.3f}")
+    print(f"oversampling M/|I| = {lat.size / len(index_set):.3f}")
     return 0
 
 
@@ -122,7 +120,7 @@ def _cmd_mz_audit(args: argparse.Namespace) -> int:
     try:
         index_set = _load_index_set(args)
         lat = Rank1Lattice.load(args.lattice)
-        plan = lattice_points(lat, stable_for=index_set)
+        plan = lattice_points(lat)
         report = mz_report(plan, index_set, tol=args.tol)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

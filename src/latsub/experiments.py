@@ -67,8 +67,9 @@ _STRATEGY_STREAM = {name: i for i, name in enumerate(KNOWN_STRATEGIES)}
 @dataclass(frozen=True)
 class ExperimentConfig:
     dimension: int = 5
-    # Recorded in reports only: on the torus the stage-1 density is w / sum(w)
-    # whatever the smoothness order.
+    # Accepted from config files and recorded in reports, but it changes no
+    # output, so it has no CLI flag: on the torus the stage-1 density is
+    # w / sum(w) whatever the smoothness order.
     smoothness: float = 1.5
     gamma: float = 0.5
     radii: tuple[float, ...] = (4.0, 8.0, 16.0)
@@ -162,6 +163,11 @@ def _lattice_for(
     return lat
 
 
+def _draw_count(m: int) -> int:
+    """Stage-1 (and continuous-random) draw count ``ceil(m ln m)``, at least 1."""
+    return max(1, math.ceil(m * math.log(m)))
+
+
 def _error_row(trunc_sq: float, alias_sq: float) -> tuple[float, float, float]:
     return (
         math.sqrt(trunc_sq),
@@ -199,7 +205,6 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
         plan = SamplePlan(
             points=lat.points(),
             weights=np.full(M, 1.0 / M),
-            stable_for=index_set,
             bounds=SpectralBounds(1.0, 1.0),
             lattice=lat,
         )
@@ -208,7 +213,7 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
         trunc_sq = truncation_error_sq(kink.norm_sq, ref)
         full_op = LatticeOperator(lat, index_set)
         rho = density_weights(plan)
-        n_draw = max(1, math.ceil(m * math.log(m))) if m > 1 else 1
+        n_draw = _draw_count(m)
         setup_time = time.perf_counter() - t0
 
         full_row = None
@@ -293,7 +298,9 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
                         radius, strategy, rep, m, len(sel2), tr, al, tot,
                         setup_time, sub_time, solve_time, bss_time, seed))
                 elif strategy == "continuous_random":
-                    dense_bytes = 2 * 16 * n_draw * m + n_draw * (8 * cfg.dimension + 16)
+                    # one complex n x |I| matrix (L^T), the two complex d x n
+                    # tone tables it is built from, the points and the values
+                    dense_bytes = 16 * n_draw * m + n_draw * (40 * cfg.dimension + 16)
                     if dense_bytes > cfg.memory_cap_bytes:
                         report.rows.append(_skipped_row(
                             radius, strategy, rep, m, cfg,
@@ -463,7 +470,7 @@ def check_report(report: ExperimentReport) -> list[str]:
                 f"truncation {r.truncation_error:.3e}"
             )
         m = r.num_frequencies
-        expected_n = max(1, math.ceil(m * math.log(m))) if m > 1 else 1
+        expected_n = _draw_count(m)
         if r.strategy == "random_sub" and r.num_points != expected_n:
             problems.append(f"{tag} point count {r.num_points} != {expected_n}")
         if r.strategy == "bss_sub" and r.num_points > math.ceil(cfg.b * m):

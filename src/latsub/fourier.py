@@ -132,10 +132,6 @@ class SystemOperator:
         w = self._check_weights(weights)
         return lambda coeffs: self.adjoint(w * self.forward(coeffs))
 
-    def apply_normal(self, weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """One application of ``normal(weights)`` to ``coeffs``."""
-        return self.normal(weights)(coeffs)
-
     def dense_matrix(self) -> np.ndarray:
         """Materialize L (row_count x |I|); intended for small instances."""
         raise NotImplementedError

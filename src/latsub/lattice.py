@@ -112,7 +112,6 @@ class SamplePlan:
 
     points: np.ndarray
     weights: np.ndarray
-    stable_for: IndexSet | None = None
     bounds: "SpectralBounds | None" = None
     lattice: Rank1Lattice | None = None
     lattice_rows: np.ndarray | None = None
@@ -144,34 +143,13 @@ class SamplePlan:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def to_csv(self) -> str:
-        d = self.dimension
-        header = ",".join([f"x_{j + 1}" for j in range(d)] + ["weight"])
-        lines = [header]
-        for p, w in zip(self.points, self.weights):
-            lines.append(
-                ",".join(format(v, ".17g") for v in p) + "," + format(w, ".17g")
-            )
-        return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "SamplePlan":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        d = len(lines[0].split(",")) - 1
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        arr = np.array(rows, dtype=np.float64).reshape(len(rows), d + 1)
-        return cls(points=arr[:, :d], weights=arr[:, d])
-
-
-def lattice_points(
-    lat: Rank1Lattice, stable_for: IndexSet | None = None
-) -> SamplePlan:
+def lattice_points(lat: Rank1Lattice) -> SamplePlan:
     """All M lattice points with uniform quadrature weights 1/M (summing to 1)."""
     M = lat.size
     return SamplePlan(
         points=lat.points(),
         weights=np.full(M, 1.0 / M),
-        stable_for=stable_for,
         lattice=lat,
         lattice_rows=None,
     )
@@ -349,8 +327,3 @@ def search_generator(
         f"tried M in {tried[:3]}...{tried[-1:] if tried else []} "
         f"({len(tried)} sizes, {attempts_per_m} attempts each)"
     )
-
-
-def oversampling_factor(lat: Rank1Lattice, index_set: IndexSet) -> float:
-    """Ratio M / |I|, reported for diagnostics (no bound is enforced)."""
-    return lat.size / len(index_set)

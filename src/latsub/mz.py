@@ -11,8 +11,8 @@ the normalized Lebesgue measure on the torus, so ||f||^2 = ||a||^2).  A > 0
 certifies that weighted least squares reconstructs the space exactly; A = B
 is equivalent to exact quadrature on all products of basis functions.
 
-Dense eigensolves are used up to a size cap; beyond that a matrix-free
-Lanczos estimate on the normal operator is available.
+The constants come from dense eigensolves of the |I| x |I| Gram matrix,
+which is not formed above ``DENSE_EIG_CAP``.
 """
 
 from __future__ import annotations
@@ -21,20 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import SystemOperator
 from .index_sets import IndexSet
-from .lattice import SamplePlan
+from .lattice import SamplePlan, residues
 
 __all__ = [
     "SpectralBounds",
     "gram_matrix",
     "mz_constants",
-    "estimate_bounds_iterative",
     "quadrature_exactness",
     "mz_report",
 ]
 
-#: Largest |I| for which dense Gram assembly / eigensolves are attempted.
+#: Largest |I| for which a dense |I| x |I| Gram matrix is formed: by the
+#: certificates here and by the solver's direct mode.
 DENSE_EIG_CAP = 4096
 
 _GRAM_BLOCK = 512
@@ -46,7 +45,6 @@ class SpectralBounds:
 
     A: float
     B: float
-    converged: bool = True
 
     def __post_init__(self) -> None:
         if not (0 <= self.A <= self.B):
@@ -68,15 +66,13 @@ def gram_matrix(plan: SamplePlan, index_set: IndexSet) -> np.ndarray:
     n = len(index_set)
     if n > DENSE_EIG_CAP:
         raise ValueError(
-            f"|I| = {n} exceeds the dense cap {DENSE_EIG_CAP}; "
-            "use estimate_bounds_iterative instead"
+            f"|I| = {n} exceeds DENSE_EIG_CAP = {DENSE_EIG_CAP}: dense Gram "
+            "matrices are not formed above it"
         )
     if plan.dimension != index_set.dimension:
         raise ValueError("dimension mismatch between plan and index set")
 
     if plan.lattice is not None:
-        from .lattice import residues  # local import to keep module deps one-way
-
         lat = plan.lattice
         M = lat.size
         w_full = np.zeros(M)
@@ -108,79 +104,6 @@ def mz_constants(plan: SamplePlan, index_set: IndexSet) -> SpectralBounds:
     G = gram_matrix(plan, index_set)
     lam = np.linalg.eigvalsh(G)
     return SpectralBounds(A=max(float(lam[0]), 0.0), B=max(float(lam[-1]), 0.0))
-
-
-def estimate_bounds_iterative(
-    op: SystemOperator,
-    weights: np.ndarray,
-    tol: float = 1e-6,
-    *,
-    rng_seed: int = 0,
-    maxiter: int = 2000,
-) -> SpectralBounds:
-    """Matrix-free estimate of the MZ constants via Lanczos on ``L* W L``.
-
-    The upper constant is the largest Ritz value of the normal operator; the
-    lower constant is recovered from the largest Ritz value of the reflected
-    operator ``c*Id - L* W L`` (extremal Rayleigh quotients from random
-    starts).  Non-convergence is not fatal: the best available estimates are
-    returned with ``converged=False``.
-    """
-    # imported here so that `import latsub` does not load scipy.sparse
-    import scipy.sparse.linalg as spla
-
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = len(op.index_set)
-    w = np.asarray(weights, dtype=np.float64)
-
-    if not np.any(w > 0):
-        return SpectralBounds(0.0, 0.0)
-
-    apply_normal = op.normal(w)
-    if n <= 4:
-        G = np.zeros((n, n), dtype=np.complex128)
-        eye = np.eye(n, dtype=np.complex128)
-        for j in range(n):
-            G[:, j] = apply_normal(eye[:, j])
-        lam = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-        return SpectralBounds(max(float(lam[0]), 0.0), float(lam[-1]))
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, 5])))
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    converged = True
-
-    normal = spla.LinearOperator(
-        (n, n), matvec=apply_normal, dtype=np.complex128
-    )
-    try:
-        vals = spla.eigsh(
-            normal, k=1, which="LA", tol=tol / 2, v0=v0, maxiter=maxiter,
-            return_eigenvectors=False,
-        )
-        B = float(vals[0])
-    except spla.ArpackNoConvergence as exc:
-        B = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else 0.0
-        converged = False
-
-    shift = 1.01 * max(B, tol)
-    reflected = spla.LinearOperator(
-        (n, n),
-        matvec=lambda v: shift * v - apply_normal(v),
-        dtype=np.complex128,
-    )
-    try:
-        vals = spla.eigsh(
-            reflected, k=1, which="LA", tol=tol / 2, v0=v0, maxiter=maxiter,
-            return_eigenvectors=False,
-        )
-        A = shift - float(vals[0])
-    except spla.ArpackNoConvergence as exc:
-        A = shift - float(exc.eigenvalues[0]) if len(exc.eigenvalues) else 0.0
-        converged = False
-
-    A = max(A, 0.0)
-    return SpectralBounds(A=min(A, max(B, A)), B=max(B, A), converged=converged)
 
 
 def quadrature_exactness(

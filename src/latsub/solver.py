@@ -19,15 +19,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg
 
+from . import mz
 from .fourier import DenseOperator, LatticeOperator, SystemOperator
 from .index_sets import IndexSet
 from .lattice import SamplePlan
-from .mz import SpectralBounds
 
 __all__ = ["SolverConfig", "SolveDiagnostics", "least_squares", "reconstruct"]
-
-#: Direct mode refuses coefficient spaces larger than this (dense |I| x |I|).
-DIRECT_SIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class SolveDiagnostics:
     normal_residual: float
     weighted_residual: float
     converged: bool
-    condition_estimate: float | None
     wall_time_s: float
 
     def to_json(self) -> str:
@@ -75,13 +71,12 @@ def _weighted_residual(op, weights, coeffs, samples) -> float:
 
 
 def _solve_direct(op, weights, samples, rhs):
-    gram_rows = op.row_count * len(op.index_set)
-    if len(op.index_set) > DIRECT_SIZE_CAP:
+    if len(op.index_set) > mz.DENSE_EIG_CAP:
         raise ValueError(
-            f"|I| = {len(op.index_set)} exceeds the direct-mode cap "
-            f"{DIRECT_SIZE_CAP}; use iterative mode"
+            f"|I| = {len(op.index_set)} exceeds DENSE_EIG_CAP = "
+            f"{mz.DENSE_EIG_CAP}; use iterative mode"
         )
-    if gram_rows > (1 << 26):
+    if op.row_count * len(op.index_set) > (1 << 26):
         raise ValueError("system too large to materialize for direct mode")
     L = op.dense_matrix()
     G = L.conj().T @ (weights[:, None] * L)
@@ -143,7 +138,6 @@ def least_squares(
     weights: np.ndarray,
     samples: np.ndarray,
     cfg: SolverConfig | None = None,
-    bounds: SpectralBounds | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Minimize ``|| W^(1/2) (L a - f) ||`` and return (coefficients, diagnostics).
 
@@ -170,9 +164,7 @@ def least_squares(
     if cfg.mode == "direct_normal":
         a, converged = _solve_direct(op, w, f, rhs)
         iterations = 0
-        normal_residual = float(
-            np.linalg.norm(op.apply_normal(w, a) - rhs)
-        )
+        normal_residual = float(np.linalg.norm(op.normal(w)(a) - rhs))
     else:
         a, iterations, normal_residual, converged = _solve_cg(op, w, rhs, cfg)
     elapsed = time.perf_counter() - start
@@ -184,7 +176,6 @@ def least_squares(
         normal_residual=normal_residual,
         weighted_residual=_weighted_residual(op, w, a, f),
         converged=bool(converged),
-        condition_estimate=(bounds.ratio if bounds is not None else None),
         wall_time_s=elapsed,
     )
     return a, diag
@@ -214,7 +205,6 @@ def reconstruct(
     index_set: IndexSet,
     samples: np.ndarray,
     cfg: SolverConfig | None = None,
-    bounds: SpectralBounds | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Weighted least squares with weights and operator taken from ``source``.
 
@@ -226,10 +216,6 @@ def reconstruct(
     op = operator_for(source, index_set)
     if isinstance(source, SubsampleSelection):
         weights = source.reweights
-        if bounds is None:
-            bounds = source.parent.bounds
     else:
         weights = source.weights
-        if bounds is None:
-            bounds = source.bounds
-    return least_squares(op, weights, samples, cfg, bounds)
+    return least_squares(op, weights, samples, cfg)

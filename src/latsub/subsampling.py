@@ -33,7 +33,6 @@ first pick is position 0.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -108,7 +107,6 @@ class SubsampleSelection:
     stage: str
     seed: int | None = None
     draw_count: int | None = None
-    oversampling: float | None = None
     bss_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -132,7 +130,7 @@ class SubsampleSelection:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def as_plan(self, stable_for: IndexSet | None = None) -> SamplePlan:
+    def as_plan(self) -> SamplePlan:
         """The selection as a standalone SamplePlan (lattice link preserved)."""
         parent = self.parent
         rows = None
@@ -145,61 +143,8 @@ class SubsampleSelection:
         return SamplePlan(
             points=parent.points[self.indices],
             weights=self.reweights,
-            stable_for=stable_for,
             lattice=parent.lattice,
             lattice_rows=rows,
-        )
-
-    def to_csv(self) -> str:
-        lines = ["index,reweight,stage,s"]
-        s = self.bss_weights
-        for t, (i, w) in enumerate(zip(self.indices, self.reweights)):
-            s_str = format(s[t], ".17g") if s is not None else ""
-            lines.append(f"{int(i)},{format(w, '.17g')},{self.stage},{s_str}")
-        return "\n".join(lines) + "\n"
-
-    def sidecar_json(self) -> str:
-        return json.dumps(
-            {
-                "stage": self.stage,
-                "seed": self.seed,
-                "draw_count": self.draw_count,
-                "oversampling": self.oversampling,
-                "size": len(self),
-            },
-            indent=2,
-        )
-
-    def save(self, csv_path, json_path) -> None:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write(self.to_csv())
-        with open(json_path, "w", encoding="ascii") as fh:
-            fh.write(self.sidecar_json())
-
-    @classmethod
-    def from_csv(
-        cls, parent: SamplePlan, csv_text: str, json_text: str | None = None
-    ) -> "SubsampleSelection":
-        lines = [ln for ln in csv_text.splitlines() if ln.strip()]
-        idx, rw, s_vals, stages = [], [], [], set()
-        for ln in lines[1:]:
-            tok = ln.split(",")
-            idx.append(int(tok[0]))
-            rw.append(float(tok[1]))
-            stages.add(tok[2])
-            if tok[3]:
-                s_vals.append(float(tok[3]))
-        meta = json.loads(json_text) if json_text else {}
-        (stage,) = stages or {"random"}
-        return cls(
-            parent=parent,
-            indices=np.array(idx, dtype=np.int64),
-            reweights=np.array(rw, dtype=np.float64),
-            stage=stage,
-            seed=meta.get("seed"),
-            draw_count=meta.get("draw_count"),
-            oversampling=meta.get("oversampling"),
-            bss_weights=np.array(s_vals) if s_vals else None,
         )
 
 
@@ -620,7 +565,6 @@ def bss_subsample(
         stage="bss_weighted",
         seed=selection.seed,
         draw_count=selection.draw_count,
-        oversampling=b,
         bss_weights=s_all[chosen],
     )
 
@@ -672,7 +616,6 @@ def plain_bss_subsample(
         stage="plain_bss",
         seed=selection.seed,
         draw_count=selection.draw_count,
-        oversampling=b,
     )
     certified = (b - 1.0) ** 3 / (178.0 * (b + 1.0) ** 2) * A
     achieved = mz_constants(result.as_plan(), index_set).A

@@ -30,7 +30,6 @@ __all__ = [
     "kink_coefficients",
     "truncation_error_sq",
     "aliasing_error_sq",
-    "coefficients_csv",
 ]
 
 #: Univariate normalization constant c = 5^(3/4) * 15 / (4 sqrt(3)).
@@ -126,14 +125,3 @@ def aliasing_error_sq(ref_coeffs: np.ndarray, computed: np.ndarray) -> float:
             f"coefficient vectors disagree in shape: {ref.shape} vs {got.shape}"
         )
     return float(np.sum(np.abs(ref - got) ** 2))
-
-
-def coefficients_csv(freqs: np.ndarray, values: np.ndarray) -> str:
-    """Audit export: one ``k_1 ... k_d, value`` row per frequency."""
-    K = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
-    lines = [",".join([f"k_{j + 1}" for j in range(K.shape[1])] + ["value"])]
-    for row, v in zip(K, np.asarray(values)):
-        lines.append(
-            ",".join(str(int(c)) for c in row) + "," + format(float(v), ".17g")
-        )
-    return "\n".join(lines) + "\n"

@@ -57,7 +57,7 @@ def tight_plan_for(index_set, seed):
     lat = search_generator(index_set, rng_seed=seed)
     return lat, SamplePlan(
         points=lat.points(), weights=np.full(lat.size, 1.0 / lat.size),
-        stable_for=index_set, bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+        bounds=SpectralBounds(1.0, 1.0), lattice=lat)
 
 
 def trimmed_cross(d, gamma, m, s=1.5):

@@ -4,6 +4,7 @@ import json
 import os
 
 import latsub.experiments
+import latsub.mz
 from latsub.cli import main
 from latsub.index_sets import hyperbolic_cross
 from latsub.lattice import GeneratorSearchError, Rank1Lattice, is_reconstructing
@@ -29,6 +30,18 @@ def test_lattice_search_and_audit(tmp_path, capsys):
     assert report["exact_quadrature"] is True
     assert abs(report["A"] - 1.0) < 1e-9
     assert report["num_points"] == lat.size
+
+
+def test_mz_audit_above_dense_eig_cap_exits_2(tmp_path, capsys, monkeypatch):
+    lattice_path = tmp_path / "lat.txt"
+    Rank1Lattice(dimension=1, generator=[1], size=16).save(lattice_path)
+    monkeypatch.setattr(latsub.mz, "DENSE_EIG_CAP", 8)
+    rc = main(["mz-audit", "--lattice", str(lattice_path),
+               "--d", "1", "--gamma", "1.0", "--radius", "4.0"])  # |I| = 9
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert ("error: |I| = 9 exceeds DENSE_EIG_CAP = 8: dense Gram matrices "
+            "are not formed above it") in captured.err
 
 
 def test_lattice_search_from_cross_flags(capsys):
@@ -62,7 +75,7 @@ def test_exp2_infeasible_b_exits_nonzero(tmp_path, capsys):
 def test_config_file_with_flag_overrides(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "dimension": 2, "gamma": 0.5, "radii": [4.0, 8.0],
+        "dimension": 2, "smoothness": 1.5, "gamma": 0.5, "radii": [4.0, 8.0],
         "repetitions": 1, "seed": 5, "strategies": ["full"],
         "output_dir": str(tmp_path / "from_file")}))
     rc = main(["exp1", "--config", str(cfg_path),

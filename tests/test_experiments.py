@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from latsub.experiments import (
     run_experiment_1,
     run_experiment_2,
 )
+from latsub.index_sets import hyperbolic_cross
 from latsub.subsampling import SpectralCertificateError
 
 DESK = dict(dimension=2, gamma=0.5, radii=(4.0, 8.0, 16.0), repetitions=2, seed=3)
@@ -107,6 +109,19 @@ class TestRunExperiment1:
         assert not row.skipped
         assert row.subsample_time_s == 100.0
         assert row.solve_time_s == 1000.0
+
+    def test_dense_estimate_counts_one_matrix(self, tmp_path):
+        # the operator holds one complex n x |I| matrix; the two complex
+        # d x n tone tables, the points and the values come on top
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1,
+                          strategies=("continuous_random",))
+        m = len(hyperbolic_cross(2, 0.5, 8.0))
+        n = math.ceil(m * math.log(m))
+        needed = 16 * n * m + n * (32 * 2 + 8 * 2 + 16)
+        (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
+        assert not row.skipped
+        (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
+        assert row.skipped and "exceeds the memory cap" in row.skip_reason
 
     def test_memory_cap_skips_with_reason(self, tmp_path):
         cfg = desk_config(tmp_path, memory_cap_bytes=40_000,

@@ -107,13 +107,13 @@ class TestApplyNormal:
         op = LatticeOperator(lat, I)
         w = np.full(lat.size, 1.0 / lat.size)
         a = crandn(rng, len(I))
-        assert np.max(np.abs(op.apply_normal(w, a) - a)) < 1e-12 * np.max(np.abs(a))
+        assert np.max(np.abs(op.normal(w)(a) - a)) < 1e-12 * np.max(np.abs(a))
 
     def test_zero_weights_give_zero(self):
         I = hyperbolic_cross(1, 1.0, 2.0)
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=7)
         op = LatticeOperator(lat, I)
-        out = op.apply_normal(np.zeros(7), np.ones(len(I), dtype=complex))
+        out = op.normal(np.zeros(7))(np.ones(len(I), dtype=complex))
         assert np.all(out == 0)
 
     def test_negative_weight_rejected(self):
@@ -121,7 +121,7 @@ class TestApplyNormal:
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=7)
         op = LatticeOperator(lat, I)
         with pytest.raises(ValueError, match="nonnegative"):
-            op.apply_normal(np.full(7, -0.1), np.ones(len(I), dtype=complex))
+            op.normal(np.full(7, -0.1))(np.ones(len(I), dtype=complex))
 
     def test_masked_matches_assembled_gram(self):
         rng = np.random.default_rng(4)
@@ -133,7 +133,7 @@ class TestApplyNormal:
         L = DenseOperator(lat.points(), I, rows=rows).dense_matrix()
         G = L.conj().T @ (w[:, None] * L)
         a = crandn(rng, len(I))
-        got, want = op.apply_normal(w, a), G @ a
+        got, want = op.normal(w)(a), G @ a
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_hermitian(self):
@@ -143,8 +143,8 @@ class TestApplyNormal:
             w = rng.random(lat.size)
             op = LatticeOperator(lat, I)
             a, b = crandn(rng, len(I)), crandn(rng, len(I))
-            lhs = np.vdot(b, op.apply_normal(w, a))
-            rhs = np.conj(np.vdot(a, op.apply_normal(w, b)))
+            lhs = np.vdot(b, op.normal(w)(a))
+            rhs = np.conj(np.vdot(a, op.normal(w)(b)))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -235,7 +235,7 @@ class TestNormalOperator:
         first = [normal(a) for a in vectors]
         for a, out in zip(vectors, first):
             assert np.array_equal(normal(a), out)
-            assert np.array_equal(op.apply_normal(w, a), out)
+            assert np.array_equal(op.normal(w)(a), out)
 
     def test_rejects_bad_weights_and_coefficients(self):
         I = hyperbolic_cross(1, 1.0, 2.0)

@@ -1,14 +1,13 @@
-"""Stability constants, matrix-free estimates, and exact-quadrature checks."""
+"""Stability constants, Gram assembly, and exact-quadrature checks."""
 
 import numpy as np
 import pytest
 
-from latsub.fourier import DenseOperator, LatticeOperator
+from latsub.fourier import DenseOperator
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, SamplePlan, lattice_points, search_generator
 from latsub.mz import (
     SpectralBounds,
-    estimate_bounds_iterative,
     gram_matrix,
     mz_constants,
     mz_report,
@@ -40,7 +39,7 @@ class TestMzConstants:
     def test_reconstructing_lattice_is_tight(self):
         I = hyperbolic_cross(2, 1.0, 4.0)
         lat = search_generator(I, rng_seed=2)
-        bounds = mz_constants(lattice_points(lat, I), I)
+        bounds = mz_constants(lattice_points(lat), I)
         assert bounds.A == pytest.approx(1.0, abs=1e-11)
         assert bounds.B == pytest.approx(1.0, abs=1e-11)
 
@@ -84,7 +83,7 @@ class TestMzConstants:
     def test_size_cap(self):
         I = IndexSet(dimension=1, frequencies=[[k] for k in range(-2500, 2500)])
         plan = SamplePlan(points=[[0.0]], weights=[1.0])
-        with pytest.raises(ValueError, match="dense cap"):
+        with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 4096"):
             mz_constants(plan, I)
 
 
@@ -108,81 +107,18 @@ class TestDiscreteSumEquivalence:
                 assert discrete <= bounds.B * norm_sq * (1 + 1e-9) + 1e-12
 
 
-class TestIterativeBounds:
-    def test_full_lattice_near_one(self):
-        I = hyperbolic_cross(2, 1.0, 4.0)
-        lat = search_generator(I, rng_seed=3)
-        op = LatticeOperator(lat, I)
-        w = np.full(lat.size, 1.0 / lat.size)
-        bounds = estimate_bounds_iterative(op, w, tol=1e-8)
-        assert bounds.converged
-        assert bounds.A == pytest.approx(1.0, abs=1e-6)
-        assert bounds.B == pytest.approx(1.0, abs=1e-6)
-
-    def test_rank_deficient_lower_bound_vanishes(self):
-        I = hyperbolic_cross(1, 1.0, 8.0)  # 17 frequencies
-        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=64)
-        op = LatticeOperator(lat, I).masked(np.arange(5))  # 5 < 17 rows
-        w = np.full(5, 0.2)
-        bounds = estimate_bounds_iterative(op, w, tol=1e-6)
-        assert bounds.A <= 1e-6
-
-    def test_agrees_with_dense_on_random_masked_instances(self):
-        rng = np.random.default_rng(4)
-        tol = 1e-6
-        for _ in range(8):
-            I = hyperbolic_cross(2, 1.0, 6.0)  # |I| = 113 <= 512
-            M = int(rng.integers(4 * len(I), 8 * len(I)))
-            z = rng.integers(0, M, size=2)
-            lat = Rank1Lattice(dimension=2, generator=z, size=M)
-            rows = rng.integers(0, M, size=2 * len(I))
-            w = rng.random(2 * len(I))
-            plan = SamplePlan(points=lat.points(rows), weights=w,
-                              lattice=lat, lattice_rows=rows)
-            dense = mz_constants(plan, I)
-            op = LatticeOperator(lat, I).masked(rows)
-            est = estimate_bounds_iterative(op, w, tol=tol, rng_seed=1)
-            assert est.B == pytest.approx(dense.B, rel=2 * tol)
-            assert est.A == pytest.approx(dense.A, rel=2 * tol, abs=2 * tol * dense.B)
-
-    @pytest.mark.parametrize("R", [1.5, 6.0])  # |I| = 3 (the n <= 4 loop) and 13
-    def test_normal_operator_built_once(self, monkeypatch, R):
-        I = hyperbolic_cross(1, 1.0, R)
-        lat = search_generator(I, rng_seed=2)
-        op = LatticeOperator(lat, I)
-        built = []
-        build = LatticeOperator.normal
-        monkeypatch.setattr(LatticeOperator, "normal",
-                            lambda self, w: built.append(1) or build(self, w))
-        estimate_bounds_iterative(op, np.full(lat.size, 1.0 / lat.size), tol=1e-6)
-        assert built == [1]
-
-    def test_zero_weights(self):
-        I = hyperbolic_cross(1, 1.0, 3.0)
-        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=11)
-        op = LatticeOperator(lat, I)
-        bounds = estimate_bounds_iterative(op, np.zeros(11), tol=1e-6)
-        assert bounds.A == 0.0 and bounds.B == 0.0
-
-    def test_rejects_bad_tol(self):
-        I = hyperbolic_cross(1, 1.0, 2.0)
-        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=7)
-        with pytest.raises(ValueError):
-            estimate_bounds_iterative(LatticeOperator(lat, I), np.ones(7), tol=0.0)
-
-
 class TestQuadratureExactness:
     def test_reconstructing_lattice_returns_one(self):
         I = hyperbolic_cross(3, 1.0, 3.0)
         lat = search_generator(I, rng_seed=4)
-        assert quadrature_exactness(lattice_points(lat, I), I) == pytest.approx(1.0)
+        assert quadrature_exactness(lattice_points(lat), I) == pytest.approx(1.0)
 
     def test_colliding_pair_returns_none(self):
         # z = 1, M = 2 on {-1, 0, 1}: frequencies -1 and 1 share a residue,
         # so the corresponding off-diagonal Gram entry equals 1
         I = IndexSet(dimension=1, frequencies=[[-1], [0], [1]])
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=2)
-        plan = lattice_points(lat, I)
+        plan = lattice_points(lat)
         G = gram_matrix(plan, I)
         assert abs(G[0, 2] - 1.0) < 1e-15  # the collision shows up directly
         assert quadrature_exactness(plan, I) is None
@@ -190,7 +126,7 @@ class TestQuadratureExactness:
     def test_scaled_weights_scale_the_constant(self):
         I = hyperbolic_cross(2, 1.0, 2.0)
         lat = search_generator(I, rng_seed=5)
-        plan = lattice_points(lat, I)
+        plan = lattice_points(lat)
         scaled = SamplePlan(points=plan.points, weights=3.5 * plan.weights,
                             lattice=lat)
         assert quadrature_exactness(scaled, I) == pytest.approx(3.5)
@@ -212,7 +148,7 @@ class TestReport:
     def test_report_fields(self):
         I = hyperbolic_cross(2, 1.0, 2.0)
         lat = search_generator(I, rng_seed=6)
-        rep = mz_report(lattice_points(lat, I), I)
+        rep = mz_report(lattice_points(lat), I)
         assert rep["exact_quadrature"] is True
         assert rep["quadrature_constant"] == pytest.approx(1.0)
         assert rep["num_frequencies"] == len(I)

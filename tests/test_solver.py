@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import latsub.mz
 from latsub.fourier import DenseOperator, LatticeOperator
-from latsub.index_sets import hyperbolic_cross
+from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.solver import SolverConfig, least_squares, reconstruct
@@ -21,7 +22,7 @@ def tight_setup(d, gamma, R, seed):
     I = hyperbolic_cross(d, gamma, R)
     lat = search_generator(I, rng_seed=seed)
     plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
-                      stable_for=I, bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+                      bounds=SpectralBounds(1.0, 1.0), lattice=lat)
     return I, lat, plan
 
 
@@ -150,12 +151,33 @@ class TestLeastSquares:
     def test_diagnostics_json(self):
         I, lat, plan = tight_setup(1, 1.0, 2.0, seed=10)
         op = LatticeOperator(lat, I)
-        _, diag = least_squares(op, plan.weights, np.ones(lat.size, dtype=complex),
-                                bounds=SpectralBounds(1.0, 1.0))
+        _, diag = least_squares(op, plan.weights, np.ones(lat.size, dtype=complex))
         data = json.loads(diag.to_json())
         assert data["operator_kind"] == "lattice_fft"
-        assert data["condition_estimate"] == 1.0
         assert data["converged"] is True
+
+    def test_direct_mode_refuses_more_than_dense_eig_cap_frequencies(self, monkeypatch):
+        I, lat, plan = tight_setup(1, 1.0, 4.0, seed=1)  # 9 frequencies
+        op = LatticeOperator(lat, I)
+        monkeypatch.setattr(latsub.mz, "DENSE_EIG_CAP", len(I) - 1)
+        with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 8; use iterative"):
+            least_squares(op, plan.weights, np.ones(lat.size),
+                          SolverConfig(mode="direct_normal"))
+        monkeypatch.setattr(latsub.mz, "DENSE_EIG_CAP", len(I))
+        least_squares(op, plan.weights, np.ones(lat.size),
+                      SolverConfig(mode="direct_normal"))
+
+    def test_direct_mode_refuses_more_than_2_26_matrix_entries(self):
+        # 4000 frequencies (under the |I| cap) times 16778 rows > 2^26 entries;
+        # the refusal comes before any dense matrix is formed
+        I = IndexSet(dimension=1, frequencies=np.arange(-2000, 2000)[:, None])
+        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=4001)
+        rows = np.arange(16778) % lat.size
+        assert len(rows) * len(I) > 2**26 >= (len(rows) - 1) * len(I)
+        op = LatticeOperator(lat, I).masked(rows)
+        with pytest.raises(ValueError, match="too large to materialize"):
+            least_squares(op, np.ones(len(rows)), np.ones(len(rows)),
+                          SolverConfig(mode="direct_normal"))
 
 
 def count_normal_builds(monkeypatch):
@@ -192,7 +214,6 @@ class TestReconstructWrapper:
         a_wrap, diag = reconstruct(plan, I, f)
         assert np.allclose(a_wrap, op.adjoint(f) / lat.size, atol=1e-12)
         assert diag.operator_kind == "lattice_fft"
-        assert diag.condition_estimate == 1.0  # bounds picked up from the plan
 
     def test_selection_equals_manual_weights(self):
         rng = np.random.default_rng(7)

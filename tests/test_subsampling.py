@@ -1,6 +1,5 @@
 """Density construction, random draws, and sparsification certificates."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -58,7 +57,7 @@ def tight_plan(d, gamma, R, seed):
     I = hyperbolic_cross(d, gamma, R)
     lat = search_generator(I, rng_seed=seed)
     plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
-                      stable_for=I, bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+                      bounds=SpectralBounds(1.0, 1.0), lattice=lat)
     return I, lat, plan
 
 
@@ -254,22 +253,6 @@ class TestRandomSubsample:
         rho = density_weights(plan)
         sel = random_subsample(plan, rho, n=500, seed=5)
         assert set(np.unique(sel.indices)) <= {1, 2}
-
-    def test_csv_and_sidecar_round_trip(self, tmp_path):
-        I, lat, plan = tight_plan(1, 1.0, 3.0, seed=5)
-        rho = density_weights(plan)
-        sel = random_subsample(plan, rho, n=12, seed=77)
-        csv_path, json_path = tmp_path / "sel.csv", tmp_path / "sel.json"
-        sel.save(csv_path, json_path)
-        again = SubsampleSelection.from_csv(
-            plan, csv_path.read_text(), json_path.read_text())
-        assert np.array_equal(again.indices, sel.indices)
-        assert np.array_equal(again.reweights, sel.reweights)
-        assert again.stage == "random"
-        assert again.seed == 77 and again.draw_count == 12
-        meta = json.loads(sel.sidecar_json())
-        assert meta["size"] == 12
-
 
 class TestKappa:
     def test_tight_case(self):

@@ -12,7 +12,6 @@ from latsub.testfunctions import (
     KINK_SCALE,
     KinkFunction,
     aliasing_error_sq,
-    coefficients_csv,
     kink_coeff_1d,
     kink_coefficients,
     kink_eval,
@@ -114,14 +113,6 @@ class TestClosedFormCoefficients:
             errors.append(np.max(np.abs(series - kink_eval(pts[:, None]))))
         assert errors[2] < errors[1] < errors[0]
 
-    def test_csv_export(self):
-        freqs = np.array([[0], [1]])
-        text = coefficients_csv(freqs, kink_coefficients(freqs))
-        lines = text.splitlines()
-        assert lines[0] == "k_1,value"
-        assert lines[1].startswith("0,0.8633400213704")
-
-
 class TestErrorSplits:
     def test_empty_set_truncation_is_norm(self):
         assert truncation_error_sq(1.0, np.zeros(0)) == 1.0
@@ -169,7 +160,7 @@ class TestErrorSplits:
         # definition (coefficient differences) vs dense projection difference
         I = IndexSet(dimension=1, frequencies=[[k] for k in range(-8, 9)])
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=17)
-        plan = lattice_points(lat, I)
+        plan = lattice_points(lat)
         f = kink_eval(plan.points).astype(complex)
         op = LatticeOperator(lat, I)
         computed, _ = least_squares(op, plan.weights, f, SolverConfig())
@@ -190,7 +181,7 @@ class TestErrorSplits:
 
         I = hyperbolic_cross(2, 1.0, 4.0)
         lat = search_generator(I, rng_seed=1)
-        plan = lattice_points(lat, I)
+        plan = lattice_points(lat)
         f = kink_eval(plan.points).astype(complex)
         op = LatticeOperator(lat, I)
         computed, _ = least_squares(op, plan.weights, f, SolverConfig())
