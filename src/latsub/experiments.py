@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .fourier import DenseOperator, LatticeOperator
+from .fourier import DenseOperator, LatticeOperator, _circulant_length
 from .index_sets import IndexSet, hyperbolic_cross
 from .lattice import Rank1Lattice, SamplePlan, is_reconstructing, search_generator
 from .mz import SpectralBounds, mz_constants
@@ -168,6 +168,20 @@ def _draw_count(m: int) -> int:
     return max(1, math.ceil(m * math.log(m)))
 
 
+def _lattice_round_bytes(M: int, d: int, n_draw: int) -> int:
+    """Bytes of a ``full`` plus ``random_sub`` round on a lattice of size M.
+
+    An upper bound that counts every large array as alive at once.  Per
+    lattice point: the points (8d) and the kink's two M x d temporaries
+    (16d); the weights, the density and the kink's real values (8 each);
+    the complex values (16); and the stage-1 alias table, whose arrays and
+    Python lists take about 112.  Per draw: the indices, the reweights and
+    the masked values (32).  On top, the circulant normal operator's two
+    complex buffers of length ``_circulant_length(M)``.
+    """
+    return M * (24 * d + 152) + 32 * n_draw + 32 * _circulant_length(M)
+
+
 def _error_row(trunc_sq: float, alias_sq: float) -> tuple[float, float, float]:
     return (
         math.sqrt(trunc_sq),
@@ -192,9 +206,9 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
             )
         lat = _lattice_for(cfg, index_set, radius, lattice_cache)
         M = lat.size
+        n_draw = _draw_count(m)
 
-        full_bytes = M * (8 * cfg.dimension + 48)
-        if full_bytes > cfg.memory_cap_bytes:
+        if _lattice_round_bytes(M, cfg.dimension, n_draw) > cfg.memory_cap_bytes:
             for strategy in cfg.strategies:
                 for rep in range(cfg.repetitions):
                     report.rows.append(
@@ -213,7 +227,6 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
         trunc_sq = truncation_error_sq(kink.norm_sq, ref)
         full_op = LatticeOperator(lat, index_set)
         rho = density_weights(plan)
-        n_draw = _draw_count(m)
         setup_time = time.perf_counter() - t0
 
         full_row = None

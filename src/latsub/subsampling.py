@@ -15,12 +15,17 @@ posteriori by dense eigensolves of the subsampled |I| x |I| Gram matrix
 (bounded by ``mz.DENSE_EIG_CAP``); a run that cannot meet its certificate
 raises instead of returning a bad selection.
 
-The plain greedy's only per-row step is the product ``conj(rows) @ [w, g]``.
-On a lattice-backed stage-1 draw every row is a character
-``sqrt(rw_i) exp(2 pi i r_k j_i / M)``, so that product is one batched
-length-M FFT gathered at the drawn rows, and a step costs
-O(M log M + |I|^2) with no N x |I| row matrix held; other point sets use
-the dense product at O(N |I|) per step.  Both scorers share one loop.
+The plain greedy's only per-row step is the product of all rows with the
+resolvent's two new vectors.  On a lattice-backed stage-1 draw over a
+symmetric index set (I = -I, e.g. a hyperbolic cross) every row
+``sqrt(rw_i) exp(2 pi i r_k j_i / M)`` is conjugate-symmetric, so the greedy
+runs in the real orthonormal basis ``[sqrt2 Re v_p (p < h), v_0,
+sqrt2 Im v_p (p < h)]``, pairing lex position p with m-1-p.  Rows, resolvent
+and scores are then real; both products pack into one length-M complex FFT
+gathered at the drawn rows, and the real symmetric resolvent is updated by
+BLAS ``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no
+N x |I| row matrix held.  Any other input uses the dense complex rows at
+O(N |I|) per step with ``zhemv``/``zher``.  All share one loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; categorical sampling uses a
@@ -38,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zhemv, zher
+from scipy.linalg.blas import dsymv, dsyr, zhemv, zher
 
 from .index_sets import IndexSet
 from .lattice import SamplePlan, residues
@@ -273,8 +278,9 @@ def _barrier_greedy(
     ``norms[i]`` is ``|v_i|^2``, ``row(i)`` returns row v_i, and
     ``cross(w, g)`` returns ``(conj(rows) @ w, conj(rows) @ g)`` over all N
     rows; the scorers differ only in those three.  The resolvent
-    ``(S - l I)^{-1}`` is Hermitian; it is kept in its upper triangle and
-    updated in place by BLAS ``zhemv``/``zher``.
+    ``(S - l I)^{-1}`` is Hermitian (real symmetric for real rows); it is
+    kept in its upper triangle and updated in place by BLAS
+    ``zhemv``/``zher``, or ``dsymv``/``dsyr`` when the rows are real.
     """
     if b <= 1.0 + 1.0 / m:
         raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
@@ -287,8 +293,10 @@ def _barrier_greedy(
     if level <= 0:
         raise ValueError("input rows carry no mass")
 
+    dtype = row(0).dtype
+    hemv, her = (dsymv, dsyr) if dtype == np.float64 else (zhemv, zher)
     # (S - l I)^{-1} at S = 0; Fortran order so BLAS updates it in place
-    resolvent = np.asfortranarray(np.eye(m, dtype=np.complex128) / level)
+    resolvent = np.asfortranarray(np.eye(m, dtype=dtype) / level)
     q1 = norms / level  # row scores  v^H (S - l I)^{-1} v
     q2 = norms / level**2  # and  v^H (S - l I)^{-2} v
     blocked = ~active
@@ -299,8 +307,8 @@ def _barrier_greedy(
         i = int(np.argmax(gain))  # exact ties go to the lowest position
         blocked[i] = True
         selected.append(i)
-        w = zhemv(1.0, resolvent, row(i))
-        g = zhemv(1.0, resolvent, w)
+        w = hemv(1.0, resolvent, row(i))
+        g = hemv(1.0, resolvent, w)
         beta = 1.0 / (1.0 + q1[i])
         a1, a2 = cross(w, g)
         abs1 = np.abs(a1) ** 2
@@ -310,7 +318,7 @@ def _barrier_greedy(
             - 2.0 * beta * np.real(a2 * a1.conj())
             + beta**2 * float(np.real(np.vdot(w, w))) * abs1
         )
-        zher(-beta, w, a=resolvent, overwrite_a=True)
+        her(-beta, w, a=resolvent, overwrite_a=True)
     return np.array(selected, dtype=np.int64)
 
 
@@ -326,7 +334,7 @@ def bss_select_plain(rows: np.ndarray, b: float) -> np.ndarray:
     eigendecomposition.  Each step costs O(N m) for the dense product
     ``conj(rows) @ [w, g]`` plus O(m^2) for the in-place resolvent update;
     ``plain_bss_subsample`` replaces that product by a lattice FFT,
-    O(M log M), when its draw has a lattice parent.
+    O(M log M), when its draw has a lattice parent and I = -I.
 
     Exact ties go to the lowest row position.  The row norms are computed
     here as ``|row|^2``, so rows of equal exact norm can differ by rounding
@@ -447,12 +455,17 @@ def _dense_scorer(rows: np.ndarray):
 
 
 def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
-    """``row(i)`` and ``cross(w, g)`` of the plain greedy on a lattice-backed draw.
+    """Real ``row(i)`` and ``cross(w, g)`` of the plain greedy on a lattice draw.
 
-    Stage-1 row i is ``sqrt(rw_i) exp(2 pi i r_k j_i / M)`` for lattice row
-    j_i and frequency residues ``r_k = <k, z> mod M``, so ``conj(rows) @ w``
-    is the length-M FFT of w scattered onto the residues, gathered at the
-    j_i.  One batched FFT serves both vectors: O(M log M) per call, and no
+    Requires a symmetric index set (I = -I).  In lex order frequency p is
+    the negative of frequency m-1-p, so stage-1 row ``v_i = sqrt(rw_i)
+    exp(2 pi i r_k j_i / M)`` (lattice row j_i, residues ``r_k = <k, z> mod
+    M``) is conjugate-symmetric and the unitary change of basis ``U v = [sqrt2
+    Re v_p (p < h), v_h if m is odd, sqrt2 Im v_p (p < h)]``, h = m // 2,
+    makes it real.  For real w, ``(U v_i) . w = conj(v_i) @ U^H w``: the
+    length-M FFT of ``U^H w`` scattered onto the residues, gathered at the
+    j_i.  Both products are real, so the one FFT of ``U^H (w + i g)`` yields
+    them as its real and imaginary parts.  O(M log M) per call, and no
     N x |I| matrix is formed.
     """
     parent = selection.parent
@@ -462,21 +475,35 @@ def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
         if parent.lattice_rows is None
         else parent.lattice_rows[selection.indices]
     )
+    m = len(index_set)
+    h = m // 2
     res = residues(lat, index_set.frequencies)
+    res[m - h:] = res[m - h:][::-1].copy()  # position m-h+p: the mirror of p
     sqrt_rw = np.sqrt(selection.reweights)
     pts = parent.points[selection.indices]
-    freqs_t = index_set.frequencies.T
-    spread = np.zeros((2, lat.size), dtype=np.complex128)
+    half_t = index_set.frequencies[:h].T
+    spread = np.zeros(lat.size, dtype=np.complex128)
+    r2 = math.sqrt(2.0)
 
     def row(i):
-        return sqrt_rw[i] * np.exp(2j * np.pi * (pts[i] @ freqs_t))
+        phase = 2.0 * np.pi * (pts[i] @ half_t)
+        scale = r2 * sqrt_rw[i]
+        return np.concatenate((scale * np.cos(phase),
+                               np.full(m - 2 * h, sqrt_rw[i]),  # k = 0
+                               scale * np.sin(phase)))
 
     def cross(w, g):
+        # U^H x for x = w + i g: (cos + i sin)/sqrt2 at p, (cos - i sin)/sqrt2
+        # at its mirror, the k = 0 entry unchanged
+        x = w + 1j * g
+        c, s = x[:h] / r2, x[m - h:] * (1j / r2)
+        x[:h] = c + s
+        x[m - h:] = c - s
         spread[:] = 0.0
-        np.add.at(spread, (slice(None), res), np.stack((w, g)))  # collisions add
-        c = np.fft.fft(spread)[:, j]
-        c *= sqrt_rw
-        return c[0], c[1]
+        np.add.at(spread, res, x)  # collisions add
+        f = np.fft.fft(spread)[j]
+        f *= sqrt_rw
+        return f.real, f.imag
 
     return row, cross
 
@@ -582,10 +609,12 @@ def plain_bss_subsample(
     output's lower MZ constant is certified to be at least
     ``(b-1)^3 / (178 (b+1)^2) * A``; the upper constant is unconstrained.
 
-    On a lattice-backed parent the greedy scores rows through the lattice
-    FFT, O(M log M + |I|^2) per step with no row matrix (so ``BSS_ENTRY_CAP``
-    does not apply); otherwise it uses the dense rows, O(N |I|) per step.
-    Both pass the exact row norms ``rw_i |I|`` and select alike.  The
+    On a lattice-backed parent with a symmetric index set (I = -I, which
+    lex order makes ``freqs[::-1] == -freqs``) the greedy runs in a real
+    basis and scores rows through one lattice FFT, O(M log M + |I|^2) per
+    step with no row matrix (so ``BSS_ENTRY_CAP`` does not apply); any other
+    input uses the dense complex rows, O(N |I|) per step.  Both pass the
+    exact row norms ``rw_i |I|`` and select alike up to rounding.  The
     certificate is a dense Gram eigensolve, bounded by ``mz.DENSE_EIG_CAP``.
     """
     if selection.stage != "random":
@@ -600,10 +629,11 @@ def plain_bss_subsample(
 
     # |row_i|^2 = rw_i |I| exactly: every character has unit modulus
     norms = selection.reweights * m
-    if selection.parent.lattice is None:
-        scorer = _dense_scorer(_stage1_rows(selection, index_set))
-    else:
+    freqs = index_set.frequencies
+    if selection.parent.lattice is not None and np.array_equal(freqs[::-1], -freqs):
         scorer = _lattice_scorer(selection, index_set)
+    else:
+        scorer = _dense_scorer(_stage1_rows(selection, index_set))
     chosen = _barrier_greedy(norms, m, b, *scorer)
     n = selection.draw_count
     # w_i / rho_i = n * stage-1 reweight; the certified sum carries 1/|I|

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from latsub.experiments import (
     run_experiment_1,
     run_experiment_2,
 )
+from latsub.fourier import _circulant_length
 from latsub.index_sets import hyperbolic_cross
 from latsub.subsampling import SpectralCertificateError
 
@@ -122,6 +124,29 @@ class TestRunExperiment1:
         assert not row.skipped
         (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
         assert row.skipped and "exceeds the memory cap" in row.skip_reason
+
+    def test_lattice_estimate_counts_the_round(self, tmp_path):
+        # per lattice point the points and the kink's two M x d temporaries,
+        # weights, density, real and complex values and the alias table; per
+        # draw indices, reweights and masked values; the normal operator's
+        # two complex buffers of the circulant length
+        cfg = desk_config(tmp_path, dimension=5, radii=(8.0,), repetitions=1,
+                          strategies=("full", "random_sub"))
+        full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
+        M, m = full.num_points, full.num_frequencies
+        n = math.ceil(m * math.log(m))
+        needed = M * (24 * 5 + 152) + 32 * n + 32 * _circulant_length(M)
+        rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
+        assert not any(r.skipped for r in rows)
+        rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
+        assert all(r.skipped and "exceeds the memory cap" in r.skip_reason for r in rows)
+        tracemalloc.start()
+        try:
+            run_experiment_1(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needed
 
     def test_memory_cap_skips_with_reason(self, tmp_path):
         cfg = desk_config(tmp_path, memory_cap_bytes=40_000,

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import latsub.subsampling
 from latsub.fourier import DenseOperator
-from latsub.index_sets import IndexSet, embedding_eigenvalues, hyperbolic_cross
+from latsub.index_sets import (
+    IndexSet,
+    embedding_eigenvalues,
+    hyperbolic_cross,
+    select_largest_eigenvalues,
+)
 from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.subsampling import (
@@ -453,20 +458,42 @@ class TestLatticeScoredSparsification:
         with pytest.raises(ValueError, match="dense cap"):
             bss_subsample(sel, I, b=16.0)
 
-    @settings(max_examples=60, deadline=None)
+    def test_asymmetric_set_takes_the_dense_path(self, monkeypatch):
+        # a lattice parent alone does not pick the real scorer: I must be -I
+        def draw(index_set):
+            lat = search_generator(index_set, rng_seed=23)
+            plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
+                              bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+            m = len(index_set)
+            return random_subsample(plan, density_weights(plan),
+                                    math.ceil(4 * m * (math.log(m) + 1)), seed=23)
+
+        I_sym = hyperbolic_cross(2, 1.0, 8.0)
+        I = select_largest_eigenvalues(I_sym, 8, 1.5)
+        assert not np.array_equal(I.frequencies[::-1], -I.frequencies)
+        monkeypatch.setattr(latsub.subsampling, "BSS_ENTRY_CAP", 16)
+        with pytest.raises(ValueError, match="dense cap"):
+            plain_bss_subsample(draw(I), I, b=2.0)
+        assert len(plain_bss_subsample(draw(I_sym), I_sym, b=2.0)) <= 2 * len(I_sym)
+
+    @settings(max_examples=80, deadline=None)
     @given(
         d=st.integers(1, 3),
         M=st.integers(1, 97),
+        with_zero=st.booleans(),
         data=st.data(),
     )
-    def test_lattice_cross_matches_dense_product(self, d, M, data):
+    def test_lattice_cross_matches_dense_product(self, d, M, with_zero, data):
         # arbitrary lattices need not be reconstructing: residues may collide
         z = data.draw(st.lists(st.integers(0, M - 1), min_size=d, max_size=d))
         lat = Rank1Lattice(d, np.array(z), M)
-        freqs = data.draw(st.lists(
-            st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=12,
-            unique=True))
-        I = IndexSet(d, np.array(freqs))
+        # a symmetric set: a drawn half, its mirror, and possibly 0
+        half = data.draw(st.lists(
+            st.tuples(*[st.integers(-6, 6)] * d).filter(any), max_size=6, unique=True))
+        freqs = set(half) | {tuple(-c for c in k) for k in half}
+        if with_zero or not freqs:
+            freqs.add((0,) * d)
+        I = IndexSet(d, np.array(sorted(freqs)).reshape(-1, d))
         # a parent that is itself a lattice subset, drawn from with duplicates
         sub = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=20)))
         parent = SamplePlan(points=lat.points(sub), weights=np.full(len(sub), 1.0),
@@ -476,11 +503,29 @@ class TestLatticeScoredSparsification:
         sel = SubsampleSelection(parent=parent, indices=np.array(idx),
                                  reweights=rng.random(len(idx)) + 0.1,
                                  stage="random", draw_count=len(idx))
-        w, g = rng.standard_normal((2, len(I))) + 1j * rng.standard_normal((2, len(I)))
-        rows = _stage1_rows(sel, I)
+        w, g = rng.standard_normal((2, len(I)))
+        rows = realified(_stage1_rows(sel, I))
         row, cross = _lattice_scorer(sel, I)
         a1, a2 = cross(w, g)
-        np.testing.assert_allclose(a1, rows.conj() @ w, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a2, rows.conj() @ g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a1, rows @ w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a2, rows @ g, rtol=0, atol=1e-12)
         for i in range(len(idx)):
+            assert row(i).dtype == np.float64
             np.testing.assert_allclose(row(i), rows[i], rtol=0, atol=1e-12)
+
+
+def realified(rows):
+    """Conjugate-symmetric rows in the basis ``[sqrt2 Re v_p, v_0, sqrt2 Im v_p]``.
+
+    Position p < h = m // 2 pairs with m-1-p; the middle entry (k = 0, odd
+    m only) is real.  The map is unitary on conjugate-symmetric vectors, so
+    the realified rows keep their norms.
+    """
+    m = rows.shape[1]
+    h = m // 2
+    np.testing.assert_allclose(rows[:, ::-1], rows.conj(), rtol=0, atol=1e-12)
+    out = np.hstack((math.sqrt(2) * rows[:, :h].real, rows[:, h:m - h].real,
+                     math.sqrt(2) * rows[:, :h].imag))
+    np.testing.assert_allclose(np.sum(out**2, axis=1), np.sum(np.abs(rows)**2, axis=1),
+                               rtol=1e-12)
+    return out
