@@ -2,7 +2,8 @@
 
 Given a schedule of hyperbolic-cross radii, the harness builds a
 reconstructing rank-1 lattice per cross, samples the kink test function, and
-reconstructs it with up to four strategies:
+reconstructs it with up to four strategies, one function each in the
+``_STRATEGIES`` table, where a strategy's position is its seed stream:
 
   full               all M lattice points; tight frame, so the coefficients
                      are the plain adjoint divided by M (no inverse needed)
@@ -13,6 +14,10 @@ reconstructs it with up to four strategies:
   continuous_random  n i.i.d. uniform points on the torus with a dense
                      operator, as the unstructured baseline; the operator
                      build counts as subsample time, not solve time
+
+Each takes the state shared at one radius and a row seed, and returns the
+coefficients, point count, seed used and seconds per phase, or raises
+``_Skip`` to skip its row.  ``_run`` scores every outcome and builds its row.
 
 Per (radius, strategy, repetition) the report records the truncation /
 aliasing / total L2 errors, point counts, wall times, and seeds.  Given the
@@ -26,6 +31,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -58,10 +64,6 @@ __all__ = [
     "check_report",
     "error_at_matched_points",
 ]
-
-KNOWN_STRATEGIES = ("full", "random_sub", "bss_sub", "continuous_random")
-
-_STRATEGY_STREAM = {name: i for i, name in enumerate(KNOWN_STRATEGIES)}
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,14 @@ class ExperimentReport:
 
 
 def _derived_seed(cfg_seed: int, r_index: int, strategy: str, rep: int) -> int:
-    ss = np.random.SeedSequence(
-        [cfg_seed, r_index, _STRATEGY_STREAM[strategy], rep]
-    )
+    stream = KNOWN_STRATEGIES.index(strategy)
+    ss = np.random.SeedSequence([cfg_seed, r_index, stream, rep])
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 def _lattice_for(
-    cfg: ExperimentConfig, index_set: IndexSet, radius: float, cache: dict
+    cfg: ExperimentConfig, index_set: IndexSet, radius: float
 ) -> Rank1Lattice:
-    key = (cfg.dimension, cfg.gamma, radius, cfg.seed)
-    if key in cache:
-        return cache[key]
     cache_dir = os.path.join(cfg.output_dir, "lattice_cache")
     os.makedirs(cache_dir, exist_ok=True)
     fname = os.path.join(
@@ -159,7 +157,6 @@ def _lattice_for(
     if lat is None:
         lat = search_generator(index_set, rng_seed=cfg.seed)
         lat.save(fname)
-    cache[key] = lat
     return lat
 
 
@@ -182,170 +179,175 @@ def _lattice_round_bytes(M: int, d: int, n_draw: int) -> int:
     return M * (24 * d + 152) + 32 * n_draw + 32 * _circulant_length(M)
 
 
-def _error_row(trunc_sq: float, alias_sq: float) -> tuple[float, float, float]:
-    return (
-        math.sqrt(trunc_sq),
-        math.sqrt(alias_sq),
-        math.sqrt(trunc_sq + alias_sq),
-    )
+class _Skip(Exception):
+    """Raised by a strategy to skip its row; the message is the reason."""
 
 
-def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
-    kink = KinkFunction(cfg.dimension)
-    solver_cfg = SolverConfig(max_iterations=cfg.solver_iterations)
-    report = ExperimentReport(kind=kind, config=cfg)
-    lattice_cache: dict = {}
+class _Clock:
+    """Wall seconds per phase; a phase counts even when its body raises."""
 
-    for r_index, radius in enumerate(cfg.radii):
-        t0 = time.perf_counter()
-        index_set = hyperbolic_cross(cfg.dimension, cfg.gamma, radius)
-        m = len(index_set)
-        if "bss_sub" in cfg.strategies and cfg.b <= 1.0 + 1.0 / m:
-            raise ValueError(
-                f"b = {cfg.b} violates b > 1 + 1/|I| = {1 + 1 / m:.6g} at R={radius}"
-            )
-        lat = _lattice_for(cfg, index_set, radius, lattice_cache)
-        M = lat.size
-        n_draw = _draw_count(m)
+    def __init__(self):
+        self.seconds = dict.fromkeys(("setup", "subsample", "solve", "bss"), 0.0)
 
-        if _lattice_round_bytes(M, cfg.dimension, n_draw) > cfg.memory_cap_bytes:
-            for strategy in cfg.strategies:
-                for rep in range(cfg.repetitions):
-                    report.rows.append(
-                        _skipped_row(radius, strategy, rep, m, cfg,
-                                     f"lattice of size {M} exceeds the memory cap"))
-            continue
+    @contextmanager
+    def phase(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - start
 
-        plan = SamplePlan(
+
+@dataclass
+class _Outcome:
+    """One row's reconstruction, before it is scored."""
+
+    coeffs: np.ndarray | None  # None for a skipped row
+    num_points: int
+    seed: int
+    seconds: dict[str, float]
+
+
+class _Round:
+    """What every strategy shares at one radius: the setup of a round."""
+
+    def __init__(self, cfg: ExperimentConfig, index_set: IndexSet, lat: Rank1Lattice):
+        kink = KinkFunction(cfg.dimension)
+        self.cfg, self.index_set = cfg, index_set
+        self.n_draw = _draw_count(len(index_set))
+        self.plan = SamplePlan(  # all M lattice points
             points=lat.points(),
-            weights=np.full(M, 1.0 / M),
+            weights=np.full(lat.size, 1.0 / lat.size),
             bounds=SpectralBounds(1.0, 1.0),
             lattice=lat,
         )
-        full_values = kink(plan.points).astype(np.complex128)
-        ref = kink_coefficients(index_set.frequencies)
-        trunc_sq = truncation_error_sq(kink.norm_sq, ref)
-        full_op = LatticeOperator(lat, index_set)
-        rho = density_weights(plan)
-        setup_time = time.perf_counter() - t0
+        self.values = kink(self.plan.points).astype(np.complex128)
+        self.ref = kink_coefficients(index_set.frequencies)
+        self.trunc_sq = truncation_error_sq(kink.norm_sq, self.ref)
+        self.op = LatticeOperator(lat, index_set)
+        self.rho = density_weights(self.plan)
+        self.solver_cfg = SolverConfig(max_iterations=cfg.solver_iterations)
+        self.full: _Outcome | None = None  # computed once, for every repetition
 
-        full_row = None
+
+def _solve(s: _Round, op, weights, values, seed: int, clock: _Clock) -> _Outcome:
+    """Weighted least squares on ``op``; the solve phase is the solver alone."""
+    with clock.phase("solve"):
+        coeffs, _ = least_squares(op, weights, values, s.solver_cfg)
+    return _Outcome(coeffs, len(weights), seed, clock.seconds)
+
+
+def _full(s: _Round, seed: int) -> _Outcome:
+    """All M points: one adjoint per radius, shared by every repetition."""
+    if s.full is None:
+        clock = _Clock()
+        with clock.phase("solve"):
+            coeffs = s.op.adjoint(s.values) / len(s.plan)
+        s.full = _Outcome(coeffs, len(s.plan), s.cfg.seed, clock.seconds)
+    return s.full
+
+
+def _random_sub(s: _Round, seed: int) -> _Outcome:
+    clock = _Clock()
+    with clock.phase("subsample"):
+        sel = random_subsample(s.plan, s.rho, s.n_draw, seed)
+    return _solve(s, s.op.masked(sel.indices), sel.reweights,
+                  s.values[sel.indices], seed, clock)
+
+
+def _bss_sub(s: _Round, seed: int) -> _Outcome:
+    """The plain sparsifier on a usable stage-1 draw, in up to 8 attempts.
+
+    The guarantee is conditional on a usable draw; condition on that event by
+    redrawing deterministically when the draw is rank-deficient or the
+    sparsifier cannot certify its bound.  A ValueError (a dense size cap, for
+    one) skips the row with its message.  Every attempt counts: draws plus
+    rank checks towards the subsample time, sparsifier runs towards bss time.
+    """
+    clock = _Clock()
+    for attempt in range(8):
+        try:
+            with clock.phase("subsample"):
+                sel = random_subsample(s.plan, s.rho, s.n_draw, seed + attempt)
+                usable = mz_constants(sel.as_plan(), s.index_set).A > 1e-8
+            if not usable:
+                continue
+            with clock.phase("bss"):
+                sel = plain_bss_subsample(sel, s.index_set, s.cfg.b)
+        except SpectralCertificateError:
+            continue
+        except ValueError as exc:
+            raise _Skip(str(exc)) from exc
+        return _solve(s, s.op.masked(sel.indices), sel.reweights,
+                      s.values[sel.indices], seed + attempt, clock)
+    raise _Skip("no certifiable stage-1 draw in 8 attempts")
+
+
+def _continuous_random(s: _Round, seed: int) -> _Outcome:
+    n, d, m = s.n_draw, s.cfg.dimension, len(s.index_set)
+    # one complex n x |I| matrix (L^T), the two complex d x n tone tables it
+    # is built from, the points and the values
+    if 16 * n * m + n * (40 * d + 16) > s.cfg.memory_cap_bytes:
+        raise _Skip(f"dense matrix of {n}x{m} exceeds the memory cap")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 17])))
+    clock = _Clock()
+    with clock.phase("subsample"):
+        pts = rng.random((n, d))
+        op = DenseOperator(pts, s.index_set)
+    values = KinkFunction(d)(pts).astype(np.complex128)
+    return _solve(s, op, np.full(n, 1.0 / n), values, seed, clock)
+
+
+#: The strategies in report order.  A strategy's position is its seed
+#: stream, so reordering the table changes every derived seed.
+_STRATEGIES = {
+    "full": _full,
+    "random_sub": _random_sub,
+    "bss_sub": _bss_sub,
+    "continuous_random": _continuous_random,
+}
+
+KNOWN_STRATEGIES = tuple(_STRATEGIES)
+
+
+def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
+    report = ExperimentReport(kind=kind, config=cfg)
+    for r_index, radius in enumerate(cfg.radii):
+        clock = _Clock()
+        with clock.phase("setup"):
+            index_set = hyperbolic_cross(cfg.dimension, cfg.gamma, radius)
+            m = len(index_set)
+            if "bss_sub" in cfg.strategies and cfg.b <= 1.0 + 1.0 / m:
+                raise ValueError(
+                    f"b = {cfg.b} violates b > 1 + 1/|I| = {1 + 1 / m:.6g} at R={radius}"
+                )
+            lat = _lattice_for(cfg, index_set, radius)
+            needed = _lattice_round_bytes(lat.size, cfg.dimension, _draw_count(m))
+            s = _Round(cfg, index_set, lat) if needed <= cfg.memory_cap_bytes else None
+
         for strategy in cfg.strategies:
             for rep in range(cfg.repetitions):
                 seed = _derived_seed(cfg.seed, r_index, strategy, rep)
-                if strategy == "full":
-                    if full_row is None:
-                        t1 = time.perf_counter()
-                        coeffs = full_op.adjoint(full_values) / M
-                        solve_time = time.perf_counter() - t1
-                        tr, al, tot = _error_row(
-                            trunc_sq, aliasing_error_sq(ref, coeffs)
-                        )
-                        full_row = (M, tr, al, tot, solve_time)
-                    pts, tr, al, tot, solve_time = full_row
-                    report.rows.append(ExperimentRow(
-                        radius, strategy, rep, m, pts, tr, al, tot,
-                        setup_time, 0.0, solve_time, 0.0, cfg.seed))
-                elif strategy == "random_sub":
-                    t1 = time.perf_counter()
-                    sel = random_subsample(plan, rho, n_draw, seed)
-                    sub_time = time.perf_counter() - t1
-                    op = full_op.masked(sel.indices)
-                    t1 = time.perf_counter()
-                    coeffs, _ = least_squares(
-                        op, sel.reweights, full_values[sel.indices], solver_cfg
-                    )
-                    solve_time = time.perf_counter() - t1
-                    tr, al, tot = _error_row(
-                        trunc_sq, aliasing_error_sq(ref, coeffs)
-                    )
-                    report.rows.append(ExperimentRow(
-                        radius, strategy, rep, m, len(sel), tr, al, tot,
-                        setup_time, sub_time, solve_time, 0.0, seed))
-                elif strategy == "bss_sub":
-                    # The sparsification guarantee is conditional on a usable
-                    # stage-1 draw; condition on that event by redrawing
-                    # deterministically when the draw is rank-deficient or the
-                    # sparsifier cannot certify its bound.  A ValueError (a
-                    # dense size cap, for one) skips the row with its message.
-                    # Every attempt counts: draws plus rank checks towards the
-                    # subsample time, sparsifier runs towards the bss time.
-                    sel2 = None
-                    skip_reason = None
-                    sub_time = bss_time = 0.0
-                    for attempt in range(8):
-                        try:
-                            t1 = time.perf_counter()
-                            sel = random_subsample(plan, rho, n_draw, seed + attempt)
-                            usable = mz_constants(sel.as_plan(), index_set).A > 1e-8
-                            t2 = time.perf_counter()
-                            sub_time += t2 - t1
-                            if not usable:
-                                continue
-                            try:
-                                sel2 = plain_bss_subsample(sel, index_set, cfg.b)
-                            finally:
-                                bss_time += time.perf_counter() - t2
-                            seed = seed + attempt
-                        except SpectralCertificateError:
-                            continue
-                        except ValueError as exc:
-                            skip_reason = str(exc)
-                        break
-                    if sel2 is None:
-                        report.rows.append(_skipped_row(
-                            radius, strategy, rep, m, cfg,
-                            skip_reason
-                            or "no certifiable stage-1 draw in 8 attempts"))
-                        continue
-                    op = full_op.masked(sel2.indices)
-                    t1 = time.perf_counter()
-                    coeffs, _ = least_squares(
-                        op, sel2.reweights, full_values[sel2.indices], solver_cfg
-                    )
-                    solve_time = time.perf_counter() - t1
-                    tr, al, tot = _error_row(
-                        trunc_sq, aliasing_error_sq(ref, coeffs)
-                    )
-                    report.rows.append(ExperimentRow(
-                        radius, strategy, rep, m, len(sel2), tr, al, tot,
-                        setup_time, sub_time, solve_time, bss_time, seed))
-                elif strategy == "continuous_random":
-                    # one complex n x |I| matrix (L^T), the two complex d x n
-                    # tone tables it is built from, the points and the values
-                    dense_bytes = 16 * n_draw * m + n_draw * (40 * cfg.dimension + 16)
-                    if dense_bytes > cfg.memory_cap_bytes:
-                        report.rows.append(_skipped_row(
-                            radius, strategy, rep, m, cfg,
-                            f"dense matrix of {n_draw}x{m} exceeds the memory cap"))
-                        continue
-                    rng = np.random.Generator(np.random.PCG64(
-                        np.random.SeedSequence([seed, 17])))
-                    # the subsample time covers the draw and the dense
-                    # operator; the solve time covers least_squares alone
-                    t1 = time.perf_counter()
-                    pts = rng.random((n_draw, cfg.dimension))
-                    op = DenseOperator(pts, index_set)
-                    sub_time = time.perf_counter() - t1
-                    values = kink(pts).astype(np.complex128)
-                    t1 = time.perf_counter()
-                    coeffs, _ = least_squares(
-                        op, np.full(n_draw, 1.0 / n_draw), values, solver_cfg
-                    )
-                    solve_time = time.perf_counter() - t1
-                    tr, al, tot = _error_row(
-                        trunc_sq, aliasing_error_sq(ref, coeffs)
-                    )
-                    report.rows.append(ExperimentRow(
-                        radius, strategy, rep, m, n_draw, tr, al, tot,
-                        setup_time, sub_time, solve_time, 0.0, seed))
+                try:
+                    if s is None:
+                        raise _Skip(f"lattice of size {lat.size} exceeds the memory cap")
+                    out = _STRATEGIES[strategy](s, seed)
+                except _Skip as skip:
+                    out = _Outcome(None, 0, cfg.seed, _Clock().seconds)
+                    trunc_sq = alias_sq = math.nan
+                    setup_time, reason = 0.0, str(skip)
+                else:
+                    trunc_sq = s.trunc_sq
+                    alias_sq = aliasing_error_sq(s.ref, out.coeffs)
+                    setup_time, reason = clock.seconds["setup"], ""
+                t = out.seconds
+                report.rows.append(ExperimentRow(
+                    radius, strategy, rep, m, out.num_points,
+                    math.sqrt(trunc_sq), math.sqrt(alias_sq),
+                    math.sqrt(trunc_sq + alias_sq),
+                    setup_time, t["subsample"], t["solve"], t["bss"], out.seed,
+                    skipped=out.coeffs is None, skip_reason=reason))
     return report
-
-
-def _skipped_row(radius, strategy, rep, m, cfg, reason) -> ExperimentRow:
-    return ExperimentRow(
-        radius, strategy, rep, m, 0, float("nan"), float("nan"), float("nan"),
-        0.0, 0.0, 0.0, 0.0, cfg.seed, skipped=True, skip_reason=reason)
 
 
 def run_experiment_1(cfg: ExperimentConfig) -> ExperimentReport:

@@ -58,17 +58,10 @@ class IndexSet:
         Spatial dimension d >= 1.
     frequencies:
         Integer array of shape (n, d); rows are the frequency vectors.
-    provenance:
-        Either ``"explicit"`` or ``"hyperbolic_cross"``.
-    gamma, radius:
-        Shape parameter and radius when ``provenance == "hyperbolic_cross"``.
     """
 
     dimension: int
     frequencies: np.ndarray
-    provenance: str = "explicit"
-    gamma: float | None = None
-    radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -171,7 +164,7 @@ def hyperbolic_cross(
     Returns
     -------
     IndexSet
-        Lexicographically ordered cross with provenance metadata.
+        Lexicographically ordered cross.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -205,13 +198,7 @@ def hyperbolic_cross(
 
     descend(0, 1.0)
     freqs = np.array(out, dtype=np.int64).reshape(len(out), d)
-    return IndexSet(
-        dimension=d,
-        frequencies=freqs,
-        provenance="hyperbolic_cross",
-        gamma=gamma,
-        radius=R,
-    )
+    return IndexSet(dimension=d, frequencies=freqs)
 
 
 def mixed_weight(freqs, s: float) -> np.ndarray | float:

@@ -6,9 +6,9 @@ a frequency set I when ``k -> <k, z> mod M`` is injective on I, which makes
 the exponentials with frequencies in I exactly orthonormal under the discrete
 inner product with uniform weights 1/M (exact quadrature, tight frame).
 
-Residue arithmetic is exact: a vectorized int64 path is used while all
-intermediate products provably fit, with a Python big-integer fallback for
-very large M.  Nothing is ever allowed to wrap silently.
+Residue arithmetic is exact and vectorized in int64: lattices are refused
+above ``_INT64_SAFE_M`` points, where every intermediate product provably
+fits, so nothing can wrap silently.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ class GeneratorSearchError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Rank1Lattice:
-    """Rank-1 lattice with generator ``z`` (reduced mod M) and size ``M``."""
+    """Rank-1 lattice with generator ``z`` (reduced mod M) and size ``M``.
+
+    ``M`` is at most ``_INT64_SAFE_M``, the range of exact int64 residues.
+    """
 
     dimension: int
     generator: np.ndarray
@@ -61,6 +64,11 @@ class Rank1Lattice:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"lattice size must be >= 1, got {self.size}")
+        if self.size > _INT64_SAFE_M:
+            raise ValueError(
+                f"lattice size {self.size} exceeds the exact int64 range "
+                f"(at most {_INT64_SAFE_M})"
+            )
         z = np.asarray(self.generator, dtype=np.int64) % self.size
         if z.shape != (self.dimension,):
             raise ValueError(
@@ -164,20 +172,11 @@ def residues(lat: Rank1Lattice, freqs: np.ndarray) -> np.ndarray:
         )
     M = lat.size
     z = lat.generator
-    if M <= _INT64_SAFE_M:
-        # (k mod M) * z_j <= (M-1)^2 < 2^62; reduce each term before the sum.
-        r = np.zeros(len(K), dtype=np.int64)
-        for j in range(lat.dimension):
-            r = (r + (K[:, j] % M) * z[j] % M) % M
-        return r
-    # exact big-integer fallback for very large M
-    acc = [0] * len(K)
+    # (k mod M) * z_j <= (M-1)^2 < 2^62; reduce each term before the sum.
+    r = np.zeros(len(K), dtype=np.int64)
     for j in range(lat.dimension):
-        zj = int(z[j])
-        col = K[:, j]
-        for i in range(len(K)):
-            acc[i] = (acc[i] + int(col[i]) * zj) % M
-    return np.array(acc, dtype=np.int64 if M <= 2**62 else object)
+        r = (r + (K[:, j] % M) * z[j] % M) % M
+    return r
 
 
 def is_reconstructing(lat: Rank1Lattice, index_set: IndexSet) -> bool:

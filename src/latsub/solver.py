@@ -87,8 +87,6 @@ def _solve_direct(op, weights, samples, rhs):
         return a, True
     except np.linalg.LinAlgError:
         pass
-    except scipy.linalg.LinAlgError:
-        pass
     warnings.warn(
         "normal matrix is not positive definite; falling back to a "
         "least-norm solve",

@@ -19,6 +19,7 @@ the space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,19 +56,17 @@ def kink_eval(x: np.ndarray) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class KinkFunction:
-    """The d-dimensional kink; ``norm_sq`` is exactly 1 by construction."""
+    """The d-dimensional kink."""
 
     dimension: int
-    norm_sq: float = 1.0
+    #: The squared L2 norm on the torus, exactly 1 by construction.
+    norm_sq: ClassVar[float] = 1.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:
         pts = np.atleast_2d(np.asarray(x))
         if pts.shape[1] != self.dimension:
             raise ValueError(f"points must have {self.dimension} columns")
         return kink_eval(x)
-
-    def coefficients(self, freqs: np.ndarray) -> np.ndarray:
-        return kink_coefficients(freqs)
 
 
 def kink_coeff_1d(k) -> np.ndarray | float:

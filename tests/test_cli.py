@@ -44,6 +44,17 @@ def test_mz_audit_above_dense_eig_cap_exits_2(tmp_path, capsys, monkeypatch):
             "are not formed above it") in captured.err
 
 
+def test_mz_audit_lattice_beyond_int64_range_exits_2(tmp_path, capsys):
+    # refused when the file is read, before any M-length array exists
+    lattice_path = tmp_path / "lat.txt"
+    lattice_path.write_text(f"2 {2**40 + 39} {2**39} 12345\n")
+    rc = main(["mz-audit", "--lattice", str(lattice_path),
+               "--d", "2", "--gamma", "1.0", "--radius", "2.0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: lattice size 1099511627815 exceeds" in captured.err
+
+
 def test_lattice_search_from_cross_flags(capsys):
     rc = main(["lattice-search", "--d", "2", "--gamma", "1.0",
                "--radius", "3.0", "--seed", "0"])

@@ -12,15 +12,17 @@ import pytest
 
 import latsub.experiments
 from latsub.experiments import (
+    KNOWN_STRATEGIES,
     ExperimentConfig,
     ExperimentReport,
+    _derived_seed,
     check_report,
     emit_report,
     error_at_matched_points,
     run_experiment_1,
     run_experiment_2,
 )
-from latsub.fourier import _circulant_length
+from latsub.fourier import LatticeOperator, _circulant_length
 from latsub.index_sets import hyperbolic_cross
 from latsub.subsampling import SpectralCertificateError
 
@@ -62,6 +64,44 @@ class TestConfig:
     def test_repetitions_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
+
+
+class TestStrategyTable:
+    def test_seed_streams_pinned(self):
+        # a strategy's position in the table is its seed stream: reordering
+        # the table would silently change every derived seed
+        assert {s: _derived_seed(7, 0, s, 0) for s in KNOWN_STRATEGIES} == {
+            "full": 8460147692890830636,
+            "random_sub": 5730826186778930994,
+            "bss_sub": 266270478720369778,
+            "continuous_random": 5093101976529578930,
+        }
+
+    def test_full_adjoint_once_per_radius(self, tmp_path, monkeypatch):
+        real = LatticeOperator.adjoint
+        calls = []
+
+        def counted(self, values):
+            calls.append(1)
+            return real(self, values)
+
+        monkeypatch.setattr(LatticeOperator, "adjoint", counted)
+        cfg = desk_config(tmp_path, radii=(4.0, 8.0), repetitions=3,
+                          strategies=("full",))
+        rows = run_experiment_1(cfg).rows
+        assert len(rows) == 6 and not any(r.skipped for r in rows)
+        assert len(calls) == 2
+
+    def test_solver_value_error_propagates(self, tmp_path, monkeypatch):
+        # only bss_sub turns a ValueError into a skipped row
+        def refuse(*args):
+            raise ValueError("injected solver refusal")
+
+        monkeypatch.setattr(latsub.experiments, "least_squares", refuse)
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1,
+                          strategies=("random_sub",))
+        with pytest.raises(ValueError, match="injected solver refusal"):
+            run_experiment_1(cfg)
 
 
 class TestRunExperiment1:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import (
+    _INT64_SAFE_M,
     GeneratorSearchError,
     Rank1Lattice,
     SamplePlan,
@@ -115,17 +116,19 @@ class TestIsReconstructing:
             oracle = np.max(np.abs(gram - np.eye(len(I)))) < 1e-9
             assert is_reconstructing(lat, I) == oracle
 
-    def test_large_m_big_integer_path(self):
-        # beyond the vectorized int64 window; values checked by Python ints
-        M = 2**40 + 39
-        lat = Rank1Lattice(
-            dimension=2, generator=np.array([2**39, 12345]), size=M)
-        I = IndexSet(dimension=2, frequencies=[[0, 0], [1, 0], [0, 1], [1, 1]])
-        r = residues(lat, I.frequencies)
-        z0, z1 = int(lat.generator[0]), int(lat.generator[1])
-        # rows are in lexicographic order: (0,0), (0,1), (1,0), (1,1)
-        assert [int(v) for v in r] == [0, z1, z0, (z0 + z1) % M]
-        assert is_reconstructing(lat, I)
+    def test_residues_exact_at_the_largest_size(self):
+        # the int64 path at M = _INT64_SAFE_M, checked against Python ints
+        M = _INT64_SAFE_M
+        z = [M - 1, M // 2 + 12345]
+        lat = Rank1Lattice(dimension=2, generator=np.array(z), size=M)
+        K = np.array([[0, 0], [1, 0], [0, 1], [-3, 7], [M - 1, -(M - 1)]])
+        want = [(int(k0) * z[0] + int(k1) * z[1]) % M for k0, k1 in K]
+        assert [int(v) for v in residues(lat, K)] == want
+
+    def test_size_beyond_int64_range_refused(self):
+        Rank1Lattice(dimension=1, generator=[1], size=_INT64_SAFE_M)
+        with pytest.raises(ValueError, match="exceeds the exact int64 range"):
+            Rank1Lattice(dimension=2, generator=[2**39, 12345], size=2**40 + 39)
 
 
 class TestSearchGenerator:
