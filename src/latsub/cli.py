@@ -7,14 +7,17 @@ Subcommands:
   mz-audit        stability constants and exactness flag for a lattice + set
 
 Experiment flags override the JSON config file when both are given.  Exit
-code is 0 only if every enabled report assertion passes.
+code is 0 only if every enabled report assertion passes, and 2, with one
+``error:`` line, on bad input or a run that cannot complete.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from functools import partial
 
 from .experiments import (
     ExperimentConfig,
@@ -60,7 +63,14 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     fields: dict = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
-            fields.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        unknown = sorted(set(loaded) - known)
+        if unknown:
+            raise ValueError(f"config {args.config} has unknown fields: {unknown}")
+        fields.update(loaded)
     for flag, field_name in _FLAG_TO_FIELD.items():
         value = getattr(args, flag)
         if value is not None:
@@ -73,12 +83,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _run_experiment(args: argparse.Namespace, runner) -> int:
-    try:
-        cfg = _experiment_config(args)
-        report = runner(cfg)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = runner(_experiment_config(args))
     paths = emit_report(report, args.format)
     for path in paths:
         print(f"wrote {path}")
@@ -101,12 +106,8 @@ def _load_index_set(args: argparse.Namespace) -> IndexSet:
 
 
 def _cmd_lattice_search(args: argparse.Namespace) -> int:
-    try:
-        index_set = _load_index_set(args)
-        lat = search_generator(index_set, rng_seed=args.seed)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    index_set = _load_index_set(args)
+    lat = search_generator(index_set, rng_seed=args.seed)
     line = lat.to_line()
     if args.out:
         lat.save(args.out)
@@ -117,14 +118,9 @@ def _cmd_lattice_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_mz_audit(args: argparse.Namespace) -> int:
-    try:
-        index_set = _load_index_set(args)
-        lat = Rank1Lattice.load(args.lattice)
-        plan = lattice_points(lat)
-        report = mz_report(plan, index_set, tol=args.tol)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    index_set = _load_index_set(args)
+    lat = Rank1Lattice.load(args.lattice)
+    report = mz_report(lattice_points(lat), index_set, tol=args.tol)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -143,8 +139,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p1 = sub.add_parser("exp1", help="three-strategy reconstruction comparison")
     _add_experiment_flags(p1)
+    p1.set_defaults(handler=partial(_run_experiment, runner=run_experiment_1))
     p2 = sub.add_parser("exp2", help="exp1 plus plain sparsification")
     _add_experiment_flags(p2)
+    p2.set_defaults(handler=partial(_run_experiment, runner=run_experiment_2))
 
     pl = sub.add_parser("lattice-search", help="find a reconstructing lattice")
     pl.add_argument("--index-set", help="index set file (text format)")
@@ -153,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     pl.add_argument("--radius", type=float)
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--out", help="write the lattice line to this file")
+    pl.set_defaults(handler=_cmd_lattice_search)
 
     pm = sub.add_parser("mz-audit", help="stability constants for a lattice")
     pm.add_argument("--lattice", required=True, help="lattice file (d M z...)")
@@ -162,18 +161,14 @@ def main(argv: list[str] | None = None) -> int:
     pm.add_argument("--radius", type=float)
     pm.add_argument("--tol", type=float, default=1e-8)
     pm.add_argument("--out", help="write the JSON report to this file")
+    pm.set_defaults(handler=_cmd_mz_audit)
 
     args = parser.parse_args(argv)
-    if args.command == "exp1":
-        return _run_experiment(args, run_experiment_1)
-    if args.command == "exp2":
-        return _run_experiment(args, run_experiment_2)
-    if args.command == "lattice-search":
-        return _cmd_lattice_search(args)
-    if args.command == "mz-audit":
-        return _cmd_mz_audit(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        return args.handler(args)
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

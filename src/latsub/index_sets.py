@@ -16,6 +16,7 @@ All types are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +39,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _lex_order(freqs: np.ndarray) -> np.ndarray:
-    """Deterministic lexicographic row order (first component most significant)."""
-    if len(freqs) == 0:
-        return freqs
-    return freqs[np.lexsort(freqs.T[::-1])]
-
-
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """An ordered, duplicate-free set of d-dimensional integer frequencies.
 
-    Frequencies are kept in lexicographic order so that coefficient vectors
-    indexed by an ``IndexSet`` are reproducible across runs.
+    Frequencies are kept in lexicographic order (first component most
+    significant) so that coefficient vectors indexed by an ``IndexSet`` are
+    reproducible across runs.  The order is a contract that three places
+    rely on: ``lattice._prefix_structure`` finds shared prefixes as adjacent
+    rows, ``plain_bss_subsample`` tests I = -I as ``freqs[::-1] == -freqs``,
+    and ``subsampling._lattice_scorer`` pairs position p with its mirror
+    m-1-p.
 
     Parameters
     ----------
@@ -71,7 +70,7 @@ class IndexSet:
             raise ValueError(
                 f"frequencies must have shape (n, {self.dimension}), got {freqs.shape}"
             )
-        freqs = _lex_order(freqs)
+        freqs = freqs[np.lexsort(freqs.T[::-1])]  # first component most significant
         if len(freqs) > 1 and np.any(np.all(freqs[1:] == freqs[:-1], axis=1)):
             raise ValueError("duplicate frequency vectors are not allowed")
         object.__setattr__(self, "frequencies", _frozen(freqs))
@@ -100,10 +99,11 @@ class IndexSet:
 
     @classmethod
     def from_text(cls, text: str) -> "IndexSet":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split()
-        d = int(header[0].split("=")[1])
-        count = int(header[1].split("=")[1])
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        header = re.match(r"d=(\d+)\s+count=(\d+)", lines[0]) if lines else None
+        if header is None:
+            raise ValueError("index set text must start with a 'd=<d> count=<n>' line")
+        d, count = map(int, header.groups())
         rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : 1 + count]]
         if len(rows) != count:
             raise ValueError(f"expected {count} frequency rows, found {len(rows)}")

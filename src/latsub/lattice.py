@@ -9,6 +9,11 @@ inner product with uniform weights 1/M (exact quadrature, tight frame).
 Residue arithmetic is exact and vectorized in int64: lattices are refused
 above ``_INT64_SAFE_M`` points, where every intermediate product provably
 fits, so nothing can wrap silently.
+
+:func:`search_generator` builds generators component by component with a
+fixed budget per size M (3 attempts of at most 24 random candidates per
+component).  Its default schedule doubles M through primes from 2|I| and
+ends at ``_INT64_SAFE_M``; sizes below |I| are skipped by pigeonhole.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ __all__ = [
 
 # int64 is safe while (M-1)^2 + d*(M-1) < 2^63; this is a comfortable cutoff.
 _INT64_SAFE_M = 2**31
+
+# The generator search's fixed budget per lattice size M.
+_ATTEMPTS_PER_M = 3
+_CANDIDATES_PER_COMPONENT = 24
 
 
 class GeneratorSearchError(RuntimeError):
@@ -93,6 +102,8 @@ class Rank1Lattice:
     @classmethod
     def from_line(cls, line: str) -> "Rank1Lattice":
         tok = line.split()
+        if len(tok) < 2:
+            raise ValueError(f"lattice line must read 'd M z_1 ... z_d', got {line!r}")
         d, M = int(tok[0]), int(tok[1])
         z = np.array([int(t) for t in tok[2 : 2 + d]], dtype=np.int64)
         if len(z) != d:
@@ -205,24 +216,20 @@ def _prefix_structure(K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-coordinate (parent pointers, last column) over unique prefixes.
 
     Stage j works on the distinct projections of the frequency set onto the
-    first j coordinates; ``parents`` maps each stage-j prefix to its stage-j-1
-    prefix so residues can be extended incrementally.
+    first j coordinates, in lex order; ``parents`` maps each stage-j prefix
+    to its stage-j-1 prefix so residues can be extended incrementally.  The
+    rows of ``K`` must be lex ordered, as ``IndexSet`` keeps them: rows that
+    share a prefix are then adjacent, so one scan per column finds them.
     """
-    d = K.shape[1]
+    new = np.zeros(len(K), dtype=bool)  # row starts a new prefix
+    new[0] = True
+    prefix_of_row = np.zeros(len(K), dtype=np.int64)
     structure: list[tuple[np.ndarray, np.ndarray]] = []
-    prev_unique: np.ndarray | None = None
-    for j in range(1, d + 1):
-        unique_j = np.unique(K[:, :j], axis=0)
-        if j == 1:
-            parents = np.zeros(len(unique_j), dtype=np.int64)
-        else:
-            prev_check, parents = np.unique(
-                unique_j[:, : j - 1], axis=0, return_inverse=True
-            )
-            assert np.array_equal(prev_check, prev_unique)
-            parents = parents.astype(np.int64)
-        structure.append((parents, unique_j[:, j - 1].copy()))
-        prev_unique = unique_j
+    for j in range(K.shape[1]):
+        new[1:] |= K[1:, j] != K[:-1, j]
+        starts = np.flatnonzero(new)
+        structure.append((prefix_of_row[starts], K[starts, j]))
+        prefix_of_row = np.cumsum(new, dtype=np.int64) - 1
     return structure
 
 
@@ -245,9 +252,10 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _default_schedule(start: int, ceiling: int) -> Iterable[int]:
+def _default_schedule(start: int) -> Iterable[int]:
+    """Primes from the first >= ``start``, doubling, up to ``_INT64_SAFE_M``."""
     M = _next_prime(start - 1)
-    while M <= ceiling:
+    while M <= _INT64_SAFE_M:
         yield M
         M = _next_prime(2 * M)
 
@@ -256,24 +264,24 @@ def search_generator(
     index_set: IndexSet,
     rng_seed: int,
     m_schedule: Iterable[int] | None = None,
-    *,
-    m_ceiling: int = 2**40,
-    attempts_per_m: int = 3,
-    candidates_per_component: int = 24,
 ) -> Rank1Lattice:
     """Find a reconstructing rank-1 lattice for ``index_set``.
 
     Component-by-component construction with random candidate components:
     for each lattice size M from the schedule, the generator is built one
     coordinate at a time, testing injectivity of ``k -> <k, z> mod M`` on the
-    projected frequency set after each coordinate.  The default schedule
-    doubles M through primes starting from the next prime >= 2*|I|.  The
-    whole search is deterministic given ``rng_seed``.
+    projected frequency set after each coordinate.  Each M gets a fixed
+    budget of 3 attempts of at most 24 candidates per component.  The
+    default schedule doubles M through primes from the next prime >= 2|I|
+    and ends at ``_INT64_SAFE_M``.  Sizes below |I| cannot reconstruct
+    (pigeonhole) and are skipped.  The whole search is deterministic given
+    ``rng_seed``.
 
     Raises
     ------
     GeneratorSearchError
-        If no generator is found before the schedule is exhausted.
+        If no generator is found before the schedule is exhausted, or the
+        schedule holds a size beyond ``_INT64_SAFE_M``.
     """
     m = len(index_set)
     if m < 1:
@@ -282,47 +290,40 @@ def search_generator(
     if m == 1:
         return Rank1Lattice(dimension=d, generator=np.zeros(d, dtype=np.int64), size=1)
 
-    K = index_set.frequencies
-    structure = _prefix_structure(K)
+    structure = _prefix_structure(index_set.frequencies)
     if m_schedule is None:
-        m_schedule = _default_schedule(max(2 * m, 2), m_ceiling)
+        m_schedule = _default_schedule(2 * m)
 
     tried = []
     for M in m_schedule:
-        if M > m_ceiling:
-            break
         if M > _INT64_SAFE_M:
             raise GeneratorSearchError(
                 f"schedule reached M={M} beyond the vectorized search range"
             )
+        if M < m:
+            continue  # pigeonhole
         tried.append(M)
-        for attempt in range(attempts_per_m):
+        for attempt in range(_ATTEMPTS_PER_M):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([rng_seed, M, attempt]))
             )
             z = np.zeros(d, dtype=np.int64)
             r = np.zeros(1, dtype=np.int64)
-            complete = True
-            for j in range(d):
-                parents, lastcol = structure[j]
+            for j, (parents, lastcol) in enumerate(structure):
                 kred = lastcol % M
-                placed = False
-                for _ in range(candidates_per_component):
-                    cand = int(rng.integers(1, M)) if M > 1 else 0
+                for _ in range(_CANDIDATES_PER_COMPONENT):
+                    cand = int(rng.integers(1, M))
                     r_new = (r[parents] + kred * cand % M) % M
                     if _distinct(r_new):
-                        z[j] = cand
-                        r = r_new
-                        placed = True
+                        z[j], r = cand, r_new
                         break
-                if not placed:
-                    complete = False
-                    break
-            if complete:
+                else:
+                    break  # component j not placed: next attempt
+            else:
                 return Rank1Lattice(dimension=d, generator=z, size=M)
 
     raise GeneratorSearchError(
         f"no reconstructing generator for |I|={m} (d={d}) within the budget; "
         f"tried M in {tried[:3]}...{tried[-1:] if tried else []} "
-        f"({len(tried)} sizes, {attempts_per_m} attempts each)"
+        f"({len(tried)} sizes, {_ATTEMPTS_PER_M} attempts each)"
     )

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 import latsub.experiments
 import latsub.mz
 from latsub.cli import main
@@ -120,3 +122,29 @@ def test_generator_search_error_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error: no generator within the injected budget" in captured.err
+
+
+_CROSS = ["--d", "2", "--gamma", "1.0", "--radius", "2.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mz-audit", "--lattice", "{empty}", *_CROSS],
+    ["mz-audit", "--lattice", "{missing}", *_CROSS],
+    ["lattice-search", "--index-set", "{missing}"],
+    ["lattice-search", "--index-set", "{empty}"],
+    ["exp1", "--config", "{missing}"],
+    ["exp1", "--config", "{unknown_field}"],
+    ["lattice-search", *_CROSS, "--out", "{missing}/lat.txt"],
+], ids=["audit-empty", "audit-missing", "search-missing", "search-empty",
+        "exp1-missing", "exp1-unknown-field", "search-out-unwritable"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    paths = {name: tmp_path / f"{name}.txt"
+             for name in ("empty", "missing", "unknown_field")}
+    paths["empty"].write_text("")
+    paths["unknown_field"].write_text(json.dumps({"dimension": 2, "oversampling": 3}))
+    rc = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if "{unknown_field}" in argv:
+        assert "unknown fields: ['oversampling']" in err[0]

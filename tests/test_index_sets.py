@@ -135,6 +135,11 @@ class TestIndexSetType:
         I.save(path)
         assert np.array_equal(IndexSet.load(path).frequencies, I.frequencies)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "d=2", "2 5", "count=3 d=2"])
+    def test_text_without_header_rejected(self, text):
+        with pytest.raises(ValueError, match="'d=<d> count=<n>'"):
+            IndexSet.from_text(text)
+
 
 class TestWeightsAndEigenvalues:
     def test_zero_frequency(self):

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latsub.lattice
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import (
     _INT64_SAFE_M,
     GeneratorSearchError,
     Rank1Lattice,
     SamplePlan,
+    _default_schedule,
     _distinct,
     _next_prime,
+    _prefix_structure,
     is_reconstructing,
     lattice_points,
     residues,
@@ -191,6 +194,61 @@ class TestSearchGenerator:
         lat = search_generator(I, rng_seed=0, m_schedule=[7, 11, 13])
         assert lat.size in (7, 11, 13)
 
+    @pytest.fixture
+    def no_candidate_tested(self, monkeypatch):
+        def fail(r):
+            raise AssertionError("a candidate was tested")
+
+        monkeypatch.setattr(latsub.lattice, "_distinct", fail)
+
+    def test_sizes_below_card_skipped(self, no_candidate_tested):
+        with pytest.raises(GeneratorSearchError, match=r"\(0 sizes"):
+            search_generator(interval_set(-3, 3), rng_seed=0, m_schedule=[1, 2, 6])
+
+    def test_schedule_beyond_int64_range_refused(self, no_candidate_tested):
+        I = hyperbolic_cross(2, 1.0, 4.0)
+        with pytest.raises(GeneratorSearchError,
+                           match="beyond the vectorized search range"):
+            search_generator(I, rng_seed=0, m_schedule=[2**31 + 11])
+
+    def test_default_schedule_ends_at_int64_safe_range(self):
+        sizes = list(_default_schedule(2**30))
+        assert sizes and max(sizes) <= _INT64_SAFE_M
+
+
+def prefix_oracle(index_set):
+    """Per stage j: the sorted j-prefix tuples and each one's parent position."""
+    rows = [tuple(int(c) for c in k) for k in index_set.frequencies]
+    stages = []
+    previous = {(): 0}
+    for j in range(1, index_set.dimension + 1):
+        prefixes = sorted({k[:j] for k in rows})
+        stages.append((prefixes, [previous[p[:-1]] for p in prefixes]))
+        previous = {p: i for i, p in enumerate(prefixes)}
+    return stages
+
+
+class TestPrefixStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=40, unique=True)))
+    @example([(0,)])
+    @example([(1, 2, 3)])
+    @example([(0, 0), (0, 1), (0, -1), (1, 1), (1, -2)])
+    @example([(0, 0, 1), (0, 0, 2), (0, 1, 1), (2, 0, 1), (2, 0, -3)])
+    def test_matches_dict_oracle(self, rows):
+        I = IndexSet(dimension=len(rows[0]), frequencies=rows)
+        structure = _prefix_structure(I.frequencies)
+        assert len(structure) == I.dimension
+        got = [()]
+        for (parents, lastcol), (prefixes, want_parents) in zip(
+            structure, prefix_oracle(I)
+        ):
+            assert parents.dtype == np.int64 and lastcol.dtype == np.int64
+            assert parents.tolist() == want_parents
+            got = [got[p] + (int(c),) for p, c in zip(parents, lastcol)]
+            assert got == prefixes
+
 
 class TestDistinct:
     @settings(max_examples=300, deadline=None)
@@ -229,6 +287,11 @@ class TestSamplePlanSerialization:
         lat.save(path)
         again = Rank1Lattice.load(path)
         assert again == lat
+
+    @pytest.mark.parametrize("line", ["", "   \n", "3", "3 17 5 9"])
+    def test_short_lattice_line_rejected(self, line):
+        with pytest.raises(ValueError):
+            Rank1Lattice.from_line(line)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
