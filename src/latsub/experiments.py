@@ -38,7 +38,7 @@ import numpy as np
 
 from .fourier import DenseOperator, LatticeOperator, _circulant_length
 from .index_sets import IndexSet, hyperbolic_cross
-from .lattice import Rank1Lattice, SamplePlan, is_reconstructing, search_generator
+from .lattice import Rank1Lattice, is_reconstructing, lattice_points, search_generator
 from .mz import SpectralBounds, mz_constants
 from .solver import SolverConfig, least_squares
 from .subsampling import (
@@ -165,18 +165,22 @@ def _draw_count(m: int) -> int:
     return max(1, math.ceil(m * math.log(m)))
 
 
-def _lattice_round_bytes(M: int, d: int, n_draw: int) -> int:
+def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     """Bytes of a ``full`` plus ``random_sub`` round on a lattice of size M.
 
     An upper bound that counts every large array as alive at once.  Per
     lattice point: the points (8d) and the kink's two M x d temporaries
     (16d); the weights, the density and the kink's real values (8 each);
-    the complex values (16); and the stage-1 alias table, whose arrays and
-    Python lists take about 112.  Per draw: the indices, the reweights and
-    the masked values (32).  On top, the circulant normal operator's two
-    complex buffers of length ``_circulant_length(M)``.
+    and the complex values (16).  Per frequency of the |I| = m: the
+    frequencies (8d), the reference and full coefficients (16 each), and
+    the five complex vectors of the CG solve (right-hand side, iterate,
+    residual, direction and normal product, 80).  Per draw: the indices,
+    the reweights and the masked values (32).  On top, the circulant normal
+    operator's two complex buffers of length ``_circulant_length(M)``.
     """
-    return M * (24 * d + 152) + 32 * n_draw + 32 * _circulant_length(M)
+    n_draw = _draw_count(m)
+    return (M * (24 * d + 40) + m * (8 * d + 112) + 32 * n_draw
+            + 32 * _circulant_length(M))
 
 
 class _Skip(Exception):
@@ -215,12 +219,7 @@ class _Round:
         kink = KinkFunction(cfg.dimension)
         self.cfg, self.index_set = cfg, index_set
         self.n_draw = _draw_count(len(index_set))
-        self.plan = SamplePlan(  # all M lattice points
-            points=lat.points(),
-            weights=np.full(lat.size, 1.0 / lat.size),
-            bounds=SpectralBounds(1.0, 1.0),
-            lattice=lat,
-        )
+        self.plan = replace(lattice_points(lat), bounds=SpectralBounds(1.0, 1.0))
         self.values = kink(self.plan.points).astype(np.complex128)
         self.ref = kink_coefficients(index_set.frequencies)
         self.trunc_sq = truncation_error_sq(kink.norm_sq, self.ref)
@@ -322,7 +321,7 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
                     f"b = {cfg.b} violates b > 1 + 1/|I| = {1 + 1 / m:.6g} at R={radius}"
                 )
             lat = _lattice_for(cfg, index_set, radius)
-            needed = _lattice_round_bytes(lat.size, cfg.dimension, _draw_count(m))
+            needed = _lattice_round_bytes(lat.size, cfg.dimension, m)
             s = _Round(cfg, index_set, lat) if needed <= cfg.memory_cap_bytes else None
 
         for strategy in cfg.strategies:

@@ -28,10 +28,11 @@ N x |I| row matrix held.  Any other input uses the dense complex rows at
 O(N |I|) per step with ``zhemv``/``zher``.  All share one loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
-``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; categorical sampling uses a
-deterministically built alias table, so identical seeds give bit-identical
-selections.  The barrier greedy is fully deterministic: exact ties break to
-the lowest row position.  ``plain_bss_subsample`` passes the exact row norms
+``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn
+by one ``integers`` call on it and any other by inverse CDF (``searchsorted``
+on ``cumsum(rho)``), so identical seeds give bit-identical selections.  The
+barrier greedy is fully deterministic: exact ties break to the lowest row
+position.  ``plain_bss_subsample`` passes the exact row norms
 ``rw_i |I|``, so on a uniform draw every row ties at the first step and the
 first pick is position 0.
 """
@@ -192,29 +193,6 @@ def random_subsample_size(
     return math.ceil((12.0 * B / (A * C)) * card_I * (math.log(card_I) + t))
 
 
-def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic Vose alias table for O(1) categorical draws."""
-    n = len(p)
-    prob = np.zeros(n)
-    alias = np.arange(n, dtype=np.int64)
-    scaled = p * n
-    small = np.flatnonzero(scaled < 1.0).tolist()
-    large = np.flatnonzero(scaled >= 1.0).tolist()
-    mass = scaled.tolist()  # Python floats: the same IEEE doubles, cheaper to index
-    paired, donors = [], []
-    while small and large:
-        s, g = small.pop(), large.pop()
-        paired.append(s)
-        donors.append(g)
-        mass[g] = (mass[g] + mass[s]) - 1.0
-        (small if mass[g] < 1.0 else large).append(g)
-    # a paired cell never changes its mass after it leaves `small`
-    prob[paired] = [mass[s] for s in paired]
-    alias[paired] = donors
-    prob[large + small] = 1.0  # leftovers are probability-1 cells
-    return prob, alias
-
-
 def random_subsample(
     plan: SamplePlan, rho: DensityWeights, n: int, seed: int
 ) -> SubsampleSelection:
@@ -223,19 +201,29 @@ def random_subsample(
     Each drawn point i receives the reweight ``w_i / (n * rho_i)``, which
     makes the subsampled discrete square sum an unbiased estimator of the
     plan's weighted square sum for every fixed function.
+
+    A uniform density (every full-lattice plan) is drawn by one
+    ``rng.integers(0, N, n)``.  Any other density is drawn by inverse CDF:
+    ``searchsorted`` of ``rng.random(n)``, scaled to the CDF's last entry, on
+    ``cumsum(rho)``; a zero-probability point spans an empty interval of the
+    CDF, so it is never drawn.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(rho) != len(plan):
         raise ValueError("density length does not match the plan")
-    prob, alias = _alias_table(rho.rho)
+    p = rho.rho
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed, _STREAM_DRAW]))
     )
-    cells = rng.integers(0, len(plan), size=n)
-    coin = rng.random(n)
-    J = np.where(coin < prob[cells], cells, alias[cells])
-    rho_J = rho.rho[J]
+    if p.min() == p.max():
+        J = rng.integers(0, len(plan), size=n)
+    else:
+        cdf = np.cumsum(p)
+        # u < cdf[-1] strictly, so the first entry above u is a point of
+        # positive mass even when the last points carry none
+        J = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
+    rho_J = p[J]
     if np.any(rho_J <= 0):  # unreachable by construction; guard the division
         raise RuntimeError("drew a zero-probability point")
     reweights = plan.weights[J] / (n * rho_J)

@@ -167,15 +167,17 @@ class TestRunExperiment1:
 
     def test_lattice_estimate_counts_the_round(self, tmp_path):
         # per lattice point the points and the kink's two M x d temporaries,
-        # weights, density, real and complex values and the alias table; per
-        # draw indices, reweights and masked values; the normal operator's
-        # two complex buffers of the circulant length
+        # weights, density, real and complex values; per frequency the
+        # frequencies, reference and full coefficients and the five CG
+        # vectors; per draw indices, reweights and masked values; the normal
+        # operator's two complex buffers of the circulant length
         cfg = desk_config(tmp_path, dimension=5, radii=(8.0,), repetitions=1,
                           strategies=("full", "random_sub"))
         full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
         M, m = full.num_points, full.num_frequencies
         n = math.ceil(m * math.log(m))
-        needed = M * (24 * 5 + 152) + 32 * n + 32 * _circulant_length(M)
+        needed = (M * (24 * 5 + 40) + m * (8 * 5 + 112) + 32 * n
+                  + 32 * _circulant_length(M))
         rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
         assert not any(r.skipped for r in rows)
         rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows

@@ -16,7 +16,7 @@ from latsub.index_sets import (
     hyperbolic_cross,
     select_largest_eigenvalues,
 )
-from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
+from latsub.lattice import Rank1Lattice, SamplePlan, lattice_points, search_generator
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.subsampling import (
     DensityWeights,
@@ -30,7 +30,6 @@ from latsub.subsampling import (
     plain_bss_subsample,
     random_subsample,
     random_subsample_size,
-    _alias_table,
     _lattice_scorer,
     _stage1_rows,
 )
@@ -134,46 +133,6 @@ class TestSubsampleSize:
             random_subsample_size(1.0, 1.0, 0.5, 10, 0.0)
 
 
-def alias_table_loop(p):
-    """The element-by-element Vose construction the vectorized one replaced."""
-    n = len(p)
-    prob = np.zeros(n)
-    alias = np.arange(n, dtype=np.int64)
-    scaled = p * n
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s, g = small.pop(), large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    for i in large + small:
-        prob[i] = 1.0
-    return prob, alias
-
-
-class TestAliasTable:
-    @pytest.mark.parametrize("kind", ["uniform", "random", "heavy", "zeros", "atom"])
-    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12659])
-    def test_matches_loop_bytewise(self, kind, n):
-        rng = np.random.default_rng(n)
-        p = {
-            "uniform": np.full(n, 1.0 / n),
-            "random": rng.random(n),
-            "heavy": rng.pareto(0.7, n) + 1e-12,
-            "zeros": rng.random(n) * (rng.random(n) < 0.5),
-            "atom": np.eye(n)[n // 2] + 1e-9 * rng.random(n),
-        }[kind]
-        if kind == "zeros":
-            p[0], p[-1] = 0.0, 1.0
-        p = p / p.sum()
-        prob, alias = _alias_table(p)
-        want_prob, want_alias = alias_table_loop(p)
-        assert prob.tobytes() == want_prob.tobytes()
-        assert np.array_equal(alias, want_alias)
-
-
 class TestRandomSubsample:
     def test_single_atom(self):
         plan = SamplePlan(points=[[0.3, 0.4]], weights=[0.6])
@@ -251,13 +210,60 @@ class TestRandomSubsample:
         assert np.array_equal(a.reweights, b.reweights)
         assert not np.array_equal(a.indices, c.indices)
 
-    def test_zero_probability_points_never_drawn(self):
-        w = np.array([0.0, 0.5, 0.5, 0.0])
-        plan = SamplePlan(points=np.linspace(0, 0.75, 4)[:, None], weights=w)
-        I = hyperbolic_cross(1, 1.0, 2.0)
+    @pytest.mark.parametrize("M", [20, 1009, 1367, 12659, 32069, 64151])
+    def test_uniform_plan_draws_plain_integers(self, M):
+        plan = lattice_points(Rank1Lattice(dimension=1, generator=[1], size=M))
         rho = density_weights(plan)
-        sel = random_subsample(plan, rho, n=500, seed=5)
-        assert set(np.unique(sel.indices)) <= {1, 2}
+        n = math.ceil(M / 3)
+        for seed in (0, 1, 2**40 + 7):
+            sel = random_subsample(plan, rho, n, seed)
+            ss = np.random.SeedSequence([seed, 11])
+            want = np.random.Generator(np.random.PCG64(ss)).integers(0, M, n)
+            assert np.array_equal(sel.indices, want)
+            rw = plan.weights[want] / (n * rho.rho[want])
+            assert sel.reweights.tobytes() == rw.tobytes()
+
+    def test_zero_probability_points_never_drawn(self):
+        # the first and last points carry no mass; the draw follows rho
+        w = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.0])
+        plan = SamplePlan(points=np.linspace(0, 0.75, 6)[:, None], weights=w)
+        rho = density_weights(plan)
+        n = 200_000
+        sel = random_subsample(plan, rho, n, seed=5)
+        freq = np.bincount(sel.indices, minlength=6) / n
+        assert freq[0] == 0 and freq[-1] == 0
+        assert np.max(np.abs(freq - rho.rho)) < 0.005  # ~5 standard deviations
+
+    def test_cdf_edges_skip_zero_mass(self, monkeypatch):
+        # the smallest and largest uniforms a generator can return, on a
+        # density whose cumulative sum ends short of 1 and whose ends carry
+        # no mass
+        edges = np.array([0.0, np.nextafter(1.0, 0.0)])
+
+        class EdgeGenerator:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, n):
+                return np.resize(edges, n)
+
+        monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
+        rho = DensityWeights(rho=np.array([0.0, 0.3, 0.7 - 1e-13, 0.0]))
+        plan = SamplePlan(points=np.linspace(0, 0.75, 4)[:, None], weights=rho.rho)
+        sel = random_subsample(plan, rho, n=2, seed=0)
+        assert sel.indices.tolist() == [1, 2]
+
+    def test_rejects_empty_draw(self):
+        plan = SamplePlan(points=[[0.0], [0.5]], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            random_subsample(plan, density_weights(plan), n=0, seed=0)
+
+    def test_rejects_density_of_another_plan(self):
+        plan = SamplePlan(points=[[0.0], [0.5]], weights=[0.5, 0.5])
+        rho = DensityWeights(rho=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="density length does not match"):
+            random_subsample(plan, rho, n=4, seed=0)
+
 
 class TestKappa:
     def test_tight_case(self):
