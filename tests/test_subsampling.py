@@ -1,5 +1,6 @@
 """Density construction, random draws, and sparsification certificates."""
 
+import bisect
 import math
 from dataclasses import replace
 
@@ -131,6 +132,43 @@ class TestSubsampleSize:
             random_subsample_size(1.0, 1.0, 1.5, 10, 1.0)
         with pytest.raises(ValueError):
             random_subsample_size(1.0, 1.0, 0.5, 10, 0.0)
+
+
+def inverse_cdf_loop(p, n, seed):
+    """The element-by-element draw the vectorized one must reproduce."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
+    if len(set(p.tolist())) == 1:
+        return rng.integers(0, len(p), n)
+    cdf, total = [], 0.0
+    for x in p:
+        total += x
+        cdf.append(total)
+    return np.array([bisect.bisect_right(cdf, u * total) for u in rng.random(n)])
+
+
+class TestInverseCdfDraw:
+    @pytest.mark.parametrize("kind", ["uniform", "random", "heavy", "zeros", "atom"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12659])
+    def test_matches_loop_bytewise(self, kind, n):
+        rng = np.random.default_rng(n)
+        p = {
+            "uniform": np.full(n, 1.0 / n),
+            "random": rng.random(n),
+            "heavy": rng.pareto(0.7, n) + 1e-12,
+            "zeros": rng.random(n) * (rng.random(n) < 0.5),
+            "atom": np.eye(n)[n // 2] + 1e-9 * rng.random(n),
+        }[kind]
+        if kind == "zeros":
+            p[0], p[-1] = 0.0, 1.0
+        p = p / p.sum()
+        plan = SamplePlan(points=np.arange(n)[:, None] / n, weights=rng.random(n))
+        draws = 500
+        sel = random_subsample(plan, DensityWeights(rho=p), draws, seed=n)
+        want = inverse_cdf_loop(p, draws, seed=n)
+        assert np.array_equal(sel.indices, want)
+        assert np.all(p[sel.indices] > 0)
+        rw = plan.weights[want] / (draws * p[want])
+        assert sel.reweights.tobytes() == rw.tobytes()
 
 
 class TestRandomSubsample:
