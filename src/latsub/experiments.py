@@ -165,22 +165,44 @@ def _draw_count(m: int) -> int:
     return max(1, math.ceil(m * math.log(m)))
 
 
+#: Bytes of Python objects and numpy's small arrays that every round holds on
+#: top of its per-size terms; they dominate rounds of a few hundred points.
+_FIXED_BYTES = 32 << 10
+
+
 def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     """Bytes of a ``full`` plus ``random_sub`` round on a lattice of size M.
 
     An upper bound that counts every large array as alive at once.  Per
     lattice point: the points (8d) and the kink's two M x d temporaries
-    (16d); the weights, the density and the kink's real values (8 each);
-    and the complex values (16).  Per frequency of the |I| = m: the
-    frequencies (8d), the reference and full coefficients (16 each), and
-    the five complex vectors of the CG solve (right-hand side, iterate,
-    residual, direction and normal product, 80).  Per draw: the indices,
-    the reweights and the masked values (32).  On top, the circulant normal
-    operator's two complex buffers of length ``_circulant_length(M)``.
+    (16d); the weights, the density and the kink's real values (24); the
+    full adjoint's complex copy of the values and its spectrum (32); the
+    normal operator's total weight per point and its half spectrum (16).
+    Per frequency of the |I| = m: the frequencies (8d); the residues and
+    the reference and full coefficients (32); the solve's complex
+    right-hand side, its real image and the complex result (40); the five
+    real CG vectors (40); the Hermitian apply's slot index, its two scale
+    vectors and their build temporaries (48).  Per draw: the indices, the
+    reweights, the masked values and their weighted product (32).  Per slot
+    of the circulant length L: the Hermitian apply's real kernel spectrum,
+    real work spectrum and complex half spectrum (24).  And the fixed bytes.
     """
     n_draw = _draw_count(m)
-    return (M * (24 * d + 40) + m * (8 * d + 112) + 32 * n_draw
-            + 32 * _circulant_length(M))
+    return (M * (24 * d + 72) + m * (8 * d + 160) + 32 * n_draw
+            + 24 * _circulant_length(M) + _FIXED_BYTES)
+
+
+def _dense_row_bytes(n: int, d: int, m: int) -> int:
+    """Bytes a ``continuous_random`` row holds on top of its round.
+
+    The real n x |I| matrix (8nm).  Per point: the points (8d); the build's
+    two real d x n tone tables, or later the kink's two n x d temporaries
+    (16d); the build's row temporary, the values and the weights (24); the
+    weighted residual's complex temporaries (64).  Per frequency: the
+    build's key tuples and lookup table, the CG vectors and the
+    coefficients (8d + 160).  And the fixed bytes.
+    """
+    return 8 * n * m + n * (24 * d + 88) + m * (8 * d + 160) + _FIXED_BYTES
 
 
 class _Skip(Exception):
@@ -220,7 +242,7 @@ class _Round:
         self.cfg, self.index_set = cfg, index_set
         self.n_draw = _draw_count(len(index_set))
         self.plan = replace(lattice_points(lat), bounds=SpectralBounds(1.0, 1.0))
-        self.values = kink(self.plan.points).astype(np.complex128)
+        self.values = kink(self.plan.points)
         self.ref = kink_coefficients(index_set.frequencies)
         self.trunc_sq = truncation_error_sq(kink.norm_sq, self.ref)
         self.op = LatticeOperator(lat, index_set)
@@ -284,17 +306,14 @@ def _bss_sub(s: _Round, seed: int) -> _Outcome:
 
 def _continuous_random(s: _Round, seed: int) -> _Outcome:
     n, d, m = s.n_draw, s.cfg.dimension, len(s.index_set)
-    # one complex n x |I| matrix (L^T), the two complex d x n tone tables it
-    # is built from, the points and the values
-    if 16 * n * m + n * (40 * d + 16) > s.cfg.memory_cap_bytes:
+    if _dense_row_bytes(n, d, m) > s.cfg.memory_cap_bytes:
         raise _Skip(f"dense matrix of {n}x{m} exceeds the memory cap")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 17])))
     clock = _Clock()
     with clock.phase("subsample"):
         pts = rng.random((n, d))
         op = DenseOperator(pts, s.index_set)
-    values = KinkFunction(d)(pts).astype(np.complex128)
-    return _solve(s, op, np.full(n, 1.0 / n), values, seed, clock)
+    return _solve(s, op, np.full(n, 1.0 / n), KinkFunction(d)(pts), seed, clock)
 
 
 #: The strategies in report order.  A strategy's position is its seed

@@ -7,35 +7,56 @@ scattering coefficients onto residues, and ``L* f`` is one FFT followed by a
 gather; both cost O(M log M) independent of |I|.  Subsampled point sets are
 handled by a row mask (duplicate rows permitted, multiplicity preserved).
 
+Every hyperbolic cross is symmetric (I = -I), and in lex order frequency p
+is the negative of frequency m-1-p.  Real samples then have a
+conjugate-symmetric least-squares solution (``a_{-k} = conj(a_k)``), and the
+unitary change of basis ``T`` of ``_to_real`` (pair p with m-1-p, h = m // 2)
+makes it real: ``T a = [sqrt2 Re a_p (p < h), a_h, -sqrt2 Im a_p (p < h)]``,
+with a_h the k = 0 entry when m is odd.  In that basis the system matrix
+``L T^H`` is real, with rows ``[sqrt2 cos, 1, sqrt2 sin]`` of ``2 pi <k_p,
+x^i>``, the orthonormal real trigonometric basis.  ``real_adjoint`` and
+``real_normal`` act on such real coordinates; the solver uses them for real
+samples on symmetric sets.
+
 The normal operator ``L* W L`` never applies ``L`` and ``L*`` in turn on a
 lattice: it is the circular convolution ``(L* W L a)_k = sum_l a_l H[(r_k -
 r_l) mod M]`` over residues ``r``, with ``H = fft_M(h)`` and ``h`` the total
 weight on each lattice point.  ``H`` is computed once per weight vector and
 embedded in a circulant of length ``L``: ``M`` itself when ``M`` is 5-smooth,
 else the smallest 5-smooth length >= 2M-1, with the negative lags wrapped to
-the tail so that no two lags share a slot.  Each application is then two
-FFTs at that fast length instead of two at the (usually prime) lattice size.
-The operator holds two complex length-``L`` buffers, the kernel's spectrum
-and an in-place work array, so at most about 4M complex numbers.
+the tail so that no two lags share a slot.  The complex ``normal`` applies
+it by two complex FFTs at that fast length instead of two at the (usually
+prime) lattice size.  The real ``real_normal`` places each residue at its
+centred value c in (-M/2, M/2], at slot ``c mod L``; the spread of a
+conjugate-symmetric vector and the kernel (``h`` is real) are then both
+Hermitian mod L, so an apply is one ``irfft``, a multiply by the cached real
+kernel spectrum and one ``rfft``, on half spectra.  It holds a real kernel
+spectrum, a real work array and a complex half spectrum, about 3L real
+numbers, against the complex path's two complex length-L buffers.
 
-Arbitrary point sets use an explicit matrix, stored as one contiguous row of
-``L^T`` per frequency.  The rows are built by recursion on the frequencies: a
+Arbitrary point sets use an explicit matrix, stored as one contiguous row
+per frequency.  On a symmetric set it is the real ``(L T^H)^T``, |I| x N
+float64, half the bytes of the complex matrix: its normal apply is two real
+matrix-vector products, and complex ``forward``/``adjoint`` go through ``T``
+with real products.  Rows are built by recursion on the frequencies: a
 frequency's parent is the frequency with its last nonzero coordinate ``j``
 moved one step towards 0, and when the parent is in the set the row is the
 parent's row times the tone ``exp(+-2*pi*i*x_j)``, filled level by level in
-``|k|_1``.  Each entry costs one complex multiply; ``exp`` runs only on the
-tone tables and on the rows of frequencies whose parent is missing (in a
-hyperbolic cross, only ``k = 0``).  The adjoint is ``conj(conj(f) @ L)``,
-which makes no copy of the matrix.
+``|k|_1``; in the real basis a (cos, sin) row pair is its parent's pair
+rotated by the tone, four real multiplies per point.  Only the tone tables
+and the rows of frequencies whose parent is missing go through ``exp``, or
+``cos`` and ``sin``.  On other sets the matrix is complex and the adjoint is
+``conj(conj(f) @ L)``, which makes no copy of it.
 
 Operators are immutable and reentrant; residues are computed once per
 (lattice, index set) pair at construction and shared by masked views.  The
-function returned by ``normal`` writes into its own buffer, so one of them
-serves one caller at a time.
+functions returned by ``normal`` and ``real_normal`` write into their own
+buffers, so one of them serves one caller at a time.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -99,6 +120,88 @@ def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _to_real(a: np.ndarray) -> np.ndarray:
+    """``T a`` along the first axis: coordinates in the real basis.
+
+    ``T`` is unitary, with row ``(e_p + e_{m-1-p}) / sqrt2`` at p < h = m // 2,
+    ``e_h`` at h when m is odd (k = 0 of a symmetric set), and ``i (e_p -
+    e_{m-1-p}) / sqrt2`` at m-h+p.  On a conjugate-symmetric vector the
+    result is real: ``[sqrt2 Re a_p, a_h, -sqrt2 Im a_p]``.
+    """
+    m = a.shape[0]
+    h = m // 2
+    lo, hi = a[:h], a[::-1][:h]  # a_p and a_{m-1-p}
+    y = np.empty(a.shape, dtype=np.complex128)
+    y[:h] = (lo + hi) / _SQRT2
+    y[h : m - h] = a[h : m - h]
+    y[m - h :] = (lo - hi) * (1j / _SQRT2)
+    return y
+
+
+def _from_real(y: np.ndarray) -> np.ndarray:
+    """``T^H y`` along the first axis; conjugate-symmetric when y is real."""
+    m = y.shape[0]
+    h = m // 2
+    c, s = y[:h] / _SQRT2, y[m - h :] * (1j / _SQRT2)
+    a = np.empty(y.shape, dtype=np.complex128)
+    a[:h] = c - s
+    a[h : m - h] = y[h : m - h]
+    a[m - h :] = (c + s)[::-1]
+    return a
+
+
+def _real_characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The real rows ``(L T^H)^T`` over the points, for a symmetric ``freqs``.
+
+    Returns a C-contiguous (len(freqs), len(points)) float64 array: row p <
+    h holds ``sqrt2 cos 2 pi <k_p, x>``, row m-h+p the matching ``sqrt2
+    sin``, and row h (k = 0, m odd) ones.  The first h frequencies are those
+    whose first nonzero coordinate is negative, so each one's parent (last
+    nonzero coordinate moved one step towards 0) is among them or is k = 0.
+    A row pair whose parent pair is present is that pair rotated by the tone
+    of coordinate j, in place; a parent k = 0 gives the scaled tone itself,
+    and the rest get ``cos``/``sin`` of their phases.
+    """
+    m, n = len(freqs), points.shape[0]
+    h = m // 2
+    out = np.empty((m, n))
+    out[h : m - h] = 1.0
+    phase = 2.0 * np.pi * np.ascontiguousarray(points.T)
+    cos_t = np.cos(phase)
+    sin_t = np.sin(phase, out=phase)
+    tmp = np.empty(n)
+    keys = [tuple(k) for k in freqs[:h].tolist()]
+    row_of = {k: p for p, k in enumerate(keys)}
+    # level by level in |k|_1, so every parent pair is filled before its children
+    for p in np.argsort(np.abs(freqs[:h]).sum(axis=1), kind="stable").tolist():
+        k = keys[p]
+        j = max(i for i, c in enumerate(k) if c)
+        step = 1 if k[j] > 0 else -1
+        parent = k[:j] + (k[j] - step,) + k[j + 1 :]
+        c, s = out[p], out[m - h + p]
+        q = row_of.get(parent)
+        if q is not None:
+            # (pc + i ps) (cos + i step sin), one real product at a time
+            pc, ps = out[q], out[m - h + q]
+            np.multiply(pc, cos_t[j], out=c)
+            np.multiply(ps, sin_t[j], out=tmp)
+            (np.subtract if step > 0 else np.add)(c, tmp, out=c)
+            np.multiply(ps, cos_t[j], out=s)
+            np.multiply(pc, sin_t[j], out=tmp)
+            (np.add if step > 0 else np.subtract)(s, tmp, out=s)
+        elif not any(parent):
+            np.multiply(cos_t[j], _SQRT2, out=c)
+            np.multiply(sin_t[j], step * _SQRT2, out=s)
+        else:
+            theta = 2.0 * np.pi * (points @ freqs[p])
+            np.multiply(np.cos(theta), _SQRT2, out=c)
+            np.multiply(np.sin(theta), _SQRT2, out=s)
+    return out
+
+
 class SystemOperator:
     """Common interface: forward ``a -> L a``, adjoint ``f -> L* f``.
 
@@ -132,6 +235,22 @@ class SystemOperator:
         w = self._check_weights(weights)
         return lambda coeffs: self.adjoint(w * self.forward(coeffs))
 
+    def real_adjoint(self, values: np.ndarray) -> np.ndarray:
+        """``T L* f`` for real values f on a symmetric set, a real vector."""
+        self._check_symmetric()
+        return _to_real(self.adjoint(self._check_values(values, np.float64))).real
+
+    def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> T L* W L T^H x`` on real coordinates of a symmetric set.
+
+        The normal operator in the real basis, real symmetric PSD.  Here it
+        goes through the complex ``normal``; the operators override it.
+        """
+        self._check_symmetric()
+        normal = self.normal(weights)
+        return lambda x: _to_real(
+            normal(_from_real(self._check_coeffs(x, np.float64)))).real
+
     def dense_matrix(self) -> np.ndarray:
         """Materialize L (row_count x |I|); intended for small instances."""
         raise NotImplementedError
@@ -146,22 +265,26 @@ class SystemOperator:
             raise ValueError("weights must be nonnegative")
         return w
 
-    def _check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+    def _check_symmetric(self) -> None:
+        if not self.index_set.symmetric:
+            raise ValueError("the real basis needs a symmetric index set (I = -I)")
+
+    def _check_coeffs(self, coeffs: np.ndarray, dtype=np.complex128) -> np.ndarray:
         a = np.asarray(coeffs)
         if a.shape != (len(self.index_set),):
             raise ValueError(
                 f"coefficient vector must have length {len(self.index_set)}, "
                 f"got shape {a.shape}"
             )
-        return a.astype(np.complex128, copy=False)
+        return a.astype(dtype, copy=False, casting="same_kind")
 
-    def _check_values(self, values: np.ndarray) -> np.ndarray:
+    def _check_values(self, values: np.ndarray, dtype=np.complex128) -> np.ndarray:
         f = np.asarray(values)
         if f.shape != (self.row_count,):
             raise ValueError(
                 f"value vector must have length {self.row_count}, got shape {f.shape}"
             )
-        return f.astype(np.complex128, copy=False)
+        return f.astype(dtype, copy=False, casting="same_kind")
 
 
 class LatticeOperator(SystemOperator):
@@ -229,6 +352,13 @@ class LatticeOperator(SystemOperator):
             np.add.at(full, self.rows, f)  # duplicates accumulate
         return np.fft.fft(full)[self._res]
 
+    def _point_weights(self, weights: np.ndarray) -> np.ndarray:
+        """The total weight on each of the M lattice points."""
+        w = self._check_weights(weights)
+        if self.rows is None:
+            return w
+        return np.bincount(self.rows, w, minlength=self.lattice.size)
+
     def normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``a -> L* W L a`` as a circular convolution over residues.
 
@@ -239,11 +369,8 @@ class LatticeOperator(SystemOperator):
         and a gather.  The returned function writes into its own buffer and
         is not reentrant.
         """
-        w = self._check_weights(weights)
-        M = self.lattice.size
-        h = w if self.rows is None else np.bincount(self.rows, w, minlength=M)
-        H = np.fft.fft(h)
-        L = _circulant_length(M)
+        H = np.fft.fft(self._point_weights(weights))
+        M, L = len(H), _circulant_length(len(H))
         kernel = np.zeros(L, dtype=np.complex128)
         kernel[:M] = H
         kernel[L - M + 1 :] = H[1:]  # lags -(M-1)..-1; a no-op when L == M
@@ -262,13 +389,72 @@ class LatticeOperator(SystemOperator):
 
         return apply
 
+    def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``normal`` in the real basis, on Hermitian half spectra.
+
+        Residue r sits at its centred value c in (-M/2, M/2], at slot ``c mod
+        L``.  For real coordinates x the spread is then Hermitian mod L, and
+        so is the lag kernel, so only slots 0..L//2 are kept: pair p (and its
+        mirror) lands at slot |c_p|, k = 0 at slot 0.  One call scatters x
+        into the real and imaginary parts of the conjugated half spread,
+        ``irfft``s it (the real spectrum), multiplies by the kernel spectrum
+        (real, divided by L), ``rfft``s back and gathers.  A self-mirrored
+        slot (0, or L/2 when L == M) holds both members of a pair; ``irfft``
+        reads only its real part, so the pair's entry counts twice there.
+        With M even and L > M a residue at M/2 would break the symmetry
+        (its mirror slot L - M/2 stays empty); that case takes the complex
+        ``normal``.  Writes into its own buffers and is not reentrant.
+        """
+        self._check_symmetric()
+        M, r = self.lattice.size, self._res
+        m = len(r)
+        h = m // 2
+        L = _circulant_length(M)
+        if L != M and np.any(2 * r == M):
+            return super().real_normal(weights)
+        # the conjugated lag kernel on slots 0..L//2: conj H[t] for t < M,
+        # where conj H[t] = H[M - t] above M//2 (h is real)
+        Hh = np.fft.rfft(self._point_weights(weights))
+        half = np.zeros(L // 2 + 1, dtype=np.complex128)
+        np.conjugate(Hh, out=half[: len(Hh)])
+        if L != M:
+            half[len(Hh) : M] = Hh[1 : M - len(Hh) + 1][::-1]
+        del Hh
+        kspec = np.fft.irfft(half, L)  # fft_L of the lag kernel, over L
+        spec = np.empty(L)
+        flat = half.view(np.float64)  # [Re 0, Im 0, Re 1, Im 1, ...]
+
+        centred = np.where(2 * r[:h] <= M, r[:h], r[:h] - M)
+        slot = np.abs(centred)
+        sign = np.where(centred < 0, -1.0, 1.0)  # the mirror sits at +slot
+        twice = np.where((slot == 0) | (2 * slot == L), 2.0, 1.0)
+        mid = np.zeros(m - 2 * h, dtype=np.int64)  # k = 0: Re of slot 0
+        idx = np.concatenate((2 * slot, mid, 2 * slot + 1))
+        scale_in = np.concatenate((twice / _SQRT2, mid + 1.0, sign * twice / _SQRT2))
+        scale_out = np.concatenate((np.full(h, _SQRT2), mid + 1.0, sign * _SQRT2))
+
+        def apply(coeffs: np.ndarray) -> np.ndarray:
+            x = self._check_coeffs(coeffs, np.float64)
+            flat.fill(0.0)
+            np.add.at(flat, idx, x * scale_in)  # colliding residues accumulate
+            np.fft.irfft(half, L, norm="forward", out=spec)
+            np.multiply(spec, kspec, out=spec)
+            np.fft.rfft(spec, out=half)  # the conjugated half of the result
+            return flat[idx] * scale_out
+
+        return apply
+
     def dense_matrix(self) -> np.ndarray:
-        pts = self.lattice.points(self.rows)
-        return _characters(pts, self.index_set.frequencies).T
+        return DenseOperator(self.lattice.points(self.rows), self.index_set).dense_matrix()
 
 
 class DenseOperator(SystemOperator):
-    """Explicit-matrix operator for arbitrary point sets."""
+    """Explicit-matrix operator for arbitrary point sets.
+
+    On a symmetric index set the matrix is stored real, as ``(L T^H)^T``
+    (|I| x N float64), and complex products go through the real basis;
+    otherwise it is the complex ``L^T``.
+    """
 
     kind = "dense"
 
@@ -284,7 +470,10 @@ class DenseOperator(SystemOperator):
             pts = pts[np.asarray(rows, dtype=np.int64)]
         self.points = pts
         self.index_set = index_set
-        self._rows = _characters(pts, index_set.frequencies)  # L^T
+        self._real = index_set.symmetric
+        # (L T^H)^T when real, else L^T
+        build = _real_characters if self._real else _characters
+        self._rows = build(pts, index_set.frequencies)
 
     @property
     def row_count(self) -> int:
@@ -294,10 +483,36 @@ class DenseOperator(SystemOperator):
         return DenseOperator(self.points, self.index_set, rows)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._check_coeffs(coeffs) @ self._rows
+        a = self._check_coeffs(coeffs)
+        if not self._real:
+            return a @ self._rows
+        y = _to_real(a)  # L a = (L T^H)(T a): real and imaginary parts apart
+        values = np.empty(self.row_count, dtype=np.complex128)
+        values.real, values.imag = np.stack((y.real, y.imag)) @ self._rows
+        return values
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
-        return (self._rows @ self._check_values(values).conj()).conj()
+        f = self._check_values(values)
+        if not self._real:
+            return (self._rows @ f.conj()).conj()
+        c = self._rows @ np.column_stack((f.real, f.imag))  # L* f = T^H (L T^H)^T f
+        return _from_real(c[:, 0] + 1j * c[:, 1])
+
+    def real_adjoint(self, values: np.ndarray) -> np.ndarray:
+        self._check_symmetric()
+        return self._rows @ self._check_values(values, np.float64)
+
+    def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> B^T W B x`` with B = L T^H real: two real matrix-vector products."""
+        self._check_symmetric()
+        w = self._check_weights(weights)
+        rows = self._rows
+
+        def apply(coeffs: np.ndarray) -> np.ndarray:
+            return rows @ (w * (self._check_coeffs(coeffs, np.float64) @ rows))
+
+        return apply
 
     def dense_matrix(self) -> np.ndarray:
-        return self._rows.T
+        # L^T = T^T (L T^H)^T = conj(T^H (L T^H)^T) for the real storage
+        return (_from_real(self._rows).conj() if self._real else self._rows).T

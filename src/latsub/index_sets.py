@@ -47,9 +47,9 @@ class IndexSet:
     significant) so that coefficient vectors indexed by an ``IndexSet`` are
     reproducible across runs.  The order is a contract that three places
     rely on: ``lattice._prefix_structure`` finds shared prefixes as adjacent
-    rows, ``plain_bss_subsample`` tests I = -I as ``freqs[::-1] == -freqs``,
-    and ``subsampling._lattice_scorer`` pairs position p with its mirror
-    m-1-p.
+    rows, ``symmetric`` tests I = -I as ``freqs[::-1] == -freqs``, and the
+    real basis of ``fourier`` and ``subsampling._lattice_scorer`` pairs
+    position p with its mirror m-1-p.
 
     Parameters
     ----------
@@ -84,6 +84,11 @@ class IndexSet:
             and self.dimension == other.dimension
             and np.array_equal(self.frequencies, other.frequencies)
         )
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether I = -I; in lex order, frequency p is minus frequency m-1-p."""
+        return bool(np.array_equal(self.frequencies[::-1], -self.frequencies))
 
     def __contains__(self, k) -> bool:
         k = np.asarray(k, dtype=np.int64)

@@ -7,6 +7,17 @@ operator for everything else.  The iterative path deliberately supports a
 hard iteration cap: on a certified-stable system a handful of iterations
 already reaches the noise floor, so capped non-convergence is reported in
 the diagnostics rather than raised as an error.
+
+On a symmetric index set (I = -I, every hyperbolic cross) with real samples
+the solution is conjugate-symmetric, ``a_{-k} = conj(a_k)``.  There the
+iterative path runs CG on real vectors of length |I| in the orthonormal
+basis ``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the
+operator's ``real_adjoint`` and ``real_normal``, and maps the result back
+to complex coefficients once.  The basis is unitary, so the iterates,
+residual norms and iteration counts are those of complex CG up to rounding.
+Complex samples, other index sets and the direct mode solve in complex
+arithmetic.  Capped CG is not linear in the data, so complex samples are
+not split into real and imaginary solves.
 """
 
 from __future__ import annotations
@@ -17,10 +28,9 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import mz
-from .fourier import DenseOperator, LatticeOperator, SystemOperator
+from .fourier import DenseOperator, LatticeOperator, SystemOperator, _from_real
 from .index_sets import IndexSet
 from .lattice import SamplePlan
 
@@ -71,6 +81,8 @@ def _weighted_residual(op, weights, coeffs, samples) -> float:
 
 
 def _solve_direct(op, weights, samples, rhs):
+    import scipy.linalg  # about 0.3 s to import; only this mode needs it
+
     if len(op.index_set) > mz.DENSE_EIG_CAP:
         raise ValueError(
             f"|I| = {len(op.index_set)} exceeds DENSE_EIG_CAP = "
@@ -98,16 +110,18 @@ def _solve_direct(op, weights, samples, rhs):
     return a, False
 
 
-def _solve_cg(op, weights, rhs, cfg):
-    """Conjugate gradients on the Hermitian PSD normal operator, zero start."""
-    n = len(op.index_set)
-    a = np.zeros(n, dtype=np.complex128)
+def _solve_cg(normal, rhs, cfg):
+    """Conjugate gradients on a Hermitian PSD ``normal``, zero start.
+
+    Real or complex, as ``rhs`` is.  Returns the iterate, the iteration
+    count, the final residual norm and whether it met the tolerance.
+    """
+    a = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return a, 0, 0.0, True
-    normal = op.normal(weights)
     rz = float(np.real(np.vdot(r, r)))
     threshold = cfg.residual_tolerance * rhs_norm
     iterations = 0
@@ -145,7 +159,8 @@ def least_squares(
     Iterative mode runs conjugate gradients on the normal operator from a
     zero start, stopping at ``residual_tolerance`` (relative, on the normal
     residual) or ``max_iterations``, whichever comes first; hitting the cap
-    is flagged in the diagnostics, not raised.
+    is flagged in the diagnostics, not raised.  On a symmetric index set
+    with real samples (every imaginary part 0) it runs in the real basis.
     """
     cfg = cfg or SolverConfig()
     w = np.asarray(weights, dtype=np.float64)
@@ -153,18 +168,29 @@ def least_squares(
         raise ValueError(f"expected {op.row_count} weights, got {w.shape}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    f = np.asarray(samples).astype(np.complex128, copy=False)
+    f = np.asarray(samples)
     if f.shape != (op.row_count,):
         raise ValueError(f"expected {op.row_count} samples, got {f.shape}")
+    real = not np.iscomplexobj(f) or not np.any(f.imag)
+    real_basis = cfg.mode == "iterative_normal" and real and op.index_set.symmetric
+    if real_basis:
+        f = f.real.astype(np.float64, copy=False)
+    else:
+        f = f.astype(np.complex128, copy=False)
 
     start = time.perf_counter()
-    rhs = op.adjoint(w * f)
-    if cfg.mode == "direct_normal":
+    if real_basis:
+        x, iterations, normal_residual, converged = _solve_cg(
+            op.real_normal(w), op.real_adjoint(w * f), cfg)
+        a = _from_real(x)
+    elif cfg.mode == "direct_normal":
+        rhs = op.adjoint(w * f)
         a, converged = _solve_direct(op, w, f, rhs)
         iterations = 0
         normal_residual = float(np.linalg.norm(op.normal(w)(a) - rhs))
     else:
-        a, iterations, normal_residual, converged = _solve_cg(op, w, rhs, cfg)
+        a, iterations, normal_residual, converged = _solve_cg(
+            op.normal(w), op.adjoint(w * f), cfg)
     elapsed = time.perf_counter() - start
 
     diag = SolveDiagnostics(

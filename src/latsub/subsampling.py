@@ -44,7 +44,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dsyr, zhemv, zher
 
 from .index_sets import IndexSet
 from .lattice import SamplePlan, residues
@@ -270,6 +269,8 @@ def _barrier_greedy(
     kept in its upper triangle and updated in place by BLAS
     ``zhemv``/``zher``, or ``dsymv``/``dsyr`` when the rows are real.
     """
+    from scipy.linalg.blas import dsymv, dsyr, zhemv, zher  # 0.3 s to import
+
     if b <= 1.0 + 1.0 / m:
         raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
     active = norms > 0
@@ -597,9 +598,9 @@ def plain_bss_subsample(
     output's lower MZ constant is certified to be at least
     ``(b-1)^3 / (178 (b+1)^2) * A``; the upper constant is unconstrained.
 
-    On a lattice-backed parent with a symmetric index set (I = -I, which
-    lex order makes ``freqs[::-1] == -freqs``) the greedy runs in a real
-    basis and scores rows through one lattice FFT, O(M log M + |I|^2) per
+    On a lattice-backed parent with a symmetric index set (I = -I, see
+    ``IndexSet.symmetric``) the greedy runs in a real basis and scores
+    rows through one lattice FFT, O(M log M + |I|^2) per
     step with no row matrix (so ``BSS_ENTRY_CAP`` does not apply); any other
     input uses the dense complex rows, O(N |I|) per step.  Both pass the
     exact row norms ``rw_i |I|`` and select alike up to rounding.  The
@@ -617,8 +618,7 @@ def plain_bss_subsample(
 
     # |row_i|^2 = rw_i |I| exactly: every character has unit modulus
     norms = selection.reweights * m
-    freqs = index_set.frequencies
-    if selection.parent.lattice is not None and np.array_equal(freqs[::-1], -freqs):
+    if selection.parent.lattice is not None and index_set.symmetric:
         scorer = _lattice_scorer(selection, index_set)
     else:
         scorer = _dense_scorer(_stage1_rows(selection, index_set))

@@ -152,43 +152,69 @@ class TestRunExperiment1:
         assert row.subsample_time_s == 100.0
         assert row.solve_time_s == 1000.0
 
-    def test_dense_estimate_counts_one_matrix(self, tmp_path):
-        # the operator holds one complex n x |I| matrix; the two complex
-        # d x n tone tables, the points and the values come on top
-        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1,
-                          strategies=("continuous_random",))
-        m = len(hyperbolic_cross(2, 0.5, 8.0))
-        n = math.ceil(m * math.log(m))
-        needed = 16 * n * m + n * (32 * 2 + 8 * 2 + 16)
-        (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
-        assert not row.skipped
-        (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
-        assert row.skipped and "exceeds the memory cap" in row.skip_reason
+    def test_dense_estimate_counts_one_matrix(self, tmp_path, monkeypatch):
+        # the operator holds one real n x |I| matrix; per point the points,
+        # the tone tables or kink temporaries, a row temporary, values,
+        # weights and the weighted residual's complex temporaries; per
+        # frequency the build's keys and the solve's vectors; fixed bytes
+        run = latsub.experiments._STRATEGIES["continuous_random"]
+        peaks = []
+
+        def measured(s, seed):  # the row's own peak, on top of its round
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run(s, seed)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setitem(latsub.experiments._STRATEGIES, "continuous_random", measured)
+        for d in (2, 5):
+            cfg = desk_config(tmp_path, dimension=d, radii=(8.0,), repetitions=1,
+                              strategies=("continuous_random",))
+            m = len(hyperbolic_cross(d, 0.5, 8.0))
+            n = math.ceil(m * math.log(m))
+            needed = (8 * n * m + n * (24 * d + 88) + m * (8 * d + 160)
+                      + latsub.experiments._FIXED_BYTES)
+            (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
+            assert not row.skipped
+            (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
+            assert row.skipped and "exceeds the memory cap" in row.skip_reason
+            tracemalloc.start()
+            try:
+                run_experiment_1(cfg)
+            finally:
+                tracemalloc.stop()
+            assert 0 < peaks[-1] <= needed
 
     def test_lattice_estimate_counts_the_round(self, tmp_path):
         # per lattice point the points and the kink's two M x d temporaries,
-        # weights, density, real and complex values; per frequency the
-        # frequencies, reference and full coefficients and the five CG
-        # vectors; per draw indices, reweights and masked values; the normal
-        # operator's two complex buffers of the circulant length
-        cfg = desk_config(tmp_path, dimension=5, radii=(8.0,), repetitions=1,
-                          strategies=("full", "random_sub"))
-        full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
-        M, m = full.num_points, full.num_frequencies
-        n = math.ceil(m * math.log(m))
-        needed = (M * (24 * 5 + 40) + m * (8 * 5 + 112) + 32 * n
-                  + 32 * _circulant_length(M))
-        rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
-        assert not any(r.skipped for r in rows)
-        rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
-        assert all(r.skipped and "exceeds the memory cap" in r.skip_reason for r in rows)
-        tracemalloc.start()
-        try:
-            run_experiment_1(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= needed
+        # weights, density, real values, the full adjoint's complex copy and
+        # spectrum, and the normal's point weights and half spectrum; per
+        # frequency the frequencies, residues, coefficients, the solve's
+        # vectors and the Hermitian apply's index and scales; per draw
+        # indices, reweights, masked values and their product; three
+        # buffers of the circulant length; fixed bytes.  d = 2, R = 16 is a
+        # round small enough for the fixed bytes to dominate.
+        for d, radius in ((5, 8.0), (2, 16.0)):
+            cfg = desk_config(tmp_path, dimension=d, radii=(radius,), repetitions=1,
+                              strategies=("full", "random_sub"))
+            full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
+            M, m = full.num_points, full.num_frequencies
+            n = math.ceil(m * math.log(m))
+            needed = (M * (24 * d + 72) + m * (8 * d + 160) + 32 * n
+                      + 24 * _circulant_length(M) + latsub.experiments._FIXED_BYTES)
+            rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
+            assert not any(r.skipped for r in rows)
+            rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
+            assert all(r.skipped and "exceeds the memory cap" in r.skip_reason
+                       for r in rows)
+            tracemalloc.start()
+            try:
+                run_experiment_1(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= needed
 
     def test_memory_cap_skips_with_reason(self, tmp_path):
         cfg = desk_config(tmp_path, memory_cap_bytes=40_000,

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from latsub.fourier import (
     DenseOperator,
     LatticeOperator,
+    _characters,
     _circulant_length,
     _fast_length,
+    _from_real,
+    _to_real,
 )
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, search_generator
@@ -315,6 +318,143 @@ class TestDenseCharacters:
         got = LatticeOperator(lat, I).masked(rows).dense_matrix()
         want = DenseOperator(lat.points(), I, rows=rows).dense_matrix()
         assert np.array_equal(got, want)
+
+
+def cross_without_zero(d, gamma, R):
+    """A symmetric set of even size: a hyperbolic cross less k = 0."""
+    freqs = hyperbolic_cross(d, gamma, R).frequencies
+    return IndexSet(dimension=d, frequencies=freqs[np.any(freqs, axis=1)])
+
+
+@st.composite
+def real_normal_instances(draw):
+    """A symmetric set on a lattice (full or masked), weights and real coordinates.
+
+    Like ``normal_instances``, with the set closed under k -> -k.  The sizes
+    add even ones that are not 5-smooth, where a residue at M/2 sends the
+    real normal to the complex path.
+    """
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kmax = draw(st.integers(1, 4))
+    half = rng.integers(-kmax, kmax + 1, size=(draw(st.integers(1, 15)), d))
+    I = IndexSet(dimension=d, frequencies=np.unique(np.vstack((half, -half)), axis=0))
+    if draw(st.booleans()):
+        lat = search_generator(I, rng_seed=int(rng.integers(0, 2**31)))
+    else:
+        M = draw(st.sampled_from(_NORMAL_SIZES + [14, 22, 62]))
+        lat = Rank1Lattice(dimension=d, generator=rng.integers(0, M, size=d), size=M)
+    op = LatticeOperator(lat, I)
+    if draw(st.booleans()):
+        op = op.masked(rng.integers(0, lat.size, size=draw(st.integers(0, 3 * lat.size))))
+    w = rng.random(op.row_count) * (rng.random(op.row_count) < draw(st.floats(0.0, 1.0)))
+    return op, w, rng.standard_normal(len(I))
+
+
+def complex_normal_in_real_basis(op, w, x):
+    """The oracle: ``T L* W L T^H x`` through the complex normal operator."""
+    want = _to_real(op.normal(w)(_from_real(x)))
+    assert np.max(np.abs(want.imag)) <= 1e-12 * np.max(np.abs(want), initial=1.0)
+    return want.real
+
+
+class TestRealBasis:
+    """The real-basis matrix and applies against the complex path."""
+
+    @pytest.mark.parametrize("I", [
+        hyperbolic_cross(3, 0.5, 8.0),  # odd |I|: k = 0 present
+        cross_without_zero(2, 0.5, 6.0),  # even |I|: no k = 0
+        IndexSet(dimension=2, frequencies=[[-2, -1], [0, -3], [0, 0], [0, 3], [2, 1]]),
+    ], ids=["odd", "even", "missing-parents"])
+    def test_real_rows_and_complex_products_match_characters(self, I):
+        rng = np.random.default_rng(len(I))
+        m, h, n = len(I), len(I) // 2, 40
+        pts = rng.random((n, I.dimension))
+        C = _characters(pts, I.frequencies)  # L^T, complex
+        op = DenseOperator(pts, I)
+        B = op._rows
+        assert B.dtype == np.float64 and B.shape == (m, n)
+        assert np.max(np.abs(B[:h] - np.sqrt(2) * C[:h].real)) <= 1e-13
+        assert np.max(np.abs(B[m - h:] - np.sqrt(2) * C[:h].imag)) <= 1e-13
+        assert np.all(B[h:m - h] == 1.0)
+        assert np.max(np.abs(op.dense_matrix() - C.T)) <= 1e-13
+        a, f = crandn(rng, m), crandn(rng, n)
+        assert np.max(np.abs(op.forward(a) - a @ C)) <= 1e-13 * np.sum(np.abs(a))
+        assert np.max(np.abs(op.adjoint(f) - C.conj() @ f)) <= 1e-13 * np.sum(np.abs(f))
+        w, x = rng.random(n), rng.standard_normal(m)
+        want = _to_real(C.conj() @ (w * (_from_real(x) @ C)))
+        scale = np.sum(w) * np.sum(np.abs(x))
+        assert np.max(np.abs(want.imag)) <= 1e-13 * scale
+        assert np.max(np.abs(op.real_normal(w)(x) - want.real)) <= 1e-13 * scale
+        want = _to_real(C.conj() @ f.real)
+        got = op.real_adjoint(f.real)
+        assert np.max(np.abs(got - want.real)) <= 1e-13 * np.sum(np.abs(f.real))
+
+    @pytest.mark.parametrize("M, z", [
+        (375, [1, 7, 49]),  # 5-smooth, odd: L = M
+        (384, [1, 5, 25]),  # 5-smooth, even: slot M/2 is the Nyquist slot of L
+        (61, [1, 11, 21]),  # prime: L = 125 >= 2M - 1
+        (30, [1, 4, 7]),  # 5-smooth, small: residues collide
+        (31, [1, 2, 5]),  # prime, small: residues collide
+    ])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_hermitian_normal_matches_complex_normal(self, M, z, masked):
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        rng = np.random.default_rng(M)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array(z), size=M), I)
+        if masked:
+            op = op.masked(rng.integers(0, M, size=2 * M))  # duplicate rows
+        w, x = rng.random(op.row_count), rng.standard_normal(len(I))
+        want = complex_normal_in_real_basis(op, w, x)
+        got = op.real_normal(w)(x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("M", [30, 31])
+    def test_small_lattices_collide_k_with_minus_k_prime(self, M):
+        # the collisions the Hermitian scatter must add up: some k and k' != k
+        # with r_k = -r_k' mod M, and pairs sharing a slot with equal sign
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        z = {30: [1, 4, 7], 31: [1, 2, 5]}[M]
+        r = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array(z), size=M), I)._res
+        h = len(I) // 2
+        centred = np.where(2 * r[:h] <= M, r[:h], r[:h] - M)
+        pos, neg = set(centred[centred > 0]), set(-centred[centred < 0])
+        assert pos & neg
+        assert len(np.unique(centred)) < h
+
+    def test_residue_at_half_m_takes_the_complex_normal(self):
+        # M = 14 is even and not 5-smooth (L = 27): a residue at M/2 has its
+        # mirror at slot -M/2 = 20 mod 27, not at M/2, so the spread is not
+        # Hermitian mod L and the real normal goes through the complex one
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array([1, 3, 5]), size=14), I)
+        assert _circulant_length(14) == 27 and np.any(2 * op._res == 14)
+        rng = np.random.default_rng(14)
+        w, x = rng.random(14), rng.standard_normal(len(I))
+        want = complex_normal_in_real_basis(op, w, x)
+        assert np.linalg.norm(op.real_normal(w)(x) - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(real_normal_instances())
+    def test_hermitian_normal_on_random_symmetric_sets(self, instance):
+        op, w, x = instance
+        want = complex_normal_in_real_basis(op, w, x)
+        got = op.real_normal(w)(x)
+        scale = np.sum(w) * np.sum(np.abs(x))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.array_equal(op.real_normal(w)(x), got)  # buffers reused alike
+
+    def test_real_basis_needs_a_symmetric_set(self):
+        I = IndexSet(dimension=1, frequencies=[[-1], [0], [2]])
+        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=7)
+        for op in (LatticeOperator(lat, I), DenseOperator(lat.points(), I)):
+            with pytest.raises(ValueError, match="symmetric"):
+                op.real_normal(np.ones(7))
+            with pytest.raises(ValueError, match="symmetric"):
+                op.real_adjoint(np.ones(7))
+        op = LatticeOperator(lat, hyperbolic_cross(1, 1.0, 2.0))
+        with pytest.raises(TypeError):
+            op.real_normal(np.ones(7))(np.ones(len(op.index_set), dtype=complex))
 
 
 @pytest.mark.slow

@@ -10,8 +10,15 @@ from latsub.fourier import DenseOperator, LatticeOperator
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
-from latsub.solver import SolverConfig, least_squares, reconstruct
+from latsub.solver import (
+    SolverConfig,
+    _solve_cg,
+    _weighted_residual,
+    least_squares,
+    reconstruct,
+)
 from latsub.subsampling import density_weights, plain_bss_subsample, random_subsample
+from latsub.testfunctions import KinkFunction
 
 
 def crandn(rng, n):
@@ -203,6 +210,100 @@ def test_normal_operator_built_once_per_solve(monkeypatch, mode):
                             SolverConfig(max_iterations=10, mode=mode))
     assert calls == [len(rows)]
     assert diag.iterations == (10 if mode == "iterative_normal" else 0)
+
+
+def complex_solve(op, w, f, cfg):
+    """The oracle: complex CG on the same data, with its diagnostics."""
+    f = np.asarray(f, dtype=complex)
+    a, iterations, normal_residual, converged = _solve_cg(op.normal(w), op.adjoint(w * f), cfg)
+    return a, iterations, normal_residual, converged, _weighted_residual(op, w, a, f)
+
+
+def kink_system(kind, d=3, R=8.0, seed=1):
+    """An operator on a symmetric cross, weights and real kink samples."""
+    I, lat, plan = tight_setup(d, 0.5, R, seed=seed)
+    n = int(np.ceil(len(I) * np.log(len(I))))
+    if kind == "full":
+        op, w, pts = LatticeOperator(lat, I), plan.weights, plan.points
+    elif kind == "masked":
+        sel = random_subsample(plan, density_weights(plan), n, seed=seed)
+        op, w = LatticeOperator(lat, I).masked(sel.indices), sel.reweights
+        pts = plan.points[sel.indices]
+    else:
+        pts = np.random.default_rng(seed).random((n, d))
+        op, w = DenseOperator(pts, I), np.full(n, 1.0 / n)
+    return op, w, KinkFunction(d)(pts)
+
+
+class TestRealBasisSolve:
+    """least_squares in the real basis against complex CG on the same data."""
+
+    @pytest.mark.parametrize("kind", ["full", "masked", "dense"])
+    @pytest.mark.parametrize("cap", [3, 10])
+    def test_matches_complex_path(self, kind, cap):
+        op, w, f = kink_system(kind)
+        assert op.index_set.symmetric and f.dtype == np.float64
+        cfg = SolverConfig(max_iterations=cap)
+        a, diag = least_squares(op, w, f, cfg)
+        want, iterations, normal_residual, converged, weighted = complex_solve(op, w, f, cfg)
+        assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(a[::-1], a.conj())  # conjugate-symmetric, exactly
+        assert diag.iterations == iterations
+        assert diag.converged == converged
+        if converged:  # both met the tolerance; below it the residual is rounding noise
+            rhs_norm = np.linalg.norm(op.adjoint(w * f))
+            assert diag.normal_residual <= cfg.residual_tolerance * rhs_norm
+        else:
+            assert abs(diag.normal_residual - normal_residual) <= 1e-12 * normal_residual
+        assert abs(diag.weighted_residual - weighted) <= 1e-12 * weighted
+
+    def test_complex_dtype_with_zero_imaginary_parts_is_real(self):
+        op, w, f = kink_system("masked")
+        a, _ = least_squares(op, w, f.astype(complex))
+        b, _ = least_squares(op, w, f)
+        assert np.array_equal(a, b)
+
+
+class PathSpy:
+    """Counts which normal operator an operator instance hands out."""
+
+    def __init__(self, op):
+        self.calls = []
+        for name in ("normal", "real_normal"):
+            build = getattr(op, name)
+            setattr(op, name, self._counted(name, build))
+
+    def _counted(self, name, build):
+        def counted(weights):
+            self.calls.append(name)
+            return build(weights)
+        return counted
+
+
+@pytest.mark.parametrize("kind", ["masked", "dense"])
+def test_complex_samples_and_asymmetric_sets_take_the_complex_path(kind):
+    rng = np.random.default_rng(4)
+    op, w, f = kink_system(kind)
+    spy = PathSpy(op)
+    least_squares(op, w, f)
+    assert spy.calls == ["real_normal"]
+    spy.calls.clear()
+    least_squares(op, w, f + 1e-3j * rng.standard_normal(len(f)))
+    assert spy.calls == ["normal"]
+    spy.calls.clear()
+    least_squares(op, w, f, SolverConfig(mode="direct_normal"))
+    assert spy.calls == ["normal"]  # the normal residual of the direct solve
+
+    I = op.index_set
+    asymmetric = IndexSet(dimension=I.dimension, frequencies=I.frequencies[1:])
+    assert not asymmetric.symmetric
+    if kind == "dense":
+        op = DenseOperator(op.points, asymmetric)
+    else:
+        op = LatticeOperator(op.lattice, asymmetric, op.rows)
+    spy = PathSpy(op)
+    least_squares(op, w, f)
+    assert spy.calls == ["normal"]
 
 
 class TestReconstructWrapper:
