@@ -177,18 +177,19 @@ def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     lattice point: the points (8d) and the kink's two M x d temporaries
     (16d); the weights, the density and the kink's real values (24); the
     full adjoint's complex copy of the values and its spectrum (32); the
-    normal operator's total weight per point and its half spectrum (16).
-    Per frequency of the |I| = m: the frequencies (8d); the residues and
-    the reference and full coefficients (32); the solve's complex
-    right-hand side, its real image and the complex result (40); the five
-    real CG vectors (40); the Hermitian apply's slot index, its two scale
-    vectors and their build temporaries (48).  Per draw: the indices, the
+    solve's total weight per point, its point sums of the weighted values
+    and the complex vector packing both, transformed in place (32).  Per
+    frequency of the |I| = m: the frequencies (8d); the residues and the
+    reference and full coefficients (32); the solve's complex right-hand
+    side, its real image and the complex result (40); the five real CG
+    vectors (40); the Hermitian apply's slot index, its two scale vectors
+    and their build temporaries (48).  Per draw: the indices, the
     reweights, the masked values and their weighted product (32).  Per slot
     of the circulant length L: the Hermitian apply's real kernel spectrum,
     real work spectrum and complex half spectrum (24).  And the fixed bytes.
     """
     n_draw = _draw_count(m)
-    return (M * (24 * d + 72) + m * (8 * d + 160) + 32 * n_draw
+    return (M * (24 * d + 88) + m * (8 * d + 160) + 32 * n_draw
             + 24 * _circulant_length(M) + _FIXED_BYTES)
 
 
@@ -197,12 +198,13 @@ def _dense_row_bytes(n: int, d: int, m: int) -> int:
 
     The real n x |I| matrix (8nm).  Per point: the points (8d); the build's
     two real d x n tone tables, or later the kink's two n x d temporaries
-    (16d); the build's row temporary, the values and the weights (24); the
-    weighted residual's complex temporaries (64).  Per frequency: the
-    build's key tuples and lookup table, the CG vectors and the
-    coefficients (8d + 160).  And the fixed bytes.
+    (16d); the values and the weights (16); the build's row temporary, or
+    later the two n-vectors of a normal apply (16).  The weighted residual
+    is not computed.  Per frequency: the build's key tuples and lookup
+    table, the CG vectors and the coefficients (8d + 160).  And the fixed
+    bytes.
     """
-    return 8 * n * m + n * (24 * d + 88) + m * (8 * d + 160) + _FIXED_BYTES
+    return 8 * n * m + n * (24 * d + 32) + m * (8 * d + 160) + _FIXED_BYTES
 
 
 class _Skip(Exception):

@@ -32,7 +32,11 @@ conjugate-symmetric vector and the kernel (``h`` is real) are then both
 Hermitian mod L, so an apply is one ``irfft``, a multiply by the cached real
 kernel spectrum and one ``rfft``, on half spectra.  It holds a real kernel
 spectrum, a real work array and a complex half spectrum, about 3L real
-numbers, against the complex path's two complex length-L buffers.
+numbers, against the complex path's two complex length-L buffers.  A real
+solve needs ``H`` and the right-hand side ``L* W f``, the spectra of two
+real length-M vectors; ``real_normal_equations`` packs them as the real and
+imaginary parts of one complex vector, so a real lattice solve runs one
+length-M FFT.
 
 Arbitrary point sets use an explicit matrix, stored as one contiguous row
 per frequency.  On a symmetric set it is the real ``(L T^H)^T``, |I| x N
@@ -121,6 +125,12 @@ def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _norm_exponent(v: np.ndarray) -> int:
+    """The binary exponent of ``||v||_2`` for a real v, free of overflow and underflow."""
+    top = math.frexp(max(v.max(), -v.min()))[1]
+    return top + math.frexp(np.linalg.norm(np.ldexp(v, -top)))[1]
 
 
 def _to_real(a: np.ndarray) -> np.ndarray:
@@ -251,6 +261,18 @@ class SystemOperator:
         return lambda x: _to_real(
             normal(_from_real(self._check_coeffs(x, np.float64)))).real
 
+    def real_normal_equations(
+        self, weights: np.ndarray, values: np.ndarray
+    ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """The real normal operator and right-hand side ``T L* W f`` of one solve.
+
+        For real values f on a symmetric set; here ``(real_normal(w),
+        real_adjoint(w * f))``.  The lattice operator builds both from one FFT.
+        """
+        self._check_symmetric()
+        w = self._check_weights(weights)
+        return self.real_normal(w), self.real_adjoint(w * self._check_values(values, np.float64))
+
     def dense_matrix(self) -> np.ndarray:
         """Materialize L (row_count x |I|); intended for small instances."""
         raise NotImplementedError
@@ -352,12 +374,11 @@ class LatticeOperator(SystemOperator):
             np.add.at(full, self.rows, f)  # duplicates accumulate
         return np.fft.fft(full)[self._res]
 
-    def _point_weights(self, weights: np.ndarray) -> np.ndarray:
-        """The total weight on each of the M lattice points."""
-        w = self._check_weights(weights)
+    def _spread(self, v: np.ndarray) -> np.ndarray:
+        """The sum of a real row vector over each of the M lattice points."""
         if self.rows is None:
-            return w
-        return np.bincount(self.rows, w, minlength=self.lattice.size)
+            return v
+        return np.bincount(self.rows, v, minlength=self.lattice.size)
 
     def normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``a -> L* W L a`` as a circular convolution over residues.
@@ -369,7 +390,7 @@ class LatticeOperator(SystemOperator):
         and a gather.  The returned function writes into its own buffer and
         is not reentrant.
         """
-        H = np.fft.fft(self._point_weights(weights))
+        H = np.fft.fft(self._spread(self._check_weights(weights)))
         M, L = len(H), _circulant_length(len(H))
         kernel = np.zeros(L, dtype=np.complex128)
         kernel[:M] = H
@@ -403,23 +424,79 @@ class LatticeOperator(SystemOperator):
         reads only its real part, so the pair's entry counts twice there.
         With M even and L > M a residue at M/2 would break the symmetry
         (its mirror slot L - M/2 stays empty); that case takes the complex
-        ``normal``.  Writes into its own buffers and is not reentrant.
+        ``normal``.  The kernel is that of ``real_normal_equations`` with
+        zero values.  Writes into its own buffers and is not reentrant.
         """
         self._check_symmetric()
+        if not self._hermitian():
+            return super().real_normal(weights)
+        return self.real_normal_equations(weights, np.zeros(self.row_count))[0]
+
+    def real_normal_equations(
+        self, weights: np.ndarray, values: np.ndarray
+    ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """``real_normal`` and ``real_adjoint(w * f)`` from one length-M FFT.
+
+        The point weights h and the point sums s of ``w * f`` are both real,
+        so ``Z = fft_M(h + i 2^e s)`` carries both spectra: ``H = (Z +
+        conj Z[-k]) / 2`` feeds the kernel and ``(Z - conj Z[-k]) / 2i`` at
+        the residues, times ``2^-e``, is ``L* W f``.  The power of two gives
+        both parts a comparable 2-norm, so neither drowns in the other's
+        rounding, and it scales exactly.  Values whose point sums all vanish
+        get an exactly zero right-hand side, as ``real_adjoint`` gives them.
+        Holds the complex length-M input, transformed in place, with one
+        real length-M vector beside it and then the kernel's half spectrum.
+        """
+        self._check_symmetric()
+        if not self._hermitian():
+            return super().real_normal_equations(weights, values)
+        w = self._check_weights(weights)
+        wf = w * self._check_values(values, np.float64)
+        M, r = self.lattice.size, self._res
+        z = np.empty(M, dtype=np.complex128)
+        h = self._spread(w)
+        e_h = _norm_exponent(h)
+        z.real = h
+        del h
+        s = self._spread(wf)
+        nonzero = bool(s.any())
+        shift = e_h - _norm_exponent(s) if nonzero else 0
+        np.ldexp(s, shift, out=z.imag)
+        del s
+        np.fft.fft(z, out=z)
+        rhs = np.zeros(len(r))
+        if nonzero:
+            spec = z[r]
+            spec -= np.conjugate(z[-r])
+            spec *= -0.5j  # / 2i, exact
+            np.ldexp(spec.view(np.float64), -shift, out=spec.view(np.float64))
+            rhs = _to_real(spec).real
+        # the conjugated lag kernel conj H[t] = (conj Z[t] + Z[-t]) / 2 on
+        # the slots t < M of 0..L//2
+        half = np.zeros(_circulant_length(M) // 2 + 1, dtype=np.complex128)
+        t = min(M, len(half))
+        np.conjugate(z[:t], out=half[:t])
+        half[0] += z[0]
+        half[1:t] += z[: M - t : -1]
+        half[:t] *= 0.5
+        del z
+        return self._real_apply(half), rhs
+
+    def _hermitian(self) -> bool:
+        """Whether ``real_normal`` runs on Hermitian half spectra.
+
+        Always unless M is even, L > M and some residue sits at M/2.
+        """
+        M = self.lattice.size
+        return _circulant_length(M) == M or not np.any(2 * self._res == M)
+
+    def _real_apply(self, half: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The Hermitian apply of ``real_normal`` for the conjugated lag
+        kernel ``half`` on slots 0..L//2, which becomes its work buffer."""
         M, r = self.lattice.size, self._res
         m = len(r)
         h = m // 2
         L = _circulant_length(M)
-        if L != M and np.any(2 * r == M):
-            return super().real_normal(weights)
-        # the conjugated lag kernel on slots 0..L//2: conj H[t] for t < M,
-        # where conj H[t] = H[M - t] above M//2 (h is real)
-        Hh = np.fft.rfft(self._point_weights(weights))
-        half = np.zeros(L // 2 + 1, dtype=np.complex128)
-        np.conjugate(Hh, out=half[: len(Hh)])
-        if L != M:
-            half[len(Hh) : M] = Hh[1 : M - len(Hh) + 1][::-1]
-        del Hh
         kspec = np.fft.irfft(half, L)  # fft_L of the lag kernel, over L
         spec = np.empty(L)
         flat = half.view(np.float64)  # [Re 0, Im 0, Re 1, Im 1, ...]
@@ -501,6 +578,11 @@ class DenseOperator(SystemOperator):
     def real_adjoint(self, values: np.ndarray) -> np.ndarray:
         self._check_symmetric()
         return self._rows @ self._check_values(values, np.float64)
+
+    def real_forward(self, coeffs: np.ndarray) -> np.ndarray:
+        """``L T^H x`` for real coordinates x on a symmetric set, a real vector."""
+        self._check_symmetric()
+        return self._check_coeffs(coeffs, np.float64) @ self._rows
 
     def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``x -> B^T W B x`` with B = L T^H real: two real matrix-vector products."""

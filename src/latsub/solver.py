@@ -6,14 +6,17 @@ coefficient spaces, and matrix-free conjugate gradients on the normal
 operator for everything else.  The iterative path deliberately supports a
 hard iteration cap: on a certified-stable system a handful of iterations
 already reaches the noise floor, so capped non-convergence is reported in
-the diagnostics rather than raised as an error.
+the diagnostics rather than raised as an error.  The diagnostics' weighted
+residual costs one more forward apply (a length-M FFT on a lattice), so it
+is computed only when read.
 
 On a symmetric index set (I = -I, every hyperbolic cross) with real samples
 the solution is conjugate-symmetric, ``a_{-k} = conj(a_k)``.  There the
 iterative path runs CG on real vectors of length |I| in the orthonormal
-basis ``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the
-operator's ``real_adjoint`` and ``real_normal``, and maps the result back
-to complex coefficients once.  The basis is unitary, so the iterates,
+basis ``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the normal
+operator and right-hand side from the operator's ``real_normal_equations``
+(one length-M FFT for both on a lattice), and maps the result back to
+complex coefficients once.  The basis is unitary, so the iterates,
 residual norms and iteration counts are those of complex CG up to rounding.
 Complex samples, other index sets and the direct mode solve in complex
 arithmetic.  Capped CG is not linear in the data, so complex samples are
@@ -25,12 +28,14 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import mz
-from .fourier import DenseOperator, LatticeOperator, SystemOperator, _from_real
+from .fourier import DenseOperator, LatticeOperator, SystemOperator, _from_real, _to_real
 from .index_sets import IndexSet
 from .lattice import SamplePlan
 
@@ -61,21 +66,49 @@ class SolverConfig:
 
 @dataclass
 class SolveDiagnostics:
-    """Solve metadata; serializes to JSON for reports."""
+    """Solve metadata; serializes to JSON for reports.
+
+    ``weighted_residual`` costs one more forward apply, which the solve itself
+    does not need, so it is computed the first time it is read and kept.
+    Until then the diagnostics hold the operator, weights, coefficients and
+    samples it is computed from.
+    """
 
     operator_kind: str
     mode: str
     iterations: int
     normal_residual: float
-    weighted_residual: float
     converged: bool
     wall_time_s: float
+    _residual: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def weighted_residual(self) -> float:
+        """``|| W^(1/2) (L a - f) ||`` of the returned coefficients."""
+        return self._residual()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps({
+            "operator_kind": self.operator_kind,
+            "mode": self.mode,
+            "iterations": self.iterations,
+            "normal_residual": self.normal_residual,
+            "weighted_residual": self.weighted_residual,
+            "converged": self.converged,
+            "wall_time_s": self.wall_time_s,
+        }, indent=2)
 
 
 def _weighted_residual(op, weights, coeffs, samples) -> float:
+    """``|| W^(1/2) (L a - f) ||``.
+
+    Real samples on a real-stored dense operator (a real-basis solve) apply
+    the real matrix to the real coordinates ``T a``: real n-vectors only.
+    """
+    if isinstance(op, DenseOperator) and op.index_set.symmetric and samples.dtype == np.float64:
+        r = op.real_forward(_to_real(coeffs).real)
+        r -= samples
+        return float(np.sqrt(np.dot(weights * r, r)))
     r = op.forward(coeffs) - samples
     return float(np.sqrt(np.sum(weights * np.abs(r) ** 2)))
 
@@ -181,7 +214,7 @@ def least_squares(
     start = time.perf_counter()
     if real_basis:
         x, iterations, normal_residual, converged = _solve_cg(
-            op.real_normal(w), op.real_adjoint(w * f), cfg)
+            *op.real_normal_equations(w, f), cfg)
         a = _from_real(x)
     elif cfg.mode == "direct_normal":
         rhs = op.adjoint(w * f)
@@ -198,9 +231,9 @@ def least_squares(
         mode=cfg.mode,
         iterations=iterations,
         normal_residual=normal_residual,
-        weighted_residual=_weighted_residual(op, w, a, f),
         converged=bool(converged),
         wall_time_s=elapsed,
+        _residual=partial(_weighted_residual, op, w, a, f),
     )
     return a, diag
 

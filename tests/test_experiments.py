@@ -154,9 +154,10 @@ class TestRunExperiment1:
 
     def test_dense_estimate_counts_one_matrix(self, tmp_path, monkeypatch):
         # the operator holds one real n x |I| matrix; per point the points,
-        # the tone tables or kink temporaries, a row temporary, values,
-        # weights and the weighted residual's complex temporaries; per
-        # frequency the build's keys and the solve's vectors; fixed bytes
+        # the tone tables or kink temporaries, values, weights, and a row
+        # temporary or a normal apply's two vectors (the weighted residual
+        # is never read); per frequency the build's keys and the solve's
+        # vectors; fixed bytes
         run = latsub.experiments._STRATEGIES["continuous_random"]
         peaks = []
 
@@ -173,7 +174,7 @@ class TestRunExperiment1:
                               strategies=("continuous_random",))
             m = len(hyperbolic_cross(d, 0.5, 8.0))
             n = math.ceil(m * math.log(m))
-            needed = (8 * n * m + n * (24 * d + 88) + m * (8 * d + 160)
+            needed = (8 * n * m + n * (24 * d + 32) + m * (8 * d + 160)
                       + latsub.experiments._FIXED_BYTES)
             (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
             assert not row.skipped
@@ -189,7 +190,8 @@ class TestRunExperiment1:
     def test_lattice_estimate_counts_the_round(self, tmp_path):
         # per lattice point the points and the kink's two M x d temporaries,
         # weights, density, real values, the full adjoint's complex copy and
-        # spectrum, and the normal's point weights and half spectrum; per
+        # spectrum, and the solve's point weights, point sums of the weighted
+        # values and their packed complex vector, transformed in place; per
         # frequency the frequencies, residues, coefficients, the solve's
         # vectors and the Hermitian apply's index and scales; per draw
         # indices, reweights, masked values and their product; three
@@ -201,7 +203,7 @@ class TestRunExperiment1:
             full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
             M, m = full.num_points, full.num_frequencies
             n = math.ceil(m * math.log(m))
-            needed = (M * (24 * d + 72) + m * (8 * d + 160) + 32 * n
+            needed = (M * (24 * d + 88) + m * (8 * d + 160) + 32 * n
                       + 24 * _circulant_length(M) + latsub.experiments._FIXED_BYTES)
             rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
             assert not any(r.skipped for r in rows)

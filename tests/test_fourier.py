@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latsub.fourier import (
     DenseOperator,
     LatticeOperator,
+    SystemOperator,
     _characters,
     _circulant_length,
     _fast_length,
@@ -18,6 +19,7 @@ from latsub.fourier import (
 )
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, search_generator
+from latsub.solver import least_squares
 
 
 def random_instance(rng, max_dim=3, max_m=40, reconstructing=False):
@@ -455,6 +457,113 @@ class TestRealBasis:
         op = LatticeOperator(lat, hyperbolic_cross(1, 1.0, 2.0))
         with pytest.raises(TypeError):
             op.real_normal(np.ones(7))(np.ones(len(op.index_set), dtype=complex))
+
+
+def relative_error(got, want):
+    """``||got - want|| / ||want||``, scaled so that neither norm overflows."""
+    scale = np.max(np.abs(want))
+    return np.linalg.norm((got - want) / scale) / np.linalg.norm(want / scale)
+
+
+def base_normal_equations(op, w, f):
+    """The oracle: ``real_normal(w)`` and ``real_adjoint(w * f)``, two FFTs."""
+    return SystemOperator.real_normal_equations(op, w, f)
+
+
+class TestRealNormalEquations:
+    """The lattice's one-FFT kernel and right-hand side against the base default."""
+
+    @staticmethod
+    def assert_close(op, w, f, x):
+        apply, rhs = op.real_normal_equations(w, f)
+        want_apply, want_rhs = base_normal_equations(op, w, f)
+        assert relative_error(apply(x), want_apply(x)) <= 1e-13
+        assert relative_error(rhs, want_rhs) <= 1e-13
+        return rhs, want_rhs
+
+    @pytest.mark.parametrize("M, z", [
+        (375, [1, 7, 49]),  # 5-smooth, odd: L = M
+        (384, [1, 5, 25]),  # 5-smooth, even: L = M
+        (31, [1, 2, 5]),  # prime, small: residues collide
+        (61, [1, 11, 21]),  # prime: L = 125 >= 2M - 1
+        (12659, [1, 1277, 5903]),  # prime, a d = 10, R = 8 lattice size
+    ])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**60, 2.0**-60, 1e12, 1e-12, 1e200, 1e-200])
+    def test_matches_two_transforms(self, M, z, masked, scale):
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        rng = np.random.default_rng(M)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array(z), size=M), I)
+        if masked:
+            op = op.masked(rng.integers(0, M, size=2 * M))  # duplicate rows
+            assert len(np.unique(op.rows)) < op.row_count
+        w, f = rng.random(op.row_count), rng.standard_normal(op.row_count)
+        self.assert_close(op, w, scale * f, rng.standard_normal(len(I)))
+
+    @pytest.mark.parametrize("M, z", [
+        (61, [1, 11, 21]),
+        (12659, [1, 1277, 5903]),  # fft_M(h) is not exactly Hermitian here
+    ])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_zero_values_give_an_exactly_zero_rhs(self, M, z, masked):
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        rng = np.random.default_rng(M)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array(z), size=M), I)
+        if masked:
+            op = op.masked(rng.integers(0, M, size=2 * M))
+        w = rng.random(op.row_count)
+        apply, rhs = op.real_normal_equations(w, np.zeros(op.row_count))
+        assert rhs.shape == (len(I),) and not rhs.any()
+        x = rng.standard_normal(len(I))
+        want = base_normal_equations(op, w, np.zeros(op.row_count))[0](x)
+        assert np.linalg.norm(apply(x) - want) <= 1e-13 * np.linalg.norm(want)
+        a, diag = least_squares(op, w, np.zeros(op.row_count))
+        assert diag.iterations == 0 and not a.any()
+
+    @pytest.mark.parametrize("M, z", [(384, [1, 5, 25]), (61, [1, 11, 21])])
+    def test_one_nonzero_sample(self, M, z):
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        rng = np.random.default_rng(M)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array(z), size=M), I)
+        op = op.masked(rng.integers(0, M, size=2 * M))
+        f = np.zeros(op.row_count)
+        f[7] = 3.5
+        self.assert_close(op, rng.random(op.row_count), f, rng.standard_normal(len(I)))
+
+    def test_residue_at_half_m_takes_the_base_default(self):
+        # M = 14, L = 27: the case where real_normal goes through the complex
+        # normal; both parts then come from the two-transform default
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array([1, 3, 5]), size=14), I)
+        assert not op._hermitian()
+        rng = np.random.default_rng(14)
+        w, f, x = rng.random(14), rng.standard_normal(14), rng.standard_normal(len(I))
+        rhs, want_rhs = self.assert_close(op, w, f, x)
+        assert np.array_equal(rhs, want_rhs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(real_normal_instances())
+    def test_on_random_symmetric_sets(self, instance):
+        op, w, x = instance
+        f = np.random.default_rng(len(w)).standard_normal(op.row_count)
+        apply, rhs = op.real_normal_equations(w, f)
+        want_apply, want_rhs = base_normal_equations(op, w, f)
+        scale = np.sum(w) * np.sum(np.abs(x))
+        assert np.max(np.abs(apply(x) - want_apply(x)), initial=0.0) <= 1e-12 * scale
+        bound = 1e-12 * np.sum(np.abs(w * f))
+        assert np.max(np.abs(rhs - want_rhs), initial=0.0) <= bound
+
+    def test_needs_a_symmetric_set_and_real_values(self):
+        I = IndexSet(dimension=1, frequencies=[[-1], [0], [2]])
+        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=7)
+        for op in (LatticeOperator(lat, I), DenseOperator(lat.points(), I)):
+            with pytest.raises(ValueError, match="symmetric"):
+                op.real_normal_equations(np.ones(7), np.ones(7))
+        op = LatticeOperator(lat, hyperbolic_cross(1, 1.0, 2.0))
+        with pytest.raises(TypeError):
+            op.real_normal_equations(np.ones(7), np.ones(7, dtype=complex))
+        with pytest.raises(ValueError, match="weights"):
+            op.real_normal_equations(np.ones(6), np.ones(7))
 
 
 @pytest.mark.slow

@@ -1,12 +1,13 @@
 """Weighted least-squares solves: direct, iterative, and the wrapper."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import latsub.mz
-from latsub.fourier import DenseOperator, LatticeOperator
+from latsub.fourier import DenseOperator, LatticeOperator, _to_real
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
@@ -264,19 +265,57 @@ class TestRealBasisSolve:
         assert np.array_equal(a, b)
 
 
+class TestResidualOnDemand:
+    """The weighted residual is computed when read, not by the solve."""
+
+    def test_solve_applies_neither_forward_nor_adjoint(self, monkeypatch):
+        op, w, f = kink_system("masked")
+        calls = []
+        for name in ("forward", "adjoint"):
+            method = getattr(LatticeOperator, name)
+            monkeypatch.setattr(LatticeOperator, name,
+                                lambda self, v, name=name, method=method:
+                                calls.append(name) or method(self, v))
+        a, diag = least_squares(op, w, f)
+        assert calls == []
+        assert diag.weighted_residual == _weighted_residual(op, w, a, f)  # bit for bit
+        assert calls == ["forward", "forward"]
+        diag.weighted_residual
+        assert calls == ["forward", "forward"]  # kept once read
+
+    def test_json_keys_and_dataclass_fields(self):
+        op, w, f = kink_system("masked")
+        _, diag = least_squares(op, w, f)
+        data = json.loads(diag.to_json())
+        assert list(data) == ["operator_kind", "mode", "iterations", "normal_residual",
+                              "weighted_residual", "converged", "wall_time_s"]
+        assert data["weighted_residual"] == diag.weighted_residual
+        assert "partial" not in repr(diag) and "weighted_residual" not in repr(diag)
+        assert replace(diag, _residual=lambda: 0.0) == diag
+
+    def test_real_dense_residual_matches_the_complex_forward(self, monkeypatch):
+        op, w, f = kink_system("dense")
+        a, diag = least_squares(op, w, f)
+        want = np.sqrt(np.sum(w * np.abs(op.forward(a) - f) ** 2))
+        monkeypatch.setattr(DenseOperator, "forward", None)  # the real product only
+        assert abs(diag.weighted_residual - want) <= 1e-12 * want
+        err = np.max(np.abs(op.real_forward(_to_real(a).real) - op.dense_matrix() @ a))
+        assert err <= 1e-12 * np.sum(np.abs(a))
+
+
 class PathSpy:
-    """Counts which normal operator an operator instance hands out."""
+    """Counts which normal-operator builder an operator instance is asked for."""
 
     def __init__(self, op):
         self.calls = []
-        for name in ("normal", "real_normal"):
+        for name in ("normal", "real_normal_equations"):
             build = getattr(op, name)
             setattr(op, name, self._counted(name, build))
 
     def _counted(self, name, build):
-        def counted(weights):
+        def counted(*args):
             self.calls.append(name)
-            return build(weights)
+            return build(*args)
         return counted
 
 
@@ -286,7 +325,7 @@ def test_complex_samples_and_asymmetric_sets_take_the_complex_path(kind):
     op, w, f = kink_system(kind)
     spy = PathSpy(op)
     least_squares(op, w, f)
-    assert spy.calls == ["real_normal"]
+    assert spy.calls == ["real_normal_equations"]
     spy.calls.clear()
     least_squares(op, w, f + 1e-3j * rng.standard_normal(len(f)))
     assert spy.calls == ["normal"]
