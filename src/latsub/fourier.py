@@ -424,13 +424,15 @@ class LatticeOperator(SystemOperator):
         reads only its real part, so the pair's entry counts twice there.
         With M even and L > M a residue at M/2 would break the symmetry
         (its mirror slot L - M/2 stays empty); that case takes the complex
-        ``normal``.  The kernel is that of ``real_normal_equations`` with
-        zero values.  Writes into its own buffers and is not reentrant.
+        ``normal``.  The kernel comes from ``fft_M(h)`` through ``_lag_half``,
+        as in ``real_normal_equations``.  Writes into its own buffers and is
+        not reentrant.
         """
         self._check_symmetric()
         if not self._hermitian():
             return super().real_normal(weights)
-        return self.real_normal_equations(weights, np.zeros(self.row_count))[0]
+        half = self._lag_half(np.fft.fft(self._spread(self._check_weights(weights))))
+        return self._real_apply(half)
 
     def real_normal_equations(
         self, weights: np.ndarray, values: np.ndarray
@@ -471,16 +473,22 @@ class LatticeOperator(SystemOperator):
             spec *= -0.5j  # / 2i, exact
             np.ldexp(spec.view(np.float64), -shift, out=spec.view(np.float64))
             rhs = _to_real(spec).real
-        # the conjugated lag kernel conj H[t] = (conj Z[t] + Z[-t]) / 2 on
-        # the slots t < M of 0..L//2
+        half = self._lag_half(z)
+        del z
+        return self._real_apply(half), rhs
+
+    def _lag_half(self, z: np.ndarray) -> np.ndarray:
+        """The conjugated lag kernel ``conj H[t] = (conj Z[t] + Z[-t]) / 2`` on
+        slots 0..L//2 (zero from M on), for ``Z = fft_M(h + i s)`` with h the
+        point weights and s any real vector."""
+        M = len(z)
         half = np.zeros(_circulant_length(M) // 2 + 1, dtype=np.complex128)
         t = min(M, len(half))
         np.conjugate(z[:t], out=half[:t])
         half[0] += z[0]
         half[1:t] += z[: M - t : -1]
         half[:t] *= 0.5
-        del z
-        return self._real_apply(half), rhs
+        return half
 
     def _hermitian(self) -> bool:
         """Whether ``real_normal`` runs on Hermitian half spectra.
@@ -578,11 +586,6 @@ class DenseOperator(SystemOperator):
     def real_adjoint(self, values: np.ndarray) -> np.ndarray:
         self._check_symmetric()
         return self._rows @ self._check_values(values, np.float64)
-
-    def real_forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """``L T^H x`` for real coordinates x on a symmetric set, a real vector."""
-        self._check_symmetric()
-        return self._check_coeffs(coeffs, np.float64) @ self._rows
 
     def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``x -> B^T W B x`` with B = L T^H real: two real matrix-vector products."""

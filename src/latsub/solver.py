@@ -35,7 +35,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import mz
-from .fourier import DenseOperator, LatticeOperator, SystemOperator, _from_real, _to_real
+from .fourier import DenseOperator, LatticeOperator, SystemOperator, _from_real
 from .index_sets import IndexSet
 from .lattice import SamplePlan
 
@@ -70,8 +70,11 @@ class SolveDiagnostics:
 
     ``weighted_residual`` costs one more forward apply, which the solve itself
     does not need, so it is computed the first time it is read and kept.
-    Until then the diagnostics hold the operator, weights, coefficients and
-    samples it is computed from.
+    Until then the diagnostics hold the operator, the weights and samples
+    passed to the solve (by reference: do not change them before that read)
+    and a copy of the coefficients; the read releases all four.  It is not
+    a constructor field, and ``dataclasses.asdict`` leaves it out; use
+    ``to_json()`` for a record.
     """
 
     operator_kind: str
@@ -80,12 +83,14 @@ class SolveDiagnostics:
     normal_residual: float
     converged: bool
     wall_time_s: float
-    _residual: Callable[[], float] = field(repr=False, compare=False)
+    _residual: Callable[[], float] | None = field(repr=False, compare=False)
 
     @cached_property
     def weighted_residual(self) -> float:
         """``|| W^(1/2) (L a - f) ||`` of the returned coefficients."""
-        return self._residual()
+        value = self._residual()
+        self._residual = None
+        return value
 
     def to_json(self) -> str:
         return json.dumps({
@@ -100,15 +105,6 @@ class SolveDiagnostics:
 
 
 def _weighted_residual(op, weights, coeffs, samples) -> float:
-    """``|| W^(1/2) (L a - f) ||``.
-
-    Real samples on a real-stored dense operator (a real-basis solve) apply
-    the real matrix to the real coordinates ``T a``: real n-vectors only.
-    """
-    if isinstance(op, DenseOperator) and op.index_set.symmetric and samples.dtype == np.float64:
-        r = op.real_forward(_to_real(coeffs).real)
-        r -= samples
-        return float(np.sqrt(np.dot(weights * r, r)))
     r = op.forward(coeffs) - samples
     return float(np.sqrt(np.sum(weights * np.abs(r) ** 2)))
 
@@ -233,7 +229,7 @@ def least_squares(
         normal_residual=normal_residual,
         converged=bool(converged),
         wall_time_s=elapsed,
-        _residual=partial(_weighted_residual, op, w, a, f),
+        _residual=partial(_weighted_residual, op, w, a.copy(), f),
     )
     return a, diag
 

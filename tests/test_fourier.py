@@ -466,8 +466,9 @@ def relative_error(got, want):
 
 
 def base_normal_equations(op, w, f):
-    """The oracle: ``real_normal(w)`` and ``real_adjoint(w * f)``, two FFTs."""
-    return SystemOperator.real_normal_equations(op, w, f)
+    """The oracle: the base class's ``real_normal(w)``, through the complex
+    ``normal``, and ``real_adjoint(w * f)``, through the complex ``adjoint``."""
+    return SystemOperator.real_normal(op, w), SystemOperator.real_adjoint(op, w * f)
 
 
 class TestRealNormalEquations:
