@@ -10,9 +10,10 @@ handled by a row mask (duplicate rows permitted, multiplicity preserved).
 Every hyperbolic cross is symmetric (I = -I), and in lex order frequency p
 is the negative of frequency m-1-p.  Real samples then have a
 conjugate-symmetric least-squares solution (``a_{-k} = conj(a_k)``), and the
-unitary change of basis ``T`` of ``_to_real`` (pair p with m-1-p, h = m // 2)
-makes it real: ``T a = [sqrt2 Re a_p (p < h), a_h, -sqrt2 Im a_p (p < h)]``,
-with a_h the k = 0 entry when m is odd.  In that basis the system matrix
+unitary change of basis ``T`` of ``_to_real`` (pair p with m-1-p, h = m // 2,
+laid out by ``_real_blocks``) makes it real: ``T a = [sqrt2 Re a_p (p < h),
+a_h, -sqrt2 Im a_p (p < h)]``, with a_h the k = 0 entry when m is odd.  In
+that basis the system matrix
 ``L T^H`` is real, with rows ``[sqrt2 cos, 1, sqrt2 sin]`` of ``2 pi <k_p,
 x^i>``, the orthonormal real trigonometric basis.  ``real_adjoint`` and
 ``real_normal`` act on such real coordinates; the solver uses them for real
@@ -95,6 +96,28 @@ def _circulant_length(M: int) -> int:
     return M if _fast_length(M) == M else _fast_length(2 * M - 1)
 
 
+def _chirp(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bluestein's chirp for a length-M DFT at the circulant length L.
+
+    Returns ``c_t = exp(-pi i (t^2 mod 2M) / M)`` for t < M and the spectrum
+    ``fft_L`` of ``conj(c)`` at the lags -(M-1)..M-1 (negative lags wrapped to
+    the tail), divided by L.  Since ``tj = (t^2 + j^2 - (j-t)^2) / 2``,
+    ``fft_M(x)_j = c_j ifft_L(fft_L(c x) * spectrum)_j`` with ``c x`` zero
+    padded to L and the inverse unscaled (``norm="forward"``): two FFTs at a
+    5-smooth length instead of one at M.  ``t^2`` is exact in int64 for M <=
+    2^31.
+    """
+    L = _circulant_length(M)
+    t = np.arange(M, dtype=np.int64)
+    c = np.exp((-1j * np.pi / M) * (t * t % (2 * M)))
+    kernel = np.zeros(L, dtype=np.complex128)
+    kernel[:M] = c.conj()
+    kernel[L - M + 1 :] = kernel[M - 1 : 0 : -1]  # c_{-s} = c_s
+    np.fft.fft(kernel, out=kernel)
+    kernel /= L
+    return c, kernel
+
+
 def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """The rows ``exp(2*pi*i*<k, x^i>)`` over the points, one per frequency.
 
@@ -133,33 +156,48 @@ def _norm_exponent(v: np.ndarray) -> int:
     return top + math.frexp(np.linalg.norm(np.ldexp(v, -top)))[1]
 
 
+def _real_blocks(m: int) -> tuple[slice, slice, slice]:
+    """The cos, k = 0 and sin blocks of the real basis of a symmetric set.
+
+    The one statement of the real-basis layout for |I| = m in lex order,
+    where frequency p is the negative of frequency m-1-p: with h = m // 2,
+    the cos block holds positions p < h, the k = 0 block position h (empty
+    when m is even) and the sin block position m-h+p, the partner of p.  A
+    real row of ``L T^H`` at x is ``sqrt2 cos 2 pi <k_p, x>`` in the cos
+    block, 1 at k = 0 and ``sqrt2 sin 2 pi <k_p, x>`` in the sin block.
+    ``_to_real``, ``_from_real``, ``_real_characters``, the lattice
+    ``real_normal``, ``subsampling._lattice_scorer`` and ``mz._real_gram``
+    all index through these blocks.
+    """
+    h = m // 2
+    return slice(0, h), slice(h, m - h), slice(m - h, m)
+
+
 def _to_real(a: np.ndarray) -> np.ndarray:
     """``T a`` along the first axis: coordinates in the real basis.
 
-    ``T`` is unitary, with row ``(e_p + e_{m-1-p}) / sqrt2`` at p < h = m // 2,
-    ``e_h`` at h when m is odd (k = 0 of a symmetric set), and ``i (e_p -
-    e_{m-1-p}) / sqrt2`` at m-h+p.  On a conjugate-symmetric vector the
+    ``T`` is unitary, with row ``(e_p + e_{m-1-p}) / sqrt2`` at p in the cos
+    block, ``e_h`` in the k = 0 block, and ``i (e_p - e_{m-1-p}) / sqrt2`` in
+    the sin block (``_real_blocks``).  On a conjugate-symmetric vector the
     result is real: ``[sqrt2 Re a_p, a_h, -sqrt2 Im a_p]``.
     """
-    m = a.shape[0]
-    h = m // 2
-    lo, hi = a[:h], a[::-1][:h]  # a_p and a_{m-1-p}
+    cos, k0, sin = _real_blocks(a.shape[0])
+    lo, hi = a[cos], a[::-1][cos]  # a_p and a_{m-1-p}
     y = np.empty(a.shape, dtype=np.complex128)
-    y[:h] = (lo + hi) / _SQRT2
-    y[h : m - h] = a[h : m - h]
-    y[m - h :] = (lo - hi) * (1j / _SQRT2)
+    y[cos] = (lo + hi) / _SQRT2
+    y[k0] = a[k0]
+    y[sin] = (lo - hi) * (1j / _SQRT2)
     return y
 
 
 def _from_real(y: np.ndarray) -> np.ndarray:
     """``T^H y`` along the first axis; conjugate-symmetric when y is real."""
-    m = y.shape[0]
-    h = m // 2
-    c, s = y[:h] / _SQRT2, y[m - h :] * (1j / _SQRT2)
+    cos, k0, sin = _real_blocks(y.shape[0])
+    c, s = y[cos] / _SQRT2, y[sin] * (1j / _SQRT2)
     a = np.empty(y.shape, dtype=np.complex128)
-    a[:h] = c - s
-    a[h : m - h] = y[h : m - h]
-    a[m - h :] = (c + s)[::-1]
+    a[cos] = c - s
+    a[k0] = y[k0]
+    a[sin] = (c + s)[::-1]
     return a
 
 
@@ -176,26 +214,27 @@ def _real_characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     and the rest get ``cos``/``sin`` of their phases.
     """
     m, n = len(freqs), points.shape[0]
-    h = m // 2
+    cos, k0, sin = _real_blocks(m)
     out = np.empty((m, n))
-    out[h : m - h] = 1.0
+    out[k0] = 1.0
+    cos_rows, sin_rows = out[cos], out[sin]
     phase = 2.0 * np.pi * np.ascontiguousarray(points.T)
     cos_t = np.cos(phase)
     sin_t = np.sin(phase, out=phase)
     tmp = np.empty(n)
-    keys = [tuple(k) for k in freqs[:h].tolist()]
+    keys = [tuple(k) for k in freqs[cos].tolist()]
     row_of = {k: p for p, k in enumerate(keys)}
     # level by level in |k|_1, so every parent pair is filled before its children
-    for p in np.argsort(np.abs(freqs[:h]).sum(axis=1), kind="stable").tolist():
+    for p in np.argsort(np.abs(freqs[cos]).sum(axis=1), kind="stable").tolist():
         k = keys[p]
         j = max(i for i, c in enumerate(k) if c)
         step = 1 if k[j] > 0 else -1
         parent = k[:j] + (k[j] - step,) + k[j + 1 :]
-        c, s = out[p], out[m - h + p]
+        c, s = cos_rows[p], sin_rows[p]
         q = row_of.get(parent)
         if q is not None:
             # (pc + i ps) (cos + i step sin), one real product at a time
-            pc, ps = out[q], out[m - h + q]
+            pc, ps = cos_rows[q], sin_rows[q]
             np.multiply(pc, cos_t[j], out=c)
             np.multiply(ps, sin_t[j], out=tmp)
             (np.subtract if step > 0 else np.add)(c, tmp, out=c)
@@ -503,20 +542,21 @@ class LatticeOperator(SystemOperator):
         kernel ``half`` on slots 0..L//2, which becomes its work buffer."""
         M, r = self.lattice.size, self._res
         m = len(r)
-        h = m // 2
+        cos, _, sin = _real_blocks(m)
         L = _circulant_length(M)
         kspec = np.fft.irfft(half, L)  # fft_L of the lag kernel, over L
         spec = np.empty(L)
         flat = half.view(np.float64)  # [Re 0, Im 0, Re 1, Im 1, ...]
 
-        centred = np.where(2 * r[:h] <= M, r[:h], r[:h] - M)
+        centred = np.where(2 * r[cos] <= M, r[cos], r[cos] - M)
         slot = np.abs(centred)
         sign = np.where(centred < 0, -1.0, 1.0)  # the mirror sits at +slot
         twice = np.where((slot == 0) | (2 * slot == L), 2.0, 1.0)
-        mid = np.zeros(m - 2 * h, dtype=np.int64)  # k = 0: Re of slot 0
-        idx = np.concatenate((2 * slot, mid, 2 * slot + 1))
-        scale_in = np.concatenate((twice / _SQRT2, mid + 1.0, sign * twice / _SQRT2))
-        scale_out = np.concatenate((np.full(h, _SQRT2), mid + 1.0, sign * _SQRT2))
+        idx = np.zeros(m, dtype=np.int64)  # k = 0: Re of slot 0
+        idx[cos], idx[sin] = 2 * slot, 2 * slot + 1
+        scale_in, scale_out = np.ones(m), np.ones(m)
+        scale_in[cos], scale_in[sin] = twice / _SQRT2, sign * twice / _SQRT2
+        scale_out[cos], scale_out[sin] = _SQRT2, sign * _SQRT2
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
             x = self._check_coeffs(coeffs, np.float64)

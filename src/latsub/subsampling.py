@@ -20,21 +20,28 @@ resolvent's two new vectors.  On a lattice-backed stage-1 draw over a
 symmetric index set (I = -I, e.g. a hyperbolic cross) every row
 ``sqrt(rw_i) exp(2 pi i r_k j_i / M)`` is conjugate-symmetric, so the greedy
 runs in the real orthonormal basis ``[sqrt2 Re v_p (p < h), v_0,
-sqrt2 Im v_p (p < h)]``, pairing lex position p with m-1-p.  Rows, resolvent
-and scores are then real; both products pack into one length-M complex FFT
+sqrt2 Im v_p (p < h)]`` of ``fourier._real_blocks``, pairing lex position
+p with m-1-p.  Rows, resolvent
+and scores are then real; a row's cos and sin come from one table of
+``exp(2 pi i t / M)``, both products pack into one complex length-M DFT
 gathered at the drawn rows, and the real symmetric resolvent is updated by
 BLAS ``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no
-N x |I| row matrix held.  Any other input uses the dense complex rows at
-O(N |I|) per step with ``zhemv``/``zher``.  All share one loop.
+N x |I| row matrix held.  At a lattice size M that is not 5-smooth (the
+default schedule's primes) the DFT is Bluestein's chirp transform, two FFTs
+at a 5-smooth length whose chirp and kernel spectrum are built once per
+selection.  Any other input uses the dense complex rows at O(N |I|) per step
+with ``zhemv``/``zher``.  All share one loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn
 by one ``integers`` call on it and any other by inverse CDF (``searchsorted``
 on ``cumsum(rho)``), so identical seeds give bit-identical selections.  The
-barrier greedy is fully deterministic: exact ties break to the lowest row
-position.  ``plain_bss_subsample`` passes the exact row norms
-``rw_i |I|``, so on a uniform draw every row ties at the first step and the
-first pick is position 0.
+barrier greedy is fully deterministic: among the gains within a relative
+``64 eps`` of the best it takes the lowest row position, so the scorers,
+whose arithmetic differs, agree wherever gains tie up to rounding.
+``plain_bss_subsample`` passes the exact row norms ``rw_i |I|``, so on a
+uniform draw every row ties at the first step and the first pick is
+position 0.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import _chirp, _circulant_length, _from_real, _real_blocks
 from .index_sets import IndexSet
 from .lattice import SamplePlan, residues
 from .mz import SpectralBounds, mz_constants
@@ -68,6 +76,11 @@ _STREAM_DRAW = 11  # SeedSequence tag for the stage-1 categorical draw
 #: Cap on N * |I| entries of a dense stage-1 row matrix: the weighted greedy
 #: and the plain greedy on draws without a lattice build one.
 BSS_ENTRY_CAP = 1 << 24
+
+#: Relative gap below the best gain within which the plain greedy treats gains
+#: as tied and takes the lowest position, so that rounding noise between
+#: arithmetically equal scorers cannot decide a selection.
+_NEAR_TIE = 64 * np.finfo(np.float64).eps
 
 
 class SpectralCertificateError(RuntimeError):
@@ -264,7 +277,9 @@ def _barrier_greedy(
 
     ``norms[i]`` is ``|v_i|^2``, ``row(i)`` returns row v_i, and
     ``cross(w, g)`` returns ``(conj(rows) @ w, conj(rows) @ g)`` over all N
-    rows; the scorers differ only in those three.  The resolvent
+    rows; the scorers differ only in those three.  Each step takes the
+    lowest position among the gains within ``_NEAR_TIE`` (relative) of the
+    best, so rounding noise does not decide between tied rows.  The resolvent
     ``(S - l I)^{-1}`` is Hermitian (real symmetric for real rows); it is
     kept in its upper triangle and updated in place by BLAS
     ``zhemv``/``zher``, or ``dsymv``/``dsyr`` when the rows are real.
@@ -293,7 +308,8 @@ def _barrier_greedy(
     for _ in range(q):
         gain = q2 / (1.0 + q1)  # potential decrease when adding the row
         gain[blocked] = -np.inf
-        i = int(np.argmax(gain))  # exact ties go to the lowest position
+        top = gain.max()
+        i = int(np.argmax(gain >= top - _NEAR_TIE * abs(top)))  # lowest near-tie
         blocked[i] = True
         selected.append(i)
         w = hemv(1.0, resolvent, row(i))
@@ -325,10 +341,11 @@ def bss_select_plain(rows: np.ndarray, b: float) -> np.ndarray:
     ``plain_bss_subsample`` replaces that product by a lattice FFT,
     O(M log M), when its draw has a lattice parent and I = -I.
 
-    Exact ties go to the lowest row position.  The row norms are computed
-    here as ``|row|^2``, so rows of equal exact norm can differ by rounding
-    and such near-ties are decided by that noise; ``plain_bss_subsample``
-    passes exact norms instead.
+    Ties go to the lowest row position, and so do near-ties: gains within a
+    relative ``64 eps`` of the best.  The row norms are computed here as
+    ``|row|^2``, so rows of equal exact norm can differ by rounding; such
+    rows tie up to that tolerance.  ``plain_bss_subsample`` passes exact
+    norms instead.
 
     Returns the selected row positions in selection order.
     """
@@ -449,49 +466,68 @@ def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
     Requires a symmetric index set (I = -I).  In lex order frequency p is
     the negative of frequency m-1-p, so stage-1 row ``v_i = sqrt(rw_i)
     exp(2 pi i r_k j_i / M)`` (lattice row j_i, residues ``r_k = <k, z> mod
-    M``) is conjugate-symmetric and the unitary change of basis ``U v = [sqrt2
-    Re v_p (p < h), v_h if m is odd, sqrt2 Im v_p (p < h)]``, h = m // 2,
-    makes it real.  For real w, ``(U v_i) . w = conj(v_i) @ U^H w``: the
-    length-M FFT of ``U^H w`` scattered onto the residues, gathered at the
-    j_i.  Both products are real, so the one FFT of ``U^H (w + i g)`` yields
-    them as its real and imaginary parts.  O(M log M) per call, and no
-    N x |I| matrix is formed.
+    M``) is conjugate-symmetric, and in the real basis ``T`` of ``fourier``
+    it is the real row ``T conj(v_i) = [sqrt2 Re v_p, v_h, sqrt2 Im v_p]``
+    (blocks of ``fourier._real_blocks``).  ``row(i)`` reads its cos and sin
+    from one table of ``exp(2 pi i t / M)`` at ``t = r_p j_i mod M``.  For
+    real w, ``T conj(v_i) . w = conj(v_i) @ T^T w`` with ``T^T w = conj(T^H
+    w)`` (``fourier._from_real``): the length-M DFT of ``T^T w`` scattered
+    onto the residues, gathered at the j_i.  Both products are real, so the
+    one DFT of ``T^T (w + i g)`` yields them as its real and imaginary parts
+    (residues that collide add).  At a 5-smooth M that DFT is one
+    ``np.fft.fft``; at any other M it is
+    Bluestein's chirp transform (``fourier._chirp``), two FFTs at the
+    5-smooth circulant length, with the chirp at the residues and at the
+    drawn rows (times ``sqrt(rw_i)``) computed once here.  O(M log M) per
+    call, and no N x |I| matrix is formed.
     """
     parent = selection.parent
     lat = parent.lattice
+    M = lat.size
     j = (
         selection.indices
         if parent.lattice_rows is None
         else parent.lattice_rows[selection.indices]
     )
     m = len(index_set)
-    h = m // 2
+    cos, k0, sin = _real_blocks(m)
     res = residues(lat, index_set.frequencies)
-    res[m - h:] = res[m - h:][::-1].copy()  # position m-h+p: the mirror of p
     sqrt_rw = np.sqrt(selection.reweights)
-    pts = parent.points[selection.indices]
-    half_t = index_set.frequencies[:h].T
-    spread = np.zeros(lat.size, dtype=np.complex128)
+    table = np.exp((2j * np.pi / M) * np.arange(M))
+    half_res = res[cos]
     r2 = math.sqrt(2.0)
+    if _circulant_length(M) == M:
+        spread = np.zeros(M, dtype=np.complex128)
+        chirp_res, scale = 1.0, sqrt_rw
+
+        def dft():
+            return np.fft.fft(spread)[j]
+    else:
+        c, spectrum = _chirp(M)
+        spread = np.zeros(len(spectrum), dtype=np.complex128)
+        chirp_res, scale = c[res], c[j] * sqrt_rw
+
+        def dft():
+            np.fft.fft(spread, out=spread)
+            np.multiply(spread, spectrum, out=spread)
+            return np.fft.ifft(spread, norm="forward", out=spread)[j]
 
     def row(i):
-        phase = 2.0 * np.pi * (pts[i] @ half_t)
-        scale = r2 * sqrt_rw[i]
-        return np.concatenate((scale * np.cos(phase),
-                               np.full(m - 2 * h, sqrt_rw[i]),  # k = 0
-                               scale * np.sin(phase)))
+        t = table[half_res * j[i] % M]
+        scale_i = r2 * sqrt_rw[i]
+        v = np.empty(m)
+        np.multiply(t.real, scale_i, out=v[cos])
+        v[k0] = sqrt_rw[i]
+        np.multiply(t.imag, scale_i, out=v[sin])
+        return v
 
     def cross(w, g):
-        # U^H x for x = w + i g: (cos + i sin)/sqrt2 at p, (cos - i sin)/sqrt2
-        # at its mirror, the k = 0 entry unchanged
-        x = w + 1j * g
-        c, s = x[:h] / r2, x[m - h:] * (1j / r2)
-        x[:h] = c + s
-        x[m - h:] = c - s
+        x = _from_real(w - 1j * g).conj()  # T^T (w + i g), on the residues
+        x *= chirp_res
         spread[:] = 0.0
-        np.add.at(spread, res, x)  # collisions add
-        f = np.fft.fft(spread)[j]
-        f *= sqrt_rw
+        np.add.at(spread, res, x)  # colliding residues add
+        f = dft()
+        f *= scale
         return f.real, f.imag
 
     return row, cross
@@ -600,11 +636,13 @@ def plain_bss_subsample(
 
     On a lattice-backed parent with a symmetric index set (I = -I, see
     ``IndexSet.symmetric``) the greedy runs in a real basis and scores
-    rows through one lattice FFT, O(M log M + |I|^2) per
+    rows through one lattice DFT, O(M log M + |I|^2) per
     step with no row matrix (so ``BSS_ENTRY_CAP`` does not apply); any other
     input uses the dense complex rows, O(N |I|) per step.  Both pass the
-    exact row norms ``rw_i |I|`` and select alike up to rounding.  The
-    certificate is a dense Gram eigensolve, bounded by ``mz.DENSE_EIG_CAP``.
+    exact row norms ``rw_i |I|`` and select alike unless rounding moves a
+    gain across the near-tie tolerance.  The
+    certificate is a dense Gram eigensolve (real on a symmetric set, see
+    ``mz.mz_constants``), bounded by ``mz.DENSE_EIG_CAP``.
     """
     if selection.stage != "random":
         raise ValueError("plain sparsification expects a stage-1 selection")

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from latsub.fourier import DenseOperator
+import latsub.mz
+from latsub.fourier import DenseOperator, _to_real
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, SamplePlan, lattice_points, search_generator
 from latsub.mz import (
     SpectralBounds,
+    _real_gram,
     gram_matrix,
     mz_constants,
     mz_report,
@@ -85,6 +87,67 @@ class TestMzConstants:
         plan = SamplePlan(points=[[0.0]], weights=[1.0])
         with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 4096"):
             mz_constants(plan, I)
+        # the real path of a symmetric set on a lattice has the same cap
+        I = IndexSet(dimension=1, frequencies=[[k] for k in range(-2500, 2501)])
+        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=5003)
+        with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 4096"):
+            mz_constants(lattice_points(lat), I)
+
+
+def symmetric_set(odd):
+    """A hyperbolic cross (odd |I|, k = 0 in the middle), or that cross without 0."""
+    I = hyperbolic_cross(3, 1.0, 6.0)
+    if not odd:
+        I = IndexSet(3, np.delete(I.frequencies, len(I) // 2, axis=0))
+    assert I.symmetric and len(I) % 2 == odd
+    return I
+
+
+def lattice_plan(I, masked):
+    """The full reconstructing lattice, or random rows of it with repeats."""
+    lat = search_generator(I, rng_seed=3)
+    if not masked:
+        return lattice_points(lat)
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, lat.size, 400)
+    rows[:30] = rows[30:60]
+    return SamplePlan(points=lat.points(rows), weights=rng.random(400),
+                      lattice=lat, lattice_rows=rows)
+
+
+class TestRealGram:
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_matches_the_complex_gram(self, odd, masked):
+        I = symmetric_set(odd)
+        plan = lattice_plan(I, masked)
+        G = gram_matrix(plan, I)
+        R = _real_gram(plan, I)
+        assert R.dtype == np.float64 and np.array_equal(R, R.T)
+        TGT = _to_real(_to_real(G).conj().T).conj().T  # T G T^H
+        scale = np.max(np.abs(G))
+        assert np.max(np.abs(TGT - R)) <= 1e-13 * scale
+        lam, lam_real = np.linalg.eigvalsh(G), np.linalg.eigvalsh(R)
+        assert np.max(np.abs(lam - lam_real)) <= 1e-12 * lam[-1]
+        bounds = mz_constants(plan, I)
+        assert abs(bounds.A - lam[0]) <= 1e-12 * lam[-1]
+        assert abs(bounds.B - lam[-1]) <= 1e-12 * lam[-1]
+
+    def test_only_symmetric_lattice_plans_take_the_real_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(latsub.mz, "gram_matrix",
+                            lambda *args: calls.append(1) or gram_matrix(*args))
+        I = symmetric_set(odd=True)
+        plan = lattice_plan(I, masked=True)
+        mz_constants(plan, I)
+        assert not calls
+        asymmetric = IndexSet(3, I.frequencies[: len(I) // 2 + 1])
+        assert not asymmetric.symmetric
+        mz_constants(plan, asymmetric)
+        assert len(calls) == 1
+        no_lattice = SamplePlan(points=plan.points, weights=plan.weights)
+        mz_constants(no_lattice, I)
+        assert len(calls) == 2
 
 
 class TestDiscreteSumEquivalence:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latsub.subsampling
-from latsub.fourier import DenseOperator
+from latsub.experiments import _derived_seed
+from latsub.fourier import DenseOperator, _circulant_length
 from latsub.index_sets import (
     IndexSet,
     embedding_eigenvalues,
@@ -23,6 +24,8 @@ from latsub.subsampling import (
     DensityWeights,
     SpectralCertificateError,
     SubsampleSelection,
+    _barrier_greedy,
+    _dense_scorer,
     bss_select_plain,
     bss_select_weighted,
     bss_subsample,
@@ -478,7 +481,7 @@ def stripped(selection):
 
 
 class TestLatticeScoredSparsification:
-    @pytest.mark.parametrize("R", [8.0, 10.0, 12.0])
+    @pytest.mark.parametrize("R", [4.0, 6.0, 8.0, 10.0, 12.0])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lattice_and_dense_scorers_select_alike(self, R, seed):
         I, lat, plan = tight_plan(5, 0.5, R, seed)
@@ -489,6 +492,23 @@ class TestLatticeScoredSparsification:
         dense = plain_bss_subsample(stripped(sel), I, b=2.0)
         assert np.array_equal(fast.indices, dense.indices)
         assert np.array_equal(fast.reweights, dense.reweights)
+
+    def test_scorers_select_alike_on_the_criterion_6_draws(self):
+        # every stage-1 draw that experiment 2's bss_sub strategy makes at
+        # d = 5, gamma = 1/2, seed 0, five repetitions, radii 4 and 8 (R = 16,
+        # the config's third radius, costs ~20 s per dense replay)
+        for r_index, R in enumerate((4.0, 8.0)):
+            I, lat, plan = tight_plan(5, 0.5, R, 0)
+            m = len(I)
+            n = math.ceil(m * math.log(m))
+            for rep in range(5):
+                sel = random_subsample(plan, density_weights(plan), n,
+                                       _derived_seed(0, r_index, "bss_sub", rep))
+                assert mz_constants(sel.as_plan(), I).A > 1e-8  # the first draw is used
+                norms = sel.reweights * m
+                fast = _barrier_greedy(norms, m, 2.0, *_lattice_scorer(sel, I))
+                dense = _barrier_greedy(norms, m, 2.0, *_dense_scorer(_stage1_rows(sel, I)))
+                assert np.array_equal(fast, dense), (R, rep)
 
     def test_entry_cap_binds_only_the_dense_paths(self, monkeypatch):
         I, sel = stage1_selection(2, 1.0, 3.0, seed=22, n_factor=4)
@@ -556,6 +576,75 @@ class TestLatticeScoredSparsification:
         for i in range(len(idx)):
             assert row(i).dtype == np.float64
             np.testing.assert_allclose(row(i), rows[i], rtol=0, atol=1e-12)
+
+
+def fft_cross(sel, I, w, g):
+    """The scorer's products by one ``np.fft.fft`` at the lattice size M."""
+    m, h = len(I), len(I) // 2
+    res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
+    x = np.asarray(w + 1j * g)
+    y = x.copy()  # T^T x, written out apart from fourier._from_real
+    y[:h] = (x[:h] + 1j * x[m - h:]) / math.sqrt(2)
+    y[m - h:] = ((x[:h] - 1j * x[m - h:]) / math.sqrt(2))[::-1]
+    spread = np.zeros(sel.parent.lattice.size, dtype=np.complex128)
+    np.add.at(spread, res, y)
+    f = np.fft.fft(spread)[sel.parent.lattice_rows[sel.indices]] * np.sqrt(sel.reweights)
+    return f.real, f.imag
+
+
+class TestChirpScorer:
+    """``_lattice_scorer`` runs Bluestein's transform at an M that is not 5-smooth."""
+
+    @staticmethod
+    def draw(M, colliding):
+        # colliding: z = (1, 1) maps (1, 0) and (0, 1) to one residue
+        d = 2
+        z = np.array([1, 1]) if colliding else np.array([1, 7 % M])
+        lat = Rank1Lattice(d, z, M)
+        I = hyperbolic_cross(d, 1.0, 3.0)
+        rng = np.random.default_rng(M)
+        sub = rng.integers(0, M, 40)
+        sub[1] = sub[0]  # the parent repeats a lattice row
+        parent = SamplePlan(points=lat.points(sub), weights=np.full(len(sub), 1.0),
+                            lattice=lat, lattice_rows=sub)
+        idx = rng.integers(0, len(sub), 60)
+        idx[3] = idx[2]  # the draw repeats a parent row
+        sel = SubsampleSelection(parent=parent, indices=idx,
+                                 reweights=rng.random(len(idx)) + 0.1,
+                                 stage="random", draw_count=len(idx))
+        return I, sel, rng
+
+    @pytest.mark.parametrize("colliding", [False, True], ids=["generic", "colliding"])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 7, 31, 61, 1009, 1367, 6449])
+    def test_cross_matches_dense_and_fft(self, M, colliding):
+        I, sel, rng = self.draw(M, colliding)
+        res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
+        if colliding:
+            assert len(np.unique(res)) < len(I)
+        w, g = rng.standard_normal((2, len(I)))
+        rows = realified(_stage1_rows(sel, I))
+        row, cross = _lattice_scorer(sel, I)
+        got = cross(w, g)
+        for want in ((rows @ w, rows @ g), fft_cross(sel, I, w, g)):
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        for i in range(len(sel)):
+            np.testing.assert_allclose(row(i), rows[i], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("M", [1009, 1367])
+    def test_prime_selection_runs_no_length_M_fft(self, M, monkeypatch):
+        I, sel, _ = self.draw(M, colliding=False)
+        lengths = []
+        for name in ("fft", "ifft"):
+            def spy(a, *args, _fft=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[-1])
+                return _fft(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        m = len(I)
+        chosen = _barrier_greedy(sel.reweights * m, m, 2.0, *_lattice_scorer(sel, I))
+        assert len(chosen) == min(2 * m, len(sel))
+        assert lengths and set(lengths) == {_circulant_length(M)}
 
 
 def realified(rows):
