@@ -38,7 +38,13 @@ import numpy as np
 
 from .fourier import DenseOperator, LatticeOperator, _circulant_length
 from .index_sets import IndexSet, hyperbolic_cross
-from .lattice import Rank1Lattice, is_reconstructing, lattice_points, search_generator
+from .lattice import (
+    _DEFAULT_SCHEDULE_NAME,
+    Rank1Lattice,
+    is_reconstructing,
+    lattice_points,
+    search_generator,
+)
 from .mz import SpectralBounds, mz_constants
 from .solver import SolverConfig, least_squares
 from .subsampling import (
@@ -147,7 +153,8 @@ def _lattice_for(
     os.makedirs(cache_dir, exist_ok=True)
     fname = os.path.join(
         cache_dir,
-        f"lat_d{cfg.dimension}_g{cfg.gamma!r}_R{radius!r}_s{cfg.seed}.txt",
+        f"lat_d{cfg.dimension}_g{cfg.gamma!r}_R{radius!r}_s{cfg.seed}"
+        f"_{_DEFAULT_SCHEDULE_NAME}.txt",
     )
     lat = None
     if os.path.exists(fname):

@@ -26,8 +26,8 @@ weight on each lattice point.  ``H`` is computed once per weight vector and
 embedded in a circulant of length ``L``: ``M`` itself when ``M`` is 5-smooth,
 else the smallest 5-smooth length >= 2M-1, with the negative lags wrapped to
 the tail so that no two lags share a slot.  The complex ``normal`` applies
-it by two complex FFTs at that fast length instead of two at the (usually
-prime) lattice size.  The real ``real_normal`` places each residue at its
+it by two complex FFTs at that fast length: L = M at every default lattice
+size but the first.  The real ``real_normal`` places each residue at its
 centred value c in (-M/2, M/2], at slot ``c mod L``; the spread of a
 conjugate-symmetric vector and the kernel (``h`` is real) are then both
 Hermitian mod L, so an apply is one ``irfft``, a multiply by the cached real
@@ -67,23 +67,9 @@ from collections.abc import Callable
 import numpy as np
 
 from .index_sets import IndexSet
-from .lattice import Rank1Lattice, residues
+from .lattice import Rank1Lattice, _fast_length, residues
 
 __all__ = ["SystemOperator", "LatticeOperator", "DenseOperator"]
-
-
-def _fast_length(n: int) -> int:
-    """The smallest 5-smooth integer (``2^a 3^b 5^c``) that is >= ``n``."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            q = -(-n // p35)  # ceil(n / p35)
-            best = min(best, p35 << max(q - 1, 0).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _circulant_length(M: int) -> int:

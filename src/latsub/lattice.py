@@ -12,8 +12,15 @@ fits, so nothing can wrap silently.
 
 :func:`search_generator` builds generators component by component with a
 fixed budget per size M (3 attempts of at most 24 random candidates per
-component).  Its default schedule doubles M through primes from 2|I| and
-ends at ``_INT64_SAFE_M``; sizes below |I| are skipped by pigeonhole.
+component).  Its default schedule starts at the first prime >= 2|I|; every
+later size is 5-smooth (``2^a 3^b 5^c``), the smallest one >= twice the size
+before, up to ``_INT64_SAFE_M``; sizes below |I| are skipped by pigeonhole.
+A 5-smooth M lets every length-M FFT downstream run at M itself, where a
+prime M costs a Bluestein transform of two FFTs at a smooth length near 2M.
+The first size stays prime: a schedule of 5-smooth sizes only, from 2|I|,
+raised the share of subsampled reconstructions whose aliasing error exceeds
+the truncation error on the small crosses (d = 5, R = 4 and 6), which all
+reconstruct at that first prime.
 """
 
 from __future__ import annotations
@@ -90,7 +97,14 @@ class Rank1Lattice:
     def points(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Lattice points ``(i*z mod M)/M`` for all i, or the given row indices."""
         i = np.arange(self.size, dtype=np.int64) if rows is None else np.asarray(rows)
-        return (i[:, None] * self.generator[None, :] % self.size) / self.size
+        # one column at a time: an (n, d) result and one int64 n-vector alive
+        out = np.empty((len(i), self.dimension))
+        col = np.empty(len(i), dtype=np.int64)
+        for j, z in enumerate(self.generator):
+            np.multiply(i, z, out=col)
+            np.remainder(col, self.size, out=col)
+            np.divide(col, self.size, out=out[:, j])
+        return out
 
     def to_line(self) -> str:
         """Single-line file format ``d M z_1 ... z_d``."""
@@ -252,12 +266,34 @@ def _next_prime(n: int) -> int:
     return n
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth integer (``2^a 3^b 5^c``) that is >= ``n``."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = -(-n // p35)  # ceil(n / p35)
+            best = min(best, p35 << max(q - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+#: Names the default schedule in cache file names; change it with the schedule.
+_DEFAULT_SCHEDULE_NAME = "prime-smooth5"
+
+
 def _default_schedule(start: int) -> Iterable[int]:
-    """Primes from the first >= ``start``, doubling, up to ``_INT64_SAFE_M``."""
+    """The first prime >= ``start``, then 5-smooth sizes up to ``_INT64_SAFE_M``.
+
+    Each later size is the smallest 5-smooth integer >= twice the one before,
+    so the second is ``_fast_length(2p)`` for the prime p and the rest double.
+    """
     M = _next_prime(start - 1)
     while M <= _INT64_SAFE_M:
         yield M
-        M = _next_prime(2 * M)
+        M = _fast_length(2 * M)
 
 
 def search_generator(
@@ -272,8 +308,9 @@ def search_generator(
     coordinate at a time, testing injectivity of ``k -> <k, z> mod M`` on the
     projected frequency set after each coordinate.  Each M gets a fixed
     budget of 3 attempts of at most 24 candidates per component.  The
-    default schedule doubles M through primes from the next prime >= 2|I|
-    and ends at ``_INT64_SAFE_M``.  Sizes below |I| cannot reconstruct
+    default schedule starts at the first prime >= 2|I|, goes on through
+    5-smooth sizes, each the smallest >= twice the size before, and ends at
+    ``_INT64_SAFE_M``.  Sizes below |I| cannot reconstruct
     (pigeonhole) and are skipped.  The whole search is deterministic given
     ``rng_seed``.
 

@@ -27,10 +27,10 @@ and scores are then real; a row's cos and sin come from one table of
 gathered at the drawn rows, and the real symmetric resolvent is updated by
 BLAS ``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no
 N x |I| row matrix held.  At a lattice size M that is not 5-smooth (the
-default schedule's primes) the DFT is Bluestein's chirp transform, two FFTs
-at a 5-smooth length whose chirp and kernel spectrum are built once per
-selection.  Any other input uses the dense complex rows at O(N |I|) per step
-with ``zhemv``/``zher``.  All share one loop.
+default schedule's first size, a prime) the DFT is Bluestein's chirp
+transform, two FFTs at a 5-smooth length whose chirp and kernel spectrum
+are built once per selection.  Any other input uses the dense complex rows
+at O(N |I|) per step with ``zhemv``/``zher``.  All share one loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn

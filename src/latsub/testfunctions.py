@@ -49,8 +49,10 @@ def kink_eval(x: np.ndarray) -> np.ndarray | float:
     pts = np.asarray(x, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    factors = KINK_SCALE * np.maximum(0.2 - (pts - 0.5) ** 2, 0.0)
-    vals = np.prod(factors, axis=1)
+    # one column factor at a time, so no (n, d) temporary is formed
+    vals = np.ones(len(pts))
+    for col in pts.T:
+        vals *= KINK_SCALE * np.maximum(0.2 - (col - 0.5) ** 2, 0.0)
     return float(vals[0]) if single else vals
 
 

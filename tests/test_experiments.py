@@ -24,6 +24,7 @@ from latsub.experiments import (
 )
 from latsub.fourier import LatticeOperator, _circulant_length
 from latsub.index_sets import hyperbolic_cross
+from latsub.lattice import _DEFAULT_SCHEDULE_NAME, search_generator
 from latsub.subsampling import SpectralCertificateError
 
 DESK = dict(dimension=2, gamma=0.5, radii=(4.0, 8.0, 16.0), repetitions=2, seed=3)
@@ -137,6 +138,24 @@ class TestRunExperiment1:
         assert len(files) == len(cfg.radii)
         run_experiment_1(cfg)  # second run hits the cache
         assert sorted(os.listdir(cache)) == files
+
+    def test_lattice_cache_keyed_by_schedule(self, tmp_path):
+        # a file named as before the schedule joined the key is never read,
+        # even when its lattice reconstructs; the name keeps its _R<radius>_
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1, strategies=("full",))
+        I = hyperbolic_cross(cfg.dimension, cfg.gamma, 8.0)
+        cache = tmp_path / "out" / "lattice_cache"
+        cache.mkdir(parents=True)
+        old = cache / f"lat_d2_g{cfg.gamma!r}_R8.0_s{cfg.seed}.txt"
+        stale = search_generator(I, rng_seed=cfg.seed, m_schedule=[1009])
+        stale.save(old)
+        (row,) = run_experiment_1(cfg).rows
+        lat = search_generator(I, rng_seed=cfg.seed)
+        assert lat.size != stale.size and row.num_points == lat.size
+        assert old.read_text() == stale.to_line() + "\n"
+        (new,) = set(cache.glob("*_R8.0_*.txt")) - {old}
+        assert new.name.endswith(f"_{_DEFAULT_SCHEDULE_NAME}.txt")
+        assert new.read_text() == lat.to_line() + "\n"
 
     def test_dense_build_counts_as_subsample_time(self, tmp_path, monkeypatch):
         # the dense operator build takes 100 s and the solve 1000 s; the

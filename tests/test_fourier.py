@@ -13,12 +13,11 @@ from latsub.fourier import (
     SystemOperator,
     _characters,
     _circulant_length,
-    _fast_length,
     _from_real,
     _to_real,
 )
 from latsub.index_sets import IndexSet, hyperbolic_cross
-from latsub.lattice import Rank1Lattice, search_generator
+from latsub.lattice import Rank1Lattice, _fast_length, search_generator
 from latsub.solver import least_squares
 
 
@@ -259,7 +258,8 @@ class TestNormalOperator:
         for M in range(1, 2000):
             L = _circulant_length(M)
             assert L == (M if M in smooth else _fast_length(2 * M - 1))
-        assert _circulant_length(32069) == 64800  # d=10, R=14 lattice size
+        assert _circulant_length(32069) == 64800  # a prime size
+        assert _circulant_length(32400) == 32400  # d=10, R=14 lattice size
 
 
 def _strip(n, p):
@@ -398,6 +398,11 @@ class TestRealBasis:
         (61, [1, 11, 21]),  # prime: L = 125 >= 2M - 1
         (30, [1, 4, 7]),  # 5-smooth, small: residues collide
         (31, [1, 2, 5]),  # prime, small: residues collide
+        # later sizes of the default schedule
+        (1024, [1, 33, 301]),
+        (1440, [1, 37, 720]),  # +-(0, 0, 1) at M/2, the Nyquist slot of L = M
+        (12800, [1, 113, 6007]),
+        (32400, [1, 181, 6007]),
     ])
     @pytest.mark.parametrize("masked", [False, True])
     def test_hermitian_normal_matches_complex_normal(self, M, z, masked):
@@ -487,7 +492,12 @@ class TestRealNormalEquations:
         (384, [1, 5, 25]),  # 5-smooth, even: L = M
         (31, [1, 2, 5]),  # prime, small: residues collide
         (61, [1, 11, 21]),  # prime: L = 125 >= 2M - 1
-        (12659, [1, 1277, 5903]),  # prime, a d = 10, R = 8 lattice size
+        (12659, [1, 1277, 5903]),  # prime, L = 25600
+        # later sizes of the default schedule: 5-smooth, L = M
+        (1024, [1, 33, 301]),
+        (1440, [1, 37, 720]),  # +-(0, 0, 1) at M/2
+        (12800, [1, 113, 6007]),
+        (32400, [1, 181, 6007]),
     ])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("scale", [1.0, 2.0**60, 2.0**-60, 1e12, 1e-12, 1e200, 1e-200])

@@ -14,6 +14,7 @@ from latsub.lattice import (
     SamplePlan,
     _default_schedule,
     _distinct,
+    _fast_length,
     _next_prime,
     _prefix_structure,
     is_reconstructing,
@@ -57,6 +58,20 @@ class TestLatticePoints:
     def test_generator_reduced_mod_m(self):
         lat = Rank1Lattice(dimension=2, generator=np.array([7, -1]), size=5)
         assert np.array_equal(lat.generator, [2, 4])
+
+    @pytest.mark.parametrize("d, M, seed", [
+        (1, 7, 0), (2, 163, 1), (3, 1024, 2), (5, 127, 3), (5, 6480, 4), (10, 12659, 5),
+    ])
+    def test_points_match_the_broadcast_expression_bitwise(self, d, M, seed):
+        # the column-by-column fill against the (n, d) broadcast it replaced
+        rng = np.random.default_rng(seed)
+        lat = Rank1Lattice(dimension=d, generator=rng.integers(0, M, size=d), size=M)
+        for rows in (None, rng.integers(0, M, size=3 * M), np.array([], dtype=np.int64)):
+            i = np.arange(M, dtype=np.int64) if rows is None else rows
+            want = (i[:, None] * lat.generator[None, :] % M) / M
+            got = lat.points(rows)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_points_are_exact_rationals(self):
         lat = Rank1Lattice(dimension=2, generator=np.array([3, 7]), size=11)
@@ -174,15 +189,23 @@ class TestSearchGenerator:
             assert np.max(np.abs(G - np.eye(len(I)))) < 1e-10
 
     @pytest.mark.parametrize("d, R, seed, line", [
+        # found at the first size, a prime
         (2, 20.0, 5, "2 163 18 130"),
-        (5, 16.0, 1, "5 6449 508 1842 6286 6261 2941"),
-        (10, 8.0, 3, "10 12659 225 10126 4689 10214 5629 6306 8386 2522 4439 54"),
-        (10, 14.0, 7, "10 64151 15078 48587 60845 46845 56078 35285 44567 49142 16042 22"),
-        (10, 14.0, 41, "10 32069 31629 8001 8192 26795 31014 9511 28914 6024 28300 21129"),
+        # found at a later size, 5-smooth
+        (5, 16.0, 1, "5 6480 3147 4806 3119 6417 820"),
+        (10, 8.0, 3, "10 12800 2798 11556 2268 12031 9882 10773 10830 11115 766 11691"),
+        (10, 14.0, 7, "10 32400 3391 8122 19156 26286 14953 28951 22018 16815 2204 2177"),
+        (10, 14.0, 41, "10 32400 23937 3399 15733 14353 9876 10066 8147 23716 10773 9432"),
     ])
     def test_pinned_generators(self, d, R, seed, line):
-        # lattices found by the np.unique injectivity test, before the sort-based one
         assert search_generator(hyperbolic_cross(d, 0.5, R), rng_seed=seed).to_line() == line
+
+    @pytest.mark.parametrize("R, M", [(4.0, 127), (6.0, 149)])
+    def test_small_crosses_reconstruct_at_the_first_prime(self, R, M):
+        # d = 5, |I| = 61 and 71: the sizes behind the known aliasing rates
+        I = hyperbolic_cross(5, 0.5, R)
+        assert M == _next_prime(2 * len(I) - 1)
+        assert [search_generator(I, rng_seed=s).size for s in range(10)] == [M] * 10
 
     def test_exhausted_schedule_raises(self):
         I = hyperbolic_cross(2, 1.0, 4.0)
@@ -214,6 +237,15 @@ class TestSearchGenerator:
     def test_default_schedule_ends_at_int64_safe_range(self):
         sizes = list(_default_schedule(2**30))
         assert sizes and max(sizes) <= _INT64_SAFE_M
+
+    @pytest.mark.parametrize("m", [2, 5, 61, 71, 341, 2001, 8801, 2**29 - 1, 2**29])
+    def test_default_schedule_is_a_prime_then_5_smooth_sizes(self, m):
+        sizes = list(_default_schedule(2 * m))
+        assert sizes[0] == _next_prime(2 * m - 1)
+        for prev, M in zip(sizes, sizes[1:]):
+            assert M >= 2 * prev and M == _fast_length(2 * prev)
+            assert _fast_length(M) == M  # 5-smooth
+        assert sizes[-1] <= _INT64_SAFE_M < _fast_length(2 * sizes[-1])
 
 
 def prefix_oracle(index_set):

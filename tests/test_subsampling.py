@@ -593,14 +593,16 @@ def fft_cross(sel, I, w, g):
 
 
 class TestChirpScorer:
-    """``_lattice_scorer`` runs Bluestein's transform at an M that is not 5-smooth."""
+    """``_lattice_scorer`` runs one FFT at a 5-smooth M and Bluestein's
+    transform at any other M."""
 
     @staticmethod
-    def draw(M, colliding):
+    def draw(M, colliding, z=None):
         # colliding: z = (1, 1) maps (1, 0) and (0, 1) to one residue
         d = 2
-        z = np.array([1, 1]) if colliding else np.array([1, 7 % M])
-        lat = Rank1Lattice(d, z, M)
+        if z is None:
+            z = [1, 1] if colliding else [1, 7 % M]
+        lat = Rank1Lattice(d, np.array(z), M)
         I = hyperbolic_cross(d, 1.0, 3.0)
         rng = np.random.default_rng(M)
         sub = rng.integers(0, M, 40)
@@ -615,12 +617,25 @@ class TestChirpScorer:
         return I, sel, rng
 
     @pytest.mark.parametrize("colliding", [False, True], ids=["generic", "colliding"])
-    @pytest.mark.parametrize("M", [2, 3, 4, 5, 7, 31, 61, 1009, 1367, 6449])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 7, 31, 61, 1009, 1367, 6449,
+                                   1024, 1440, 12800, 32400])
     def test_cross_matches_dense_and_fft(self, M, colliding):
         I, sel, rng = self.draw(M, colliding)
         res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
         if colliding:
             assert len(np.unique(res)) < len(I)
+        self.assert_matches(I, sel, rng)
+
+    @pytest.mark.parametrize("M", [1440, 1442])
+    def test_residue_at_half_m(self, M):
+        # z_2 = M/2 puts (0, +-1) at residue M/2; 1442 is not 5-smooth
+        I, sel, rng = self.draw(M, False, z=[1, M // 2])
+        res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
+        assert np.any(2 * res == M)
+        self.assert_matches(I, sel, rng)
+
+    @staticmethod
+    def assert_matches(I, sel, rng):
         w, g = rng.standard_normal((2, len(I)))
         rows = realified(_stage1_rows(sel, I))
         row, cross = _lattice_scorer(sel, I)
@@ -633,6 +648,15 @@ class TestChirpScorer:
 
     @pytest.mark.parametrize("M", [1009, 1367])
     def test_prime_selection_runs_no_length_M_fft(self, M, monkeypatch):
+        assert self.fft_lengths(M, monkeypatch) == {_circulant_length(M)}
+
+    @pytest.mark.parametrize("M", [1024, 1440])
+    def test_smooth_selection_runs_only_length_M_ffts(self, M, monkeypatch):
+        assert _circulant_length(M) == M
+        assert self.fft_lengths(M, monkeypatch) == {M}
+
+    def fft_lengths(self, M, monkeypatch):
+        """The lengths of every FFT one greedy selection runs."""
         I, sel, _ = self.draw(M, colliding=False)
         lengths = []
         for name in ("fft", "ifft"):
@@ -644,7 +668,8 @@ class TestChirpScorer:
         m = len(I)
         chosen = _barrier_greedy(sel.reweights * m, m, 2.0, *_lattice_scorer(sel, I))
         assert len(chosen) == min(2 * m, len(sel))
-        assert lengths and set(lengths) == {_circulant_length(M)}
+        assert lengths
+        return set(lengths)
 
 
 def realified(rows):

@@ -56,6 +56,17 @@ class TestKinkEvaluation:
         assert vals.shape == (200,)
         assert np.all(vals >= 0)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_matches_the_product_of_factors_bitwise(self, d):
+        # the per-column product against the (n, d) factor matrix it replaced
+        rng = np.random.default_rng(d)
+        lat = Rank1Lattice(dimension=d, generator=rng.integers(0, 6480, size=d), size=6480)
+        for pts in (rng.random((500, d)), lat.points(), lat.points(rng.integers(0, 6480, 99))):
+            want = np.prod(KINK_SCALE * np.maximum(0.2 - (pts - 0.5) ** 2, 0.0), axis=1)
+            got = kink_eval(pts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert kink_eval(pts[0]) == want[0]
+
     def test_callable_wrapper_checks_dimension(self):
         f = KinkFunction(dimension=2)
         with pytest.raises(ValueError):
