@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .fourier import DenseOperator, LatticeOperator, _circulant_length
+from .fourier import DenseOperator, LatticeOperator
 from .index_sets import IndexSet, hyperbolic_cross
 from .lattice import (
     _DEFAULT_SCHEDULE_NAME,
@@ -185,19 +185,17 @@ def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     (16d); the weights, the density and the kink's real values (24); the
     full adjoint's complex copy of the values and its spectrum (32); the
     solve's total weight per point, its point sums of the weighted values
-    and the complex vector packing both, transformed in place (32).  Per
-    frequency of the |I| = m: the frequencies (8d); the residues and the
-    reference and full coefficients (32); the solve's complex right-hand
-    side, its real image and the complex result (40); the five real CG
-    vectors (40); the Hermitian apply's slot index, its two scale vectors
-    and their build temporaries (48).  Per draw: the indices, the
-    reweights, the masked values and their weighted product (32).  Per slot
-    of the circulant length L: the Hermitian apply's real kernel spectrum,
-    real work spectrum and complex half spectrum (24).  And the fixed bytes.
+    and the complex vector packing both, transformed in place (32); the
+    Hermitian apply's real kernel spectrum, real work spectrum and complex
+    half spectrum (24).  Per frequency of the |I| = m: the frequencies
+    (8d); the residues and the reference and full coefficients (32); the
+    solve's complex right-hand side, its real image and the complex result
+    (40); the five real CG vectors (40); the Hermitian apply's slot index,
+    its two scale vectors and their build temporaries (48).  Per draw: the
+    indices, the reweights, the masked values and their weighted product
+    (32).  And the fixed bytes.
     """
-    n_draw = _draw_count(m)
-    return (M * (24 * d + 88) + m * (8 * d + 160) + 32 * n_draw
-            + 24 * _circulant_length(M) + _FIXED_BYTES)
+    return M * (24 * d + 112) + m * (8 * d + 160) + 32 * _draw_count(m) + _FIXED_BYTES
 
 
 def _dense_row_bytes(n: int, d: int, m: int) -> int:

@@ -22,18 +22,17 @@ samples on symmetric sets.
 The normal operator ``L* W L`` never applies ``L`` and ``L*`` in turn on a
 lattice: it is the circular convolution ``(L* W L a)_k = sum_l a_l H[(r_k -
 r_l) mod M]`` over residues ``r``, with ``H = fft_M(h)`` and ``h`` the total
-weight on each lattice point.  ``H`` is computed once per weight vector and
-embedded in a circulant of length ``L``: ``M`` itself when ``M`` is 5-smooth,
-else the smallest 5-smooth length >= 2M-1, with the negative lags wrapped to
-the tail so that no two lags share a slot.  The complex ``normal`` applies
-it by two complex FFTs at that fast length: L = M at every default lattice
-size but the first.  The real ``real_normal`` places each residue at its
-centred value c in (-M/2, M/2], at slot ``c mod L``; the spread of a
+weight on each lattice point.  The lags are residues mod M, so the
+convolution is already circular at length M, and every lattice transform
+runs at M itself (numpy's FFT takes any length, primes included).  The
+complex ``normal`` applies it by two complex length-M FFTs against
+``fft_M(H)``, computed once per weight vector.  The real ``real_normal``
+places each residue at its centred value c in (-M/2, M/2]; the spread of a
 conjugate-symmetric vector and the kernel (``h`` is real) are then both
-Hermitian mod L, so an apply is one ``irfft``, a multiply by the cached real
+Hermitian mod M, so an apply is one ``irfft``, a multiply by the cached real
 kernel spectrum and one ``rfft``, on half spectra.  It holds a real kernel
-spectrum, a real work array and a complex half spectrum, about 3L real
-numbers, against the complex path's two complex length-L buffers.  A real
+spectrum, a real work array and a complex half spectrum, about 3M real
+numbers, against the complex path's two complex length-M buffers.  A real
 solve needs ``H`` and the right-hand side ``L* W f``, the spectra of two
 real length-M vectors; ``real_normal_equations`` packs them as the real and
 imaginary parts of one complex vector, so a real lattice solve runs one
@@ -67,41 +66,9 @@ from collections.abc import Callable
 import numpy as np
 
 from .index_sets import IndexSet
-from .lattice import Rank1Lattice, _fast_length, residues
+from .lattice import Rank1Lattice, residues
 
 __all__ = ["SystemOperator", "LatticeOperator", "DenseOperator"]
-
-
-def _circulant_length(M: int) -> int:
-    """FFT length of the normal operator's circulant for lattice size M.
-
-    M itself when it is 5-smooth (the convolution is already circular mod M),
-    otherwise the smallest 5-smooth length >= 2M-1, long enough for the lags
-    -(M-1)..M-1 to occupy distinct slots.
-    """
-    return M if _fast_length(M) == M else _fast_length(2 * M - 1)
-
-
-def _chirp(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bluestein's chirp for a length-M DFT at the circulant length L.
-
-    Returns ``c_t = exp(-pi i (t^2 mod 2M) / M)`` for t < M and the spectrum
-    ``fft_L`` of ``conj(c)`` at the lags -(M-1)..M-1 (negative lags wrapped to
-    the tail), divided by L.  Since ``tj = (t^2 + j^2 - (j-t)^2) / 2``,
-    ``fft_M(x)_j = c_j ifft_L(fft_L(c x) * spectrum)_j`` with ``c x`` zero
-    padded to L and the inverse unscaled (``norm="forward"``): two FFTs at a
-    5-smooth length instead of one at M.  ``t^2`` is exact in int64 for M <=
-    2^31.
-    """
-    L = _circulant_length(M)
-    t = np.arange(M, dtype=np.int64)
-    c = np.exp((-1j * np.pi / M) * (t * t % (2 * M)))
-    kernel = np.zeros(L, dtype=np.complex128)
-    kernel[:M] = c.conj()
-    kernel[L - M + 1 :] = kernel[M - 1 : 0 : -1]  # c_{-s} = c_s
-    np.fft.fft(kernel, out=kernel)
-    kernel /= L
-    return c, kernel
 
 
 def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -409,19 +376,14 @@ class LatticeOperator(SystemOperator):
         """``a -> L* W L a`` as a circular convolution over residues.
 
         ``(L* W L a)_k = sum_l a_l H[(r_k - r_l) mod M]`` with ``H = fft_M(h)``
-        and ``h`` the total weight on each lattice point.  ``H`` is embedded
-        in a circulant of the fast length ``L`` (negative lags wrapped to the
-        tail), so each call is a scatter, ``fft_L``, a multiply, ``ifft_L``
-        and a gather.  The returned function writes into its own buffer and
-        is not reentrant.
+        and ``h`` the total weight on each lattice point, so each call is a
+        scatter, ``fft_M``, a multiply by ``fft_M(H)``, ``ifft_M`` and a
+        gather.  The returned function writes into its own buffer and is not
+        reentrant.
         """
-        H = np.fft.fft(self._spread(self._check_weights(weights)))
-        M, L = len(H), _circulant_length(len(H))
-        kernel = np.zeros(L, dtype=np.complex128)
-        kernel[:M] = H
-        kernel[L - M + 1 :] = H[1:]  # lags -(M-1)..-1; a no-op when L == M
+        kernel = np.fft.fft(self._spread(self._check_weights(weights)))
         np.fft.fft(kernel, out=kernel)
-        buf = np.empty(L, dtype=np.complex128)
+        buf = np.empty(len(kernel), dtype=np.complex128)
         res = self._res
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
@@ -438,24 +400,19 @@ class LatticeOperator(SystemOperator):
     def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``normal`` in the real basis, on Hermitian half spectra.
 
-        Residue r sits at its centred value c in (-M/2, M/2], at slot ``c mod
-        L``.  For real coordinates x the spread is then Hermitian mod L, and
-        so is the lag kernel, so only slots 0..L//2 are kept: pair p (and its
-        mirror) lands at slot |c_p|, k = 0 at slot 0.  One call scatters x
-        into the real and imaginary parts of the conjugated half spread,
-        ``irfft``s it (the real spectrum), multiplies by the kernel spectrum
-        (real, divided by L), ``rfft``s back and gathers.  A self-mirrored
-        slot (0, or L/2 when L == M) holds both members of a pair; ``irfft``
-        reads only its real part, so the pair's entry counts twice there.
-        With M even and L > M a residue at M/2 would break the symmetry
-        (its mirror slot L - M/2 stays empty); that case takes the complex
-        ``normal``.  The kernel comes from ``fft_M(h)`` through ``_lag_half``,
-        as in ``real_normal_equations``.  Writes into its own buffers and is
-        not reentrant.
+        Residue r sits at its centred value c in (-M/2, M/2].  For real
+        coordinates x the spread is then Hermitian mod M, and so is the lag
+        kernel, so only slots 0..M//2 are kept: pair p (and its mirror) lands
+        at slot |c_p|, k = 0 at slot 0.  One call scatters x into the real and
+        imaginary parts of the conjugated half spread, ``irfft``s it (the real
+        spectrum), multiplies by the kernel spectrum (real, divided by M),
+        ``rfft``s back and gathers.  A self-mirrored slot (0, or M/2 when M is
+        even) holds both members of a pair; ``irfft`` reads only its real
+        part, so the pair's entry counts twice there.  The kernel comes from
+        ``fft_M(h)`` through ``_lag_half``, as in ``real_normal_equations``.
+        Writes into its own buffers and is not reentrant.
         """
         self._check_symmetric()
-        if not self._hermitian():
-            return super().real_normal(weights)
         half = self._lag_half(np.fft.fft(self._spread(self._check_weights(weights))))
         return self._real_apply(half)
 
@@ -475,8 +432,6 @@ class LatticeOperator(SystemOperator):
         real length-M vector beside it and then the kernel's half spectrum.
         """
         self._check_symmetric()
-        if not self._hermitian():
-            return super().real_normal_equations(weights, values)
         w = self._check_weights(weights)
         wf = w * self._check_values(values, np.float64)
         M, r = self.lattice.size, self._res
@@ -504,40 +459,29 @@ class LatticeOperator(SystemOperator):
 
     def _lag_half(self, z: np.ndarray) -> np.ndarray:
         """The conjugated lag kernel ``conj H[t] = (conj Z[t] + Z[-t]) / 2`` on
-        slots 0..L//2 (zero from M on), for ``Z = fft_M(h + i s)`` with h the
-        point weights and s any real vector."""
+        slots 0..M//2, for ``Z = fft_M(h + i s)`` with h the point weights and
+        s any real vector."""
         M = len(z)
-        half = np.zeros(_circulant_length(M) // 2 + 1, dtype=np.complex128)
-        t = min(M, len(half))
-        np.conjugate(z[:t], out=half[:t])
+        half = np.conjugate(z[: M // 2 + 1])
         half[0] += z[0]
-        half[1:t] += z[: M - t : -1]
-        half[:t] *= 0.5
+        half[1:] += z[: (M - 1) // 2 : -1]  # Z[-t] for t = 1..M//2
+        half *= 0.5
         return half
-
-    def _hermitian(self) -> bool:
-        """Whether ``real_normal`` runs on Hermitian half spectra.
-
-        Always unless M is even, L > M and some residue sits at M/2.
-        """
-        M = self.lattice.size
-        return _circulant_length(M) == M or not np.any(2 * self._res == M)
 
     def _real_apply(self, half: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The Hermitian apply of ``real_normal`` for the conjugated lag
-        kernel ``half`` on slots 0..L//2, which becomes its work buffer."""
+        kernel ``half`` on slots 0..M//2, which becomes its work buffer."""
         M, r = self.lattice.size, self._res
         m = len(r)
         cos, _, sin = _real_blocks(m)
-        L = _circulant_length(M)
-        kspec = np.fft.irfft(half, L)  # fft_L of the lag kernel, over L
-        spec = np.empty(L)
+        kspec = np.fft.irfft(half, M)  # fft_M of the lag kernel, over M
+        spec = np.empty(M)
         flat = half.view(np.float64)  # [Re 0, Im 0, Re 1, Im 1, ...]
 
         centred = np.where(2 * r[cos] <= M, r[cos], r[cos] - M)
         slot = np.abs(centred)
         sign = np.where(centred < 0, -1.0, 1.0)  # the mirror sits at +slot
-        twice = np.where((slot == 0) | (2 * slot == L), 2.0, 1.0)
+        twice = np.where((slot == 0) | (2 * slot == M), 2.0, 1.0)
         idx = np.zeros(m, dtype=np.int64)  # k = 0: Re of slot 0
         idx[cos], idx[sin] = 2 * slot, 2 * slot + 1
         scale_in, scale_out = np.ones(m), np.ones(m)
@@ -548,7 +492,7 @@ class LatticeOperator(SystemOperator):
             x = self._check_coeffs(coeffs, np.float64)
             flat.fill(0.0)
             np.add.at(flat, idx, x * scale_in)  # colliding residues accumulate
-            np.fft.irfft(half, L, norm="forward", out=spec)
+            np.fft.irfft(half, M, norm="forward", out=spec)
             np.multiply(spec, kspec, out=spec)
             np.fft.rfft(spec, out=half)  # the conjugated half of the result
             return flat[idx] * scale_out

@@ -15,8 +15,9 @@ fixed budget per size M (3 attempts of at most 24 random candidates per
 component).  Its default schedule starts at the first prime >= 2|I|; every
 later size is 5-smooth (``2^a 3^b 5^c``), the smallest one >= twice the size
 before, up to ``_INT64_SAFE_M``; sizes below |I| are skipped by pigeonhole.
-A 5-smooth M lets every length-M FFT downstream run at M itself, where a
-prime M costs a Bluestein transform of two FFTs at a smooth length near 2M.
+Every lattice transform downstream runs at length M: a 5-smooth M keeps
+those FFTs cheap, while numpy's FFT at a large prime length costs several
+times as much as at a nearby smooth one.
 The first size stays prime: a schedule of 5-smooth sizes only, from 2|I|,
 raised the share of subsampled reconstructions whose aliasing error exceeds
 the truncation error on the small crosses (d = 5, R = 4 and 6), which all

@@ -26,11 +26,10 @@ and scores are then real; a row's cos and sin come from one table of
 ``exp(2 pi i t / M)``, both products pack into one complex length-M DFT
 gathered at the drawn rows, and the real symmetric resolvent is updated by
 BLAS ``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no
-N x |I| row matrix held.  At a lattice size M that is not 5-smooth (the
-default schedule's first size, a prime) the DFT is Bluestein's chirp
-transform, two FFTs at a 5-smooth length whose chirp and kernel spectrum
-are built once per selection.  Any other input uses the dense complex rows
-at O(N |I|) per step with ``zhemv``/``zher``.  All share one loop.
+N x |I| row matrix held.  The DFT is one ``np.fft.fft`` at M, whatever M
+is (numpy's FFT takes prime lengths too).  Any other input uses the dense
+complex rows at O(N |I|) per step with ``zhemv``/``zher``.  Both share one
+loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import _chirp, _circulant_length, _from_real, _real_blocks
+from .fourier import _from_real, _real_blocks
 from .index_sets import IndexSet
 from .lattice import SamplePlan, residues
 from .mz import SpectralBounds, mz_constants
@@ -235,10 +234,7 @@ def random_subsample(
         # u < cdf[-1] strictly, so the first entry above u is a point of
         # positive mass even when the last points carry none
         J = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    rho_J = p[J]
-    if np.any(rho_J <= 0):  # unreachable by construction; guard the division
-        raise RuntimeError("drew a zero-probability point")
-    reweights = plan.weights[J] / (n * rho_J)
+    reweights = plan.weights[J] / (n * p[J])
     return SubsampleSelection(
         parent=plan,
         indices=J,
@@ -474,12 +470,8 @@ def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
     w)`` (``fourier._from_real``): the length-M DFT of ``T^T w`` scattered
     onto the residues, gathered at the j_i.  Both products are real, so the
     one DFT of ``T^T (w + i g)`` yields them as its real and imaginary parts
-    (residues that collide add).  At a 5-smooth M that DFT is one
-    ``np.fft.fft``; at any other M it is
-    Bluestein's chirp transform (``fourier._chirp``), two FFTs at the
-    5-smooth circulant length, with the chirp at the residues and at the
-    drawn rows (times ``sqrt(rw_i)``) computed once here.  O(M log M) per
-    call, and no N x |I| matrix is formed.
+    (residues that collide add).  That DFT is one ``np.fft.fft`` at M,
+    O(M log M) per call, and no N x |I| matrix is formed.
     """
     parent = selection.parent
     lat = parent.lattice
@@ -496,21 +488,7 @@ def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
     table = np.exp((2j * np.pi / M) * np.arange(M))
     half_res = res[cos]
     r2 = math.sqrt(2.0)
-    if _circulant_length(M) == M:
-        spread = np.zeros(M, dtype=np.complex128)
-        chirp_res, scale = 1.0, sqrt_rw
-
-        def dft():
-            return np.fft.fft(spread)[j]
-    else:
-        c, spectrum = _chirp(M)
-        spread = np.zeros(len(spectrum), dtype=np.complex128)
-        chirp_res, scale = c[res], c[j] * sqrt_rw
-
-        def dft():
-            np.fft.fft(spread, out=spread)
-            np.multiply(spread, spectrum, out=spread)
-            return np.fft.ifft(spread, norm="forward", out=spread)[j]
+    spread = np.zeros(M, dtype=np.complex128)
 
     def row(i):
         t = table[half_res * j[i] % M]
@@ -523,11 +501,10 @@ def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
 
     def cross(w, g):
         x = _from_real(w - 1j * g).conj()  # T^T (w + i g), on the residues
-        x *= chirp_res
         spread[:] = 0.0
         np.add.at(spread, res, x)  # colliding residues add
-        f = dft()
-        f *= scale
+        f = np.fft.fft(spread)[j]
+        f *= sqrt_rw
         return f.real, f.imag
 
     return row, cross

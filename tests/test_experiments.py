@@ -15,6 +15,7 @@ from latsub.experiments import (
     KNOWN_STRATEGIES,
     ExperimentConfig,
     ExperimentReport,
+    ExperimentRow,
     _derived_seed,
     check_report,
     emit_report,
@@ -22,9 +23,10 @@ from latsub.experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from latsub.fourier import LatticeOperator, _circulant_length
+from latsub.fourier import LatticeOperator
 from latsub.index_sets import hyperbolic_cross
 from latsub.lattice import _DEFAULT_SCHEDULE_NAME, search_generator
+from latsub.mz import SpectralBounds
 from latsub.subsampling import SpectralCertificateError
 
 DESK = dict(dimension=2, gamma=0.5, radii=(4.0, 8.0, 16.0), repetitions=2, seed=3)
@@ -210,20 +212,20 @@ class TestRunExperiment1:
         # per lattice point the points and the kink's two M x d temporaries,
         # weights, density, real values, the full adjoint's complex copy and
         # spectrum, and the solve's point weights, point sums of the weighted
-        # values and their packed complex vector, transformed in place; per
-        # frequency the frequencies, residues, coefficients, the solve's
-        # vectors and the Hermitian apply's index and scales; per draw
-        # indices, reweights, masked values and their product; three
-        # buffers of the circulant length; fixed bytes.  d = 2, R = 16 is a
-        # round small enough for the fixed bytes to dominate.
+        # values and their packed complex vector, transformed in place, and
+        # the Hermitian apply's three buffers; per frequency the frequencies,
+        # residues, coefficients, the solve's vectors and the Hermitian
+        # apply's index and scales; per draw indices, reweights, masked
+        # values and their product; fixed bytes.  d = 2, R = 16 is a round
+        # small enough for the fixed bytes to dominate.
         for d, radius in ((5, 8.0), (2, 16.0)):
             cfg = desk_config(tmp_path, dimension=d, radii=(radius,), repetitions=1,
                               strategies=("full", "random_sub"))
             full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
             M, m = full.num_points, full.num_frequencies
             n = math.ceil(m * math.log(m))
-            needed = (M * (24 * d + 88) + m * (8 * d + 160) + 32 * n
-                      + 24 * _circulant_length(M) + latsub.experiments._FIXED_BYTES)
+            needed = (M * (24 * d + 112) + m * (8 * d + 160) + 32 * n
+                      + latsub.experiments._FIXED_BYTES)
             rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
             assert not any(r.skipped for r in rows)
             rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
@@ -318,6 +320,27 @@ class TestRunExperiment2:
         assert row.bss_time_s == 100.0 + 1000.0
 
     @pytest.mark.parametrize("name", ["plain_bss_subsample", "mz_constants"])
+    def test_eight_failed_attempts_skip_the_row(self, tmp_path, monkeypatch, name):
+        # every sparsification misses its certificate, or every stage-1 draw
+        # is rank-deficient: the row gives up after eight draws
+        calls = []
+
+        def fail(*args):
+            calls.append(1)
+            if name == "mz_constants":
+                return SpectralBounds(0.0, 1.0)
+            raise SpectralCertificateError("injected certificate miss")
+
+        monkeypatch.setattr(latsub.experiments, name, fail)
+        cfg = desk_config(tmp_path, radii=(8.0,), repetitions=1, strategies=("bss_sub",))
+        report = run_experiment_2(cfg)
+        (row,) = report.rows
+        assert row.skipped
+        assert row.skip_reason == "no certifiable stage-1 draw in 8 attempts"
+        assert len(calls) == 8
+        assert check_report(report) == []
+
+    @pytest.mark.parametrize("name", ["plain_bss_subsample", "mz_constants"])
     def test_value_error_skips_row_with_message(self, tmp_path, monkeypatch, name):
         def refuse(*args):
             raise ValueError(f"injected refusal in {name}")
@@ -379,6 +402,40 @@ class TestReports:
         row.num_points += 1
         if row.strategy != "full":
             assert any("point count" in p for p in check_report(report))
+
+    @pytest.mark.parametrize("strategy, broken, problem", [
+        ("full", dict(skipped=True), "skipped without a reason"),
+        ("full", dict(total_error=1.0), "error decomposition violated"),
+        ("full", dict(truncation_error=0.1, aliasing_error=0.2),
+         "aliasing 2.000e-01 exceeds truncation 1.000e-01"),
+        ("random_sub", dict(num_points=35), "point count 35 != 34"),
+        ("bss_sub", dict(num_points=27), "point count 27 exceeds ceil(b*|I|)"),
+        ("continuous_random", dict(num_points=33), "point count 33 != 34"),
+    ])
+    def test_check_report_names_each_broken_row(self, tmp_path, strategy, broken, problem):
+        # hand-built rows: |I| = 13, so n = ceil(13 ln 13) = 34 and
+        # ceil(b |I|) = 26 at b = 2; each broken row fails exactly one check
+        def row(strategy, **over):
+            points = {"full": 29, "bss_sub": 26}.get(strategy, 34)
+            fields = dict(radius=4.0, strategy=strategy, repetition=0,
+                          num_frequencies=13, num_points=points,
+                          truncation_error=0.2, aliasing_error=0.1,
+                          total_error=math.hypot(0.2, 0.1), setup_time_s=0.0,
+                          subsample_time_s=0.0, solve_time_s=0.0, bss_time_s=0.0,
+                          seed=0)
+            fields.update(over)
+            if "truncation_error" in over:
+                fields["total_error"] = math.hypot(fields["truncation_error"],
+                                                   fields["aliasing_error"])
+            return ExperimentRow(**fields)
+
+        good = [row(s) for s in KNOWN_STRATEGIES]
+        good.append(row("random_sub", num_points=1, skipped=True, skip_reason="cap"))
+        report = ExperimentReport(kind="exp2", config=desk_config(tmp_path), rows=good)
+        assert check_report(report) == []
+        report.rows.append(row(strategy, **broken))
+        tag = f"[{strategy} R=4.0 rep=0]"
+        assert check_report(report) == [f"{tag} {problem}"]
 
     def test_matched_point_ratios(self, tmp_path):
         # structural checks; the 1.05 median threshold is a d = 5 acceptance

@@ -12,12 +12,11 @@ from latsub.fourier import (
     LatticeOperator,
     SystemOperator,
     _characters,
-    _circulant_length,
     _from_real,
     _to_real,
 )
 from latsub.index_sets import IndexSet, hyperbolic_cross
-from latsub.lattice import Rank1Lattice, _fast_length, search_generator
+from latsub.lattice import Rank1Lattice, search_generator
 from latsub.solver import least_squares
 
 
@@ -182,7 +181,7 @@ class TestAdjointnessAndAgreement:
             assert np.max(np.abs(ad_f - ad_d)) <= 1e-11 * max(np.max(np.abs(ad_d)), 1e-30)
 
 
-# primes (the default schedule), 5-smooth sizes (circulant length M) and M = 1
+# primes (the default schedule's first size), 5-smooth sizes and M = 1
 _NORMAL_SIZES = [1, 2, 3, 7, 11, 13, 31, 61, 101, 4, 8, 12, 30, 60, 100, 125]
 
 
@@ -212,7 +211,7 @@ def normal_instances(draw):
 
 
 class TestNormalOperator:
-    """The circulant normal operator against forward/adjoint and the dense Gram."""
+    """The convolution normal operator against forward/adjoint and the dense Gram."""
 
     @settings(max_examples=150, deadline=None)
     @given(normal_instances())
@@ -250,22 +249,6 @@ class TestNormalOperator:
             op.normal(np.ones(6))
         with pytest.raises(ValueError, match="length"):
             op.normal(np.ones(7))(np.ones(len(I) + 1))
-
-    def test_circulant_length_rule(self):
-        smooth = [n for n in range(1, 5000) if _strip(_strip(_strip(n, 2), 3), 5) == 1]
-        for n in range(1, 4000):
-            assert _fast_length(n) == min(m for m in smooth if m >= n)
-        for M in range(1, 2000):
-            L = _circulant_length(M)
-            assert L == (M if M in smooth else _fast_length(2 * M - 1))
-        assert _circulant_length(32069) == 64800  # a prime size
-        assert _circulant_length(32400) == 32400  # d=10, R=14 lattice size
-
-
-def _strip(n, p):
-    while n % p == 0:
-        n //= p
-    return n
 
 
 @st.composite
@@ -333,8 +316,8 @@ def real_normal_instances(draw):
     """A symmetric set on a lattice (full or masked), weights and real coordinates.
 
     Like ``normal_instances``, with the set closed under k -> -k.  The sizes
-    add even ones that are not 5-smooth, where a residue at M/2 sends the
-    real normal to the complex path.
+    add even ones that are not 5-smooth, where a residue may sit at the
+    self-mirrored slot M/2.
     """
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -393,14 +376,14 @@ class TestRealBasis:
         assert np.max(np.abs(got - want.real)) <= 1e-13 * np.sum(np.abs(f.real))
 
     @pytest.mark.parametrize("M, z", [
-        (375, [1, 7, 49]),  # 5-smooth, odd: L = M
-        (384, [1, 5, 25]),  # 5-smooth, even: slot M/2 is the Nyquist slot of L
-        (61, [1, 11, 21]),  # prime: L = 125 >= 2M - 1
+        (375, [1, 7, 49]),  # 5-smooth, odd
+        (384, [1, 5, 25]),  # 5-smooth, even: slot M/2 is the Nyquist slot
+        (61, [1, 11, 21]),  # prime
         (30, [1, 4, 7]),  # 5-smooth, small: residues collide
         (31, [1, 2, 5]),  # prime, small: residues collide
         # later sizes of the default schedule
         (1024, [1, 33, 301]),
-        (1440, [1, 37, 720]),  # +-(0, 0, 1) at M/2, the Nyquist slot of L = M
+        (1440, [1, 37, 720]),  # +-(0, 0, 1) at M/2, the Nyquist slot
         (12800, [1, 113, 6007]),
         (32400, [1, 181, 6007]),
     ])
@@ -429,13 +412,12 @@ class TestRealBasis:
         assert pos & neg
         assert len(np.unique(centred)) < h
 
-    def test_residue_at_half_m_takes_the_complex_normal(self):
-        # M = 14 is even and not 5-smooth (L = 27): a residue at M/2 has its
-        # mirror at slot -M/2 = 20 mod 27, not at M/2, so the spread is not
-        # Hermitian mod L and the real normal goes through the complex one
+    def test_residue_at_half_m(self):
+        # M = 14 is even and not 5-smooth: a residue at M/2 is its own mirror,
+        # so the Hermitian scatter counts its pair twice at the Nyquist slot
         I = hyperbolic_cross(3, 0.5, 8.0)
         op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array([1, 3, 5]), size=14), I)
-        assert _circulant_length(14) == 27 and np.any(2 * op._res == 14)
+        assert np.any(2 * op._res == 14)
         rng = np.random.default_rng(14)
         w, x = rng.random(14), rng.standard_normal(len(I))
         want = complex_normal_in_real_basis(op, w, x)
@@ -485,15 +467,14 @@ class TestRealNormalEquations:
         want_apply, want_rhs = base_normal_equations(op, w, f)
         assert relative_error(apply(x), want_apply(x)) <= 1e-13
         assert relative_error(rhs, want_rhs) <= 1e-13
-        return rhs, want_rhs
 
     @pytest.mark.parametrize("M, z", [
-        (375, [1, 7, 49]),  # 5-smooth, odd: L = M
-        (384, [1, 5, 25]),  # 5-smooth, even: L = M
+        (375, [1, 7, 49]),  # 5-smooth, odd
+        (384, [1, 5, 25]),  # 5-smooth, even
         (31, [1, 2, 5]),  # prime, small: residues collide
-        (61, [1, 11, 21]),  # prime: L = 125 >= 2M - 1
-        (12659, [1, 1277, 5903]),  # prime, L = 25600
-        # later sizes of the default schedule: 5-smooth, L = M
+        (61, [1, 11, 21]),  # prime
+        (12659, [1, 1277, 5903]),  # prime
+        # later sizes of the default schedule: 5-smooth
         (1024, [1, 33, 301]),
         (1440, [1, 37, 720]),  # +-(0, 0, 1) at M/2
         (12800, [1, 113, 6007]),
@@ -541,16 +522,15 @@ class TestRealNormalEquations:
         f[7] = 3.5
         self.assert_close(op, rng.random(op.row_count), f, rng.standard_normal(len(I)))
 
-    def test_residue_at_half_m_takes_the_base_default(self):
-        # M = 14, L = 27: the case where real_normal goes through the complex
-        # normal; both parts then come from the two-transform default
+    def test_residue_at_half_m(self):
+        # M = 14 is even and not 5-smooth: a residue at the self-mirrored
+        # slot M/2, in the packed kernel and right-hand side
         I = hyperbolic_cross(3, 0.5, 8.0)
         op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array([1, 3, 5]), size=14), I)
-        assert not op._hermitian()
+        assert np.any(2 * op._res == 14)
         rng = np.random.default_rng(14)
         w, f, x = rng.random(14), rng.standard_normal(14), rng.standard_normal(len(I))
-        rhs, want_rhs = self.assert_close(op, w, f, x)
-        assert np.array_equal(rhs, want_rhs)
+        self.assert_close(op, w, f, x)
 
     @settings(max_examples=100, deadline=None)
     @given(real_normal_instances())

@@ -247,6 +247,18 @@ class TestSearchGenerator:
             assert _fast_length(M) == M  # 5-smooth
         assert sizes[-1] <= _INT64_SAFE_M < _fast_length(2 * sizes[-1])
 
+    def test_fast_length_is_the_next_5_smooth_integer(self):
+        smooth = [n for n in range(1, 5000) if _strip(_strip(_strip(n, 2), 3), 5) == 1]
+        for n in range(1, 4000):
+            assert _fast_length(n) == min(m for m in smooth if m >= n)
+        assert _fast_length(32069) == 32400  # a prime; the d=10, R=14 lattice size
+
+
+def _strip(n, p):
+    while n % p == 0:
+        n //= p
+    return n
+
 
 def prefix_oracle(index_set):
     """Per stage j: the sorted j-prefix tuples and each one's parent position."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import latsub.mz
-from latsub.fourier import DenseOperator, LatticeOperator
+from latsub.fourier import DenseOperator, LatticeOperator, SystemOperator
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
@@ -143,6 +143,25 @@ class TestLeastSquares:
                                              residual_tolerance=1e-16))
         assert diag.iterations == 1
         assert not diag.converged
+
+    def test_semidefinite_direction_stops_cg(self):
+        # a normal map that returns zeros: the first direction p has
+        # p* G p = 0, so CG stops before its first step, unconverged
+        class ZeroNormal(SystemOperator):
+            index_set = IndexSet(dimension=1, frequencies=[[0], [1]])
+            kind = "stub"
+            row_count = 3
+
+            def adjoint(self, values):
+                return np.array([1.0, -2.0j])  # a nonzero right-hand side
+
+            def normal(self, weights):
+                return lambda coeffs: np.zeros_like(coeffs)
+
+        a, diag = least_squares(ZeroNormal(), np.ones(3), np.array([1.0, 1j, 0.0]))
+        assert diag.iterations == 0 and not diag.converged
+        assert not a.any()
+        assert diag.normal_residual == pytest.approx(np.sqrt(5.0))
 
     def test_validation(self):
         I, lat, plan = tight_setup(1, 1.0, 2.0, seed=9)

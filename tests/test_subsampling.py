@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import latsub.subsampling
 from latsub.experiments import _derived_seed
-from latsub.fourier import DenseOperator, _circulant_length
+from latsub.fourier import DenseOperator
 from latsub.index_sets import (
     IndexSet,
     embedding_eigenvalues,
@@ -429,6 +429,16 @@ class TestPlainSparsification:
         assert (2 - 1) ** 3 / (178 * (2 + 1) ** 2) == pytest.approx(
             1 / 1602, rel=1e-15)
 
+    def test_missed_certificate_raises(self, monkeypatch):
+        # an eigensolve reporting half the certified lower constant
+        I, sel = stage1_selection(2, 1.0, 2.0, seed=15, n_factor=4)
+        b = 2.0
+        certified = (b - 1) ** 3 / (178 * (b + 1) ** 2)
+        monkeypatch.setattr(latsub.subsampling, "mz_constants",
+                            lambda plan, index_set: SpectralBounds(certified / 2, 1.0))
+        with pytest.raises(SpectralCertificateError, match="lower bound violated"):
+            plain_bss_subsample(sel, I, b)
+
     def test_reweights_carry_draw_scaling(self):
         I, sel = stage1_selection(1, 1.0, 3.0, seed=16, n_factor=4)
         out = plain_bss_subsample(sel, I, b=2.0)
@@ -592,9 +602,9 @@ def fft_cross(sel, I, w, g):
     return f.real, f.imag
 
 
-class TestChirpScorer:
-    """``_lattice_scorer`` runs one FFT at a 5-smooth M and Bluestein's
-    transform at any other M."""
+class TestScorerAtEveryLatticeSize:
+    """``_lattice_scorer`` runs one length-M FFT at every lattice size M:
+    prime, 5-smooth or neither."""
 
     @staticmethod
     def draw(M, colliding, z=None):
@@ -646,13 +656,8 @@ class TestChirpScorer:
         for i in range(len(sel)):
             np.testing.assert_allclose(row(i), rows[i], rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("M", [1009, 1367])
-    def test_prime_selection_runs_no_length_M_fft(self, M, monkeypatch):
-        assert self.fft_lengths(M, monkeypatch) == {_circulant_length(M)}
-
-    @pytest.mark.parametrize("M", [1024, 1440])
-    def test_smooth_selection_runs_only_length_M_ffts(self, M, monkeypatch):
-        assert _circulant_length(M) == M
+    @pytest.mark.parametrize("M", [1009, 1367, 1024, 1440])  # two primes, two 5-smooth
+    def test_selection_runs_only_length_M_ffts(self, M, monkeypatch):
         assert self.fft_lengths(M, monkeypatch) == {M}
 
     def fft_lengths(self, M, monkeypatch):
