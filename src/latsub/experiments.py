@@ -184,18 +184,18 @@ def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     lattice point: the points (8d) and the kink's two M x d temporaries
     (16d); the weights, the density and the kink's real values (24); the
     full adjoint's complex copy of the values and its spectrum (32); the
-    solve's total weight per point, its point sums of the weighted values
-    and the complex vector packing both, transformed in place (32); the
-    Hermitian apply's real kernel spectrum, real work spectrum and complex
-    half spectrum (24).  Per frequency of the |I| = m: the frequencies
-    (8d); the residues and the reference and full coefficients (32); the
-    solve's complex right-hand side, its real image and the complex result
-    (40); the five real CG vectors (40); the Hermitian apply's slot index,
-    its two scale vectors and their build temporaries (48).  Per draw: the
-    indices, the reweights, the masked values and their weighted product
-    (32).  And the fixed bytes.
+    solve's right-hand side, the point sums of the weighted values and
+    their half spectrum (16); then its Hermitian apply's total weight per
+    point, complex half spectrum and real work vector (24).  Per frequency
+    of the |I| = m: the frequencies (8d); the residues and the reference
+    and full coefficients (32); the solve's real right-hand side and its
+    gather temporary, the slots of the apply's scatter and the complex
+    result (40); the five real CG vectors (40); the Hermitian apply's slot
+    index, its two scale vectors and their build temporaries (48).  Per
+    draw: the indices, the reweights, the masked values and their weighted
+    product (32).  And the fixed bytes.
     """
-    return M * (24 * d + 112) + m * (8 * d + 160) + 32 * _draw_count(m) + _FIXED_BYTES
+    return M * (24 * d + 96) + m * (8 * d + 160) + 32 * _draw_count(m) + _FIXED_BYTES
 
 
 def _dense_row_bytes(n: int, d: int, m: int) -> int:

@@ -19,24 +19,19 @@ x^i>``, the orthonormal real trigonometric basis.  ``real_adjoint`` and
 ``real_normal`` act on such real coordinates; the solver uses them for real
 samples on symmetric sets.
 
-The normal operator ``L* W L`` never applies ``L`` and ``L*`` in turn on a
-lattice: it is the circular convolution ``(L* W L a)_k = sum_l a_l H[(r_k -
-r_l) mod M]`` over residues ``r``, with ``H = fft_M(h)`` and ``h`` the total
-weight on each lattice point.  The lags are residues mod M, so the
-convolution is already circular at length M, and every lattice transform
-runs at M itself (numpy's FFT takes any length, primes included).  The
-complex ``normal`` applies it by two complex length-M FFTs against
-``fft_M(H)``, computed once per weight vector.  The real ``real_normal``
-places each residue at its centred value c in (-M/2, M/2]; the spread of a
-conjugate-symmetric vector and the kernel (``h`` is real) are then both
-Hermitian mod M, so an apply is one ``irfft``, a multiply by the cached real
-kernel spectrum and one ``rfft``, on half spectra.  It holds a real kernel
-spectrum, a real work array and a complex half spectrum, about 3M real
-numbers, against the complex path's two complex length-M buffers.  A real
-solve needs ``H`` and the right-hand side ``L* W f``, the spectra of two
-real length-M vectors; ``real_normal_equations`` packs them as the real and
-imaginary parts of one complex vector, so a real lattice solve runs one
-length-M FFT.
+On a lattice the weights ``W`` act as the total weight h on each of the M
+points (a masked view may draw a point several times), so the normal
+operator ``L* W L`` is the full lattice's forward, a multiply by h and the
+full lattice's adjoint: two length-M FFTs per apply and none to build it.
+Every lattice transform runs at M itself (numpy's FFT takes any length,
+primes included).  The real ``real_normal`` places each residue at its
+centred value c in (-M/2, M/2]; the spread of a conjugate-symmetric vector
+is then Hermitian mod M, so an apply is one ``irfft``, a multiply by h and
+one ``rfft``, on half spectra: real transforms, about half the work of the
+complex path's.  Both hold about 3M real numbers (h, a real work vector and
+a complex half spectrum; ``M h`` and a complex length-M buffer).  The real
+right-hand side ``real_adjoint(w * f)`` is one ``rfft`` of the point sums of
+``w * f``, gathered from the same slots.
 
 Arbitrary point sets use an explicit matrix, stored as one contiguous row
 per frequency.  On a symmetric set it is the real ``(L T^H)^T``, |I| x N
@@ -103,12 +98,6 @@ def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _norm_exponent(v: np.ndarray) -> int:
-    """The binary exponent of ``||v||_2`` for a real v, free of overflow and underflow."""
-    top = math.frexp(max(v.max(), -v.min()))[1]
-    return top + math.frexp(np.linalg.norm(np.ldexp(v, -top)))[1]
-
-
 def _real_blocks(m: int) -> tuple[slice, slice, slice]:
     """The cos, k = 0 and sin blocks of the real basis of a symmetric set.
 
@@ -119,8 +108,8 @@ def _real_blocks(m: int) -> tuple[slice, slice, slice]:
     real row of ``L T^H`` at x is ``sqrt2 cos 2 pi <k_p, x>`` in the cos
     block, 1 at k = 0 and ``sqrt2 sin 2 pi <k_p, x>`` in the sin block.
     ``_to_real``, ``_from_real``, ``_real_characters``, the lattice
-    ``real_normal``, ``subsampling._lattice_scorer`` and ``mz._real_gram``
-    all index through these blocks.
+    ``real_adjoint`` and ``real_normal``, ``subsampling._lattice_scorer``
+    and ``mz._real_gram`` all index through these blocks.
     """
     h = m // 2
     return slice(0, h), slice(h, m - h), slice(m - h, m)
@@ -253,18 +242,6 @@ class SystemOperator:
         return lambda x: _to_real(
             normal(_from_real(self._check_coeffs(x, np.float64)))).real
 
-    def real_normal_equations(
-        self, weights: np.ndarray, values: np.ndarray
-    ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-        """The real normal operator and right-hand side ``T L* W f`` of one solve.
-
-        For real values f on a symmetric set; here ``(real_normal(w),
-        real_adjoint(w * f))``.  The lattice operator builds both from one FFT.
-        """
-        self._check_symmetric()
-        w = self._check_weights(weights)
-        return self.real_normal(w), self.real_adjoint(w * self._check_values(values, np.float64))
-
     def dense_matrix(self) -> np.ndarray:
         """Materialize L (row_count x |I|); intended for small instances."""
         raise NotImplementedError
@@ -373,128 +350,91 @@ class LatticeOperator(SystemOperator):
         return np.bincount(self.rows, v, minlength=self.lattice.size)
 
     def normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``a -> L* W L a`` as a circular convolution over residues.
+        """``a -> L* W L a`` as forward, point weights, adjoint.
 
-        ``(L* W L a)_k = sum_l a_l H[(r_k - r_l) mod M]`` with ``H = fft_M(h)``
-        and ``h`` the total weight on each lattice point, so each call is a
-        scatter, ``fft_M``, a multiply by ``fft_M(H)``, ``ifft_M`` and a
-        gather.  The returned function writes into its own buffer and is not
-        reentrant.
+        ``W`` acts on the lattice as the total weight h on each point, so each
+        call scatters onto the residues, ``ifft_M``s, multiplies by ``M h``,
+        ``fft_M``s and gathers.  Building it runs no transform.  The returned
+        function writes into its own buffer and is not reentrant.
         """
-        kernel = np.fft.fft(self._spread(self._check_weights(weights)))
-        np.fft.fft(kernel, out=kernel)
-        buf = np.empty(len(kernel), dtype=np.complex128)
-        res = self._res
+        M, res = self.lattice.size, self._res
+        scaled = M * self._spread(self._check_weights(weights))
+        buf = np.empty(M, dtype=np.complex128)
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
             a = self._check_coeffs(coeffs)
             buf.fill(0)
             np.add.at(buf, res, a)  # colliding residues accumulate
-            np.fft.fft(buf, out=buf)
-            np.multiply(buf, kernel, out=buf)
             np.fft.ifft(buf, out=buf)
+            np.multiply(buf, scaled, out=buf)
+            np.fft.fft(buf, out=buf)
             return buf[res]
 
         return apply
 
-    def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``normal`` in the real basis, on Hermitian half spectra.
+    def _real_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each real coordinate sits in a Hermitian half spectrum.
 
-        Residue r sits at its centred value c in (-M/2, M/2].  For real
-        coordinates x the spread is then Hermitian mod M, and so is the lag
-        kernel, so only slots 0..M//2 are kept: pair p (and its mirror) lands
-        at slot |c_p|, k = 0 at slot 0.  One call scatters x into the real and
-        imaginary parts of the conjugated half spread, ``irfft``s it (the real
-        spectrum), multiplies by the kernel spectrum (real, divided by M),
-        ``rfft``s back and gathers.  A self-mirrored slot (0, or M/2 when M is
-        even) holds both members of a pair; ``irfft`` reads only its real
-        part, so the pair's entry counts twice there.  The kernel comes from
-        ``fft_M(h)`` through ``_lag_half``, as in ``real_normal_equations``.
-        Writes into its own buffers and is not reentrant.
+        Residue r sits at its centred value c in (-M/2, M/2]; a conjugate-
+        symmetric vector spread onto the residues is Hermitian mod M, so only
+        slots 0..M//2 are kept: pair p (and its mirror) lands at slot |c_p|,
+        k = 0 at slot 0.  Returns the index of each coordinate into the half
+        spectrum viewed as float64 ``[Re 0, Im 0, Re 1, Im 1, ...]`` and the
+        scale that turns the entry there into the coordinate: ``sqrt2 Re`` in
+        the cos block, ``-sqrt2 Im`` in the sin block (``_real_blocks``), or
+        ``+sqrt2 Im`` where c_p < 0 and the slot holds the conjugate partner.
         """
-        self._check_symmetric()
-        half = self._lag_half(np.fft.fft(self._spread(self._check_weights(weights))))
-        return self._real_apply(half)
-
-    def real_normal_equations(
-        self, weights: np.ndarray, values: np.ndarray
-    ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-        """``real_normal`` and ``real_adjoint(w * f)`` from one length-M FFT.
-
-        The point weights h and the point sums s of ``w * f`` are both real,
-        so ``Z = fft_M(h + i 2^e s)`` carries both spectra: ``H = (Z +
-        conj Z[-k]) / 2`` feeds the kernel and ``(Z - conj Z[-k]) / 2i`` at
-        the residues, times ``2^-e``, is ``L* W f``.  The power of two gives
-        both parts a comparable 2-norm, so neither drowns in the other's
-        rounding, and it scales exactly.  Values whose point sums all vanish
-        get an exactly zero right-hand side, as ``real_adjoint`` gives them.
-        Holds the complex length-M input, transformed in place, with one
-        real length-M vector beside it and then the kernel's half spectrum.
-        """
-        self._check_symmetric()
-        w = self._check_weights(weights)
-        wf = w * self._check_values(values, np.float64)
-        M, r = self.lattice.size, self._res
-        z = np.empty(M, dtype=np.complex128)
-        h = self._spread(w)
-        e_h = _norm_exponent(h)
-        z.real = h
-        del h
-        s = self._spread(wf)
-        nonzero = bool(s.any())
-        shift = e_h - _norm_exponent(s) if nonzero else 0
-        np.ldexp(s, shift, out=z.imag)
-        del s
-        np.fft.fft(z, out=z)
-        rhs = np.zeros(len(r))
-        if nonzero:
-            spec = z[r]
-            spec -= np.conjugate(z[-r])
-            spec *= -0.5j  # / 2i, exact
-            np.ldexp(spec.view(np.float64), -shift, out=spec.view(np.float64))
-            rhs = _to_real(spec).real
-        half = self._lag_half(z)
-        del z
-        return self._real_apply(half), rhs
-
-    def _lag_half(self, z: np.ndarray) -> np.ndarray:
-        """The conjugated lag kernel ``conj H[t] = (conj Z[t] + Z[-t]) / 2`` on
-        slots 0..M//2, for ``Z = fft_M(h + i s)`` with h the point weights and
-        s any real vector."""
-        M = len(z)
-        half = np.conjugate(z[: M // 2 + 1])
-        half[0] += z[0]
-        half[1:] += z[: (M - 1) // 2 : -1]  # Z[-t] for t = 1..M//2
-        half *= 0.5
-        return half
-
-    def _real_apply(self, half: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The Hermitian apply of ``real_normal`` for the conjugated lag
-        kernel ``half`` on slots 0..M//2, which becomes its work buffer."""
         M, r = self.lattice.size, self._res
         m = len(r)
         cos, _, sin = _real_blocks(m)
-        kspec = np.fft.irfft(half, M)  # fft_M of the lag kernel, over M
-        spec = np.empty(M)
-        flat = half.view(np.float64)  # [Re 0, Im 0, Re 1, Im 1, ...]
-
         centred = np.where(2 * r[cos] <= M, r[cos], r[cos] - M)
         slot = np.abs(centred)
-        sign = np.where(centred < 0, -1.0, 1.0)  # the mirror sits at +slot
-        twice = np.where((slot == 0) | (2 * slot == M), 2.0, 1.0)
         idx = np.zeros(m, dtype=np.int64)  # k = 0: Re of slot 0
         idx[cos], idx[sin] = 2 * slot, 2 * slot + 1
-        scale_in, scale_out = np.ones(m), np.ones(m)
-        scale_in[cos], scale_in[sin] = twice / _SQRT2, sign * twice / _SQRT2
-        scale_out[cos], scale_out[sin] = _SQRT2, sign * _SQRT2
+        scale = np.ones(m)
+        scale[cos] = _SQRT2
+        scale[sin] = np.where(centred < 0, _SQRT2, -_SQRT2)  # the mirror sits at +slot
+        return idx, scale
+
+    def real_adjoint(self, values: np.ndarray) -> np.ndarray:
+        """``T L* f`` from one ``rfft``: the point sums' half spectrum, gathered."""
+        self._check_symmetric()
+        f = self._check_values(values, np.float64)
+        idx, scale = self._real_slots()
+        flat = np.fft.rfft(self._spread(f)).view(np.float64)
+        return flat[idx] * scale
+
+    def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``normal`` in the real basis, on Hermitian half spectra.
+
+        For real coordinates x the spread onto the residues is Hermitian mod
+        M, and so is the result, so one call scatters x into the half spread
+        (``_real_slots``), ``irfft``s it to the values on the lattice,
+        multiplies by the point weights h, ``rfft``s back and gathers.  Holds
+        h (the weights themselves on a full lattice), a complex half spectrum
+        and a real work vector; building it runs no transform.  Writes into
+        its own buffers and is not reentrant.
+        """
+        self._check_symmetric()
+        h = self._spread(self._check_weights(weights))
+        M = self.lattice.size
+        idx, scale_out = self._real_slots()
+        # the scatter undoes the gather: s / 2 = 1 / s for s = +-sqrt2, but a
+        # self-mirrored slot (0, or M/2 when M is even) takes both members of
+        # a pair, and irfft reads only its real part (k = 0: s = 1 at slot 0)
+        slot = idx >> 1
+        scale_in = np.where((slot == 0) | (2 * slot == M), scale_out, scale_out / 2)
+        half = np.empty(M // 2 + 1, dtype=np.complex128)
+        flat = half.view(np.float64)
+        spec = np.empty(M)
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
             x = self._check_coeffs(coeffs, np.float64)
             flat.fill(0.0)
             np.add.at(flat, idx, x * scale_in)  # colliding residues accumulate
             np.fft.irfft(half, M, norm="forward", out=spec)
-            np.multiply(spec, kspec, out=spec)
-            np.fft.rfft(spec, out=half)  # the conjugated half of the result
+            np.multiply(spec, h, out=spec)
+            np.fft.rfft(spec, out=half)
             return flat[idx] * scale_out
 
         return apply

@@ -13,11 +13,12 @@ is computed only when read.
 On a symmetric index set (I = -I, every hyperbolic cross) with real samples
 the solution is conjugate-symmetric, ``a_{-k} = conj(a_k)``.  There the
 iterative path runs CG on real vectors of length |I| in the orthonormal
-basis ``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the normal
-operator and right-hand side from the operator's ``real_normal_equations``
-(one length-M FFT for both on a lattice), and maps the result back to
-complex coefficients once.  The basis is unitary, so the iterates,
-residual norms and iteration counts are those of complex CG up to rounding.
+basis ``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the
+right-hand side from the operator's ``real_adjoint`` (one real FFT on a
+lattice) and the normal operator from its ``real_normal``, and maps the
+result back to complex coefficients once.  The basis is unitary, so the
+iterates, residual norms and iteration counts are those of complex CG up to
+rounding.
 Complex samples, other index sets and the direct mode solve in complex
 arithmetic.  Capped CG is not linear in the data, so complex samples are
 not split into real and imaginary solves.
@@ -209,8 +210,8 @@ def least_squares(
 
     start = time.perf_counter()
     if real_basis:
-        x, iterations, normal_residual, converged = _solve_cg(
-            *op.real_normal_equations(w, f), cfg)
+        rhs = op.real_adjoint(w * f)  # first, so its buffers go before the operator's
+        x, iterations, normal_residual, converged = _solve_cg(op.real_normal(w), rhs, cfg)
         a = _from_real(x)
     elif cfg.mode == "direct_normal":
         rhs = op.adjoint(w * f)

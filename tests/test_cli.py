@@ -76,6 +76,19 @@ def test_exp1_run_and_exit_code(tmp_path, capsys):
     assert os.path.exists(out_dir / "error_vs_frequencies.csv")
 
 
+def test_memory_cap_below_every_round_skips_and_summarizes(tmp_path, capsys):
+    rc = main(["exp1", "--d", "2", "--gamma", "0.5", "--radii", "4,8", "--seed", "3",
+               "--reps", "2", "--strategies", "full,random_sub", "--mem-cap", "1",
+               "--out", str(tmp_path / "capped")])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    summary = [line for line in captured.out.splitlines() if line.startswith("skipped")]
+    assert summary == ["skipped 8 rows: lattice of size 29 exceeds the memory cap; "
+                       "lattice of size 59 exceeds the memory cap"]
+    report = json.loads((tmp_path / "capped" / "report.json").read_text())
+    assert len(report["rows"]) == 8 and all(row["skipped"] for row in report["rows"])
+
+
 def test_exp2_infeasible_b_exits_nonzero(tmp_path, capsys):
     rc = main(["exp2", "--d", "2", "--gamma", "0.5", "--radii", "4",
                "--b", "1.0001", "--seed", "0", "--reps", "1",

@@ -211,20 +211,20 @@ class TestRunExperiment1:
     def test_lattice_estimate_counts_the_round(self, tmp_path):
         # per lattice point the points and the kink's two M x d temporaries,
         # weights, density, real values, the full adjoint's complex copy and
-        # spectrum, and the solve's point weights, point sums of the weighted
-        # values and their packed complex vector, transformed in place, and
-        # the Hermitian apply's three buffers; per frequency the frequencies,
-        # residues, coefficients, the solve's vectors and the Hermitian
-        # apply's index and scales; per draw indices, reweights, masked
-        # values and their product; fixed bytes.  d = 2, R = 16 is a round
-        # small enough for the fixed bytes to dominate.
+        # spectrum, the solve's point sums of the weighted values and their
+        # half spectrum, and the Hermitian apply's point weights and two
+        # buffers; per frequency the frequencies, residues, coefficients, the
+        # solve's vectors and the Hermitian apply's index and scales; per
+        # draw indices, reweights, masked values and their product; fixed
+        # bytes.  d = 2, R = 16 is a round small enough for the fixed bytes
+        # to dominate.
         for d, radius in ((5, 8.0), (2, 16.0)):
             cfg = desk_config(tmp_path, dimension=d, radii=(radius,), repetitions=1,
                               strategies=("full", "random_sub"))
             full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
             M, m = full.num_points, full.num_frequencies
             n = math.ceil(m * math.log(m))
-            needed = (M * (24 * d + 112) + m * (8 * d + 160) + 32 * n
+            needed = (M * (24 * d + 96) + m * (8 * d + 160) + 32 * n
                       + latsub.experiments._FIXED_BYTES)
             rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
             assert not any(r.skipped for r in rows)

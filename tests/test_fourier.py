@@ -17,7 +17,7 @@ from latsub.fourier import (
 )
 from latsub.index_sets import IndexSet, hyperbolic_cross
 from latsub.lattice import Rank1Lattice, search_generator
-from latsub.solver import least_squares
+from latsub.solver import SolverConfig, least_squares
 
 
 def random_instance(rng, max_dim=3, max_m=40, reconstructing=False):
@@ -459,11 +459,12 @@ def base_normal_equations(op, w, f):
 
 
 class TestRealNormalEquations:
-    """The lattice's one-FFT kernel and right-hand side against the base default."""
+    """The lattice's real normal operator and its one-``rfft`` right-hand side
+    ``real_adjoint(w * f)`` against the base default."""
 
     @staticmethod
     def assert_close(op, w, f, x):
-        apply, rhs = op.real_normal_equations(w, f)
+        apply, rhs = op.real_normal(w), op.real_adjoint(w * f)
         want_apply, want_rhs = base_normal_equations(op, w, f)
         assert relative_error(apply(x), want_apply(x)) <= 1e-13
         assert relative_error(rhs, want_rhs) <= 1e-13
@@ -494,7 +495,7 @@ class TestRealNormalEquations:
 
     @pytest.mark.parametrize("M, z", [
         (61, [1, 11, 21]),
-        (12659, [1, 1277, 5903]),  # fft_M(h) is not exactly Hermitian here
+        (12659, [1, 1277, 5903]),  # prime
     ])
     @pytest.mark.parametrize("masked", [False, True])
     def test_zero_values_give_an_exactly_zero_rhs(self, M, z, masked):
@@ -504,7 +505,7 @@ class TestRealNormalEquations:
         if masked:
             op = op.masked(rng.integers(0, M, size=2 * M))
         w = rng.random(op.row_count)
-        apply, rhs = op.real_normal_equations(w, np.zeros(op.row_count))
+        apply, rhs = op.real_normal(w), op.real_adjoint(w * np.zeros(op.row_count))
         assert rhs.shape == (len(I),) and not rhs.any()
         x = rng.standard_normal(len(I))
         want = base_normal_equations(op, w, np.zeros(op.row_count))[0](x)
@@ -524,7 +525,7 @@ class TestRealNormalEquations:
 
     def test_residue_at_half_m(self):
         # M = 14 is even and not 5-smooth: a residue at the self-mirrored
-        # slot M/2, in the packed kernel and right-hand side
+        # slot M/2, in the normal operator and the right-hand side
         I = hyperbolic_cross(3, 0.5, 8.0)
         op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array([1, 3, 5]), size=14), I)
         assert np.any(2 * op._res == 14)
@@ -537,7 +538,7 @@ class TestRealNormalEquations:
     def test_on_random_symmetric_sets(self, instance):
         op, w, x = instance
         f = np.random.default_rng(len(w)).standard_normal(op.row_count)
-        apply, rhs = op.real_normal_equations(w, f)
+        apply, rhs = op.real_normal(w), op.real_adjoint(w * f)
         want_apply, want_rhs = base_normal_equations(op, w, f)
         scale = np.sum(w) * np.sum(np.abs(x))
         assert np.max(np.abs(apply(x) - want_apply(x)), initial=0.0) <= 1e-12 * scale
@@ -549,12 +550,65 @@ class TestRealNormalEquations:
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=7)
         for op in (LatticeOperator(lat, I), DenseOperator(lat.points(), I)):
             with pytest.raises(ValueError, match="symmetric"):
-                op.real_normal_equations(np.ones(7), np.ones(7))
+                op.real_adjoint(np.ones(7))
         op = LatticeOperator(lat, hyperbolic_cross(1, 1.0, 2.0))
         with pytest.raises(TypeError):
-            op.real_normal_equations(np.ones(7), np.ones(7, dtype=complex))
+            op.real_adjoint(np.ones(7, dtype=complex))
+        with pytest.raises(ValueError, match="value vector"):
+            op.real_adjoint(np.ones(6))
         with pytest.raises(ValueError, match="weights"):
-            op.real_normal_equations(np.ones(6), np.ones(7))
+            op.real_normal(np.ones(6))
+
+
+class TestTransformCounts:
+    """The lattice normal operator is forward, point weights, adjoint: no
+    transform to build it, two per apply, one ``rfft`` per real right-hand side."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @staticmethod
+    def operators():
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array([1, 7, 49]), size=375), I)
+        rows = np.random.default_rng(375).integers(0, 375, size=750)
+        return op, op.masked(rows)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_building_the_normal_operators_runs_no_transform(self, transforms, masked):
+        op = self.operators()[masked]
+        rng = np.random.default_rng(1)
+        w, m = rng.random(op.row_count), len(op.index_set)
+        normal, real_normal = op.normal(w), op.real_normal(w)
+        assert transforms == []
+        normal(crandn(rng, m))
+        assert transforms == ["ifft", "fft"]
+        transforms.clear()
+        real_normal(rng.standard_normal(m))
+        assert transforms == ["irfft", "rfft"]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_real_adjoint_runs_one_rfft(self, transforms, masked):
+        op = self.operators()[masked]
+        op.real_adjoint(np.random.default_rng(2).standard_normal(op.row_count))
+        assert transforms == ["rfft"]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_real_lattice_solve_runs_one_plus_two_per_iteration(self, transforms, masked, k):
+        op = self.operators()[masked]
+        rng = np.random.default_rng(3)
+        w, f = rng.random(op.row_count), rng.standard_normal(op.row_count)
+        _, diag = least_squares(op, w, f, SolverConfig(max_iterations=k, residual_tolerance=0.0))
+        assert diag.iterations == k
+        assert transforms == ["rfft"] + ["irfft", "rfft"] * k
 
 
 @pytest.mark.slow

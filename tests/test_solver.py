@@ -327,7 +327,7 @@ class PathSpy:
 
     def __init__(self, op):
         self.calls = []
-        for name in ("normal", "real_normal_equations"):
+        for name in ("normal", "real_normal"):
             build = getattr(op, name)
             setattr(op, name, self._counted(name, build))
 
@@ -344,7 +344,7 @@ def test_complex_samples_and_asymmetric_sets_take_the_complex_path(kind):
     op, w, f = kink_system(kind)
     spy = PathSpy(op)
     least_squares(op, w, f)
-    assert spy.calls == ["real_normal_equations"]
+    assert spy.calls == ["real_normal"]
     spy.calls.clear()
     least_squares(op, w, f + 1e-3j * rng.standard_normal(len(f)))
     assert spy.calls == ["normal"]

@@ -355,6 +355,40 @@ class TestWeightedSparsification:
         assert len(chosen) <= math.ceil(16 * m)
         assert lam[0] >= 0.5
 
+    @staticmethod
+    def rank_deficient_rows(m, n, seed):
+        """n random complex rows in C^m whose last coordinate is 0."""
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((n, m), dtype=complex)
+        rows[:, :-1] = rng.standard_normal((n, m - 1)) + 1j * rng.standard_normal((n, m - 1))
+        return rows
+
+    @pytest.mark.parametrize("m, b", [(3, 2.0), (4, 2.0), (5, 3.0)])
+    def test_rank_deficient_rows_complete_by_halving_the_lower_step(self, m, b):
+        # the missing direction keeps a 0 eigenvalue, and the lower barrier
+        # starts at -m sqrt(b) and must stay below it: with unit steps it
+        # would reach 0 by step ceil(m sqrt(b)) < ceil(b m), so completing
+        # all ceil(b m) steps needs the halved lower increments
+        q = math.ceil(b * m)
+        assert math.ceil(m * math.sqrt(b)) < q
+        rows = self.rank_deficient_rows(m, 10 * m, seed=m)
+        chosen, t = bss_select_weighted(rows, b)
+        assert 0 < len(chosen) <= q
+        assert np.all(t[chosen] > 0) and np.count_nonzero(t) == len(chosen)
+        gram = (rows[chosen].conj().T * t[chosen]) @ rows[chosen]
+        lam = np.linalg.eigvalsh(gram)
+        assert abs(lam[0]) <= 1e-12 * lam[-1] and lam[1] > 0
+
+    @pytest.mark.parametrize("m, b, step", [(2, 16.0, 10), (3, 8.0, 14)])
+    def test_rank_deficient_rows_stall_the_greedy(self, m, b, step):
+        # many steps per dimension: the lower barrier comes within the
+        # smallest halved increment (2^-11) of the 0 eigenvalue first
+        rows = self.rank_deficient_rows(m, 20 * m, seed=0)
+        q = math.ceil(b * m)
+        with pytest.raises(SpectralCertificateError,
+                           match=f"barrier greedy stalled at step {step} of {q}"):
+            bss_select_weighted(rows, b)
+
     def test_pipeline_certificate_small(self):
         # greedy path: guarantee-level stage-1 size, then two-sided certificate
         I, sel = stage1_selection(1, 1.0, 3.5, seed=11)  # |I| = 7
