@@ -204,10 +204,9 @@ def _dense_row_bytes(n: int, d: int, m: int) -> int:
     The real n x |I| matrix (8nm).  Per point: the points (8d); the build's
     two real d x n tone tables, or later the kink's two n x d temporaries
     (16d); the values and the weights (16); the build's row temporary, or
-    later the two n-vectors of a normal apply (16).  The weighted residual
-    is not computed.  Per frequency: the build's key tuples and lookup
-    table, the CG vectors and the coefficients (8d + 160).  And the fixed
-    bytes.
+    later the two n-vectors of a normal apply (16).  Per frequency: the
+    build's key tuples and lookup table, the CG vectors and the coefficients
+    (8d + 160).  And the fixed bytes.
     """
     return 8 * n * m + n * (24 * d + 32) + m * (8 * d + 160) + _FIXED_BYTES
 

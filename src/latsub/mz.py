@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Largest |I| for which a dense |I| x |I| Gram matrix is formed: by the
-#: certificates here and by the solver's direct mode.
+#: certificates here, which the sparsifiers and ``mz-audit`` compute.
 DENSE_EIG_CAP = 4096
 
 _GRAM_BLOCK = 512

@@ -1,41 +1,33 @@
 """Weighted least-squares reconstruction over any system operator.
 
-Solves ``min_a || W^(1/2) (L a - f) ||_2`` through the normal equations
-``(L* W L) a = L* W f``.  Two paths: a direct dense factorization for small
-coefficient spaces, and matrix-free conjugate gradients on the normal
-operator for everything else.  The iterative path deliberately supports a
-hard iteration cap: on a certified-stable system a handful of iterations
-already reaches the noise floor, so capped non-convergence is reported in
-the diagnostics rather than raised as an error.  The diagnostics' weighted
-residual costs one more forward apply (a length-M FFT on a lattice), so it
-is computed only when read.
+Solves ``min_a || W^(1/2) (L a - f) ||_2`` by matrix-free conjugate
+gradients on the normal equations ``(L* W L) a = L* W f``.  The solver
+deliberately supports a hard iteration cap: on a certified-stable system a
+handful of iterations already reaches the noise floor, so capped
+non-convergence is reported in the diagnostics rather than raised as an
+error.
 
 On a symmetric index set (I = -I, every hyperbolic cross) with real samples
-the solution is conjugate-symmetric, ``a_{-k} = conj(a_k)``.  There the
-iterative path runs CG on real vectors of length |I| in the orthonormal
-basis ``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the
-right-hand side from the operator's ``real_adjoint`` (one real FFT on a
-lattice) and the normal operator from its ``real_normal``, and maps the
-result back to complex coefficients once.  The basis is unitary, so the
-iterates, residual norms and iteration counts are those of complex CG up to
-rounding.
-Complex samples, other index sets and the direct mode solve in complex
-arithmetic.  Capped CG is not linear in the data, so complex samples are
-not split into real and imaginary solves.
+the solution is conjugate-symmetric, ``a_{-k} = conj(a_k)``.  There CG runs
+on real vectors of length |I| in the orthonormal basis
+``[sqrt2 cos, 1, sqrt2 sin]`` (``fourier._to_real``), with the right-hand
+side from the operator's ``real_adjoint`` (one real FFT on a lattice) and
+the normal operator from its ``real_normal``, and maps the result back to
+complex coefficients once.  The basis is unitary, so the iterates, residual
+norms and iteration counts are those of complex CG up to rounding.
+Complex samples and other index sets solve in complex arithmetic.  Capped
+CG is not linear in the data, so complex samples are not split into real
+and imaginary solves.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import mz
 from .fourier import DenseOperator, LatticeOperator, SystemOperator, _from_real
 from .index_sets import IndexSet
 from .lattice import SamplePlan
@@ -45,7 +37,7 @@ __all__ = ["SolverConfig", "SolveDiagnostics", "least_squares", "reconstruct"]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerance, and solve mode.
+    """Iteration budget and stopping tolerance.
 
     The defaults mirror the intended production use: iterate the normal
     equations at most 10 times with an effectively unreachable residual
@@ -54,90 +46,31 @@ class SolverConfig:
 
     max_iterations: int = 10
     residual_tolerance: float = 1e-12
-    mode: str = "iterative_normal"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.residual_tolerance < 0:
             raise ValueError("residual_tolerance must be nonnegative")
-        if self.mode not in ("direct_normal", "iterative_normal"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
 class SolveDiagnostics:
     """Solve metadata; serializes to JSON for reports.
 
-    ``weighted_residual`` costs one more forward apply, which the solve itself
-    does not need, so it is computed the first time it is read and kept.
-    Until then the diagnostics hold the operator, the weights and samples
-    passed to the solve (by reference: do not change them before that read)
-    and a copy of the coefficients; the read releases all four.  It is not
-    a constructor field, and ``dataclasses.asdict`` leaves it out; use
-    ``to_json()`` for a record.
+    ``normal_residual`` is the norm of CG's recursive residual, which is
+    ``|| L* W (f - L a) ||`` in exact arithmetic; the solve applies neither
+    ``L`` nor ``L*`` to compute it.
     """
 
     operator_kind: str
-    mode: str
     iterations: int
     normal_residual: float
     converged: bool
     wall_time_s: float
-    _residual: Callable[[], float] | None = field(repr=False, compare=False)
-
-    @cached_property
-    def weighted_residual(self) -> float:
-        """``|| W^(1/2) (L a - f) ||`` of the returned coefficients."""
-        value = self._residual()
-        self._residual = None
-        return value
 
     def to_json(self) -> str:
-        return json.dumps({
-            "operator_kind": self.operator_kind,
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "normal_residual": self.normal_residual,
-            "weighted_residual": self.weighted_residual,
-            "converged": self.converged,
-            "wall_time_s": self.wall_time_s,
-        }, indent=2)
-
-
-def _weighted_residual(op, weights, coeffs, samples) -> float:
-    r = op.forward(coeffs) - samples
-    return float(np.sqrt(np.sum(weights * np.abs(r) ** 2)))
-
-
-def _solve_direct(op, weights, samples, rhs):
-    import scipy.linalg  # about 0.3 s to import; only this mode needs it
-
-    if len(op.index_set) > mz.DENSE_EIG_CAP:
-        raise ValueError(
-            f"|I| = {len(op.index_set)} exceeds DENSE_EIG_CAP = "
-            f"{mz.DENSE_EIG_CAP}; use iterative mode"
-        )
-    if op.row_count * len(op.index_set) > (1 << 26):
-        raise ValueError("system too large to materialize for direct mode")
-    L = op.dense_matrix()
-    G = L.conj().T @ (weights[:, None] * L)
-    G = 0.5 * (G + G.conj().T)
-    try:
-        cho = scipy.linalg.cho_factor(G)
-        a = scipy.linalg.cho_solve(cho, rhs)
-        return a, True
-    except np.linalg.LinAlgError:
-        pass
-    warnings.warn(
-        "normal matrix is not positive definite; falling back to a "
-        "least-norm solve",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    sw = np.sqrt(weights)
-    a, *_ = np.linalg.lstsq(sw[:, None] * L, sw * samples, rcond=None)
-    return a, False
+        return json.dumps(asdict(self), indent=2)
 
 
 def _solve_cg(normal, rhs, cfg):
@@ -183,14 +116,11 @@ def least_squares(
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Minimize ``|| W^(1/2) (L a - f) ||`` and return (coefficients, diagnostics).
 
-    Direct mode factorizes the dense normal matrix (positive definiteness is
-    verified; failure downgrades to a least-norm solve with a warning and
-    ``converged=False``).
-    Iterative mode runs conjugate gradients on the normal operator from a
-    zero start, stopping at ``residual_tolerance`` (relative, on the normal
-    residual) or ``max_iterations``, whichever comes first; hitting the cap
-    is flagged in the diagnostics, not raised.  On a symmetric index set
-    with real samples (every imaginary part 0) it runs in the real basis.
+    Runs conjugate gradients on the normal operator from a zero start,
+    stopping at ``residual_tolerance`` (relative, on the normal residual) or
+    ``max_iterations``, whichever comes first; hitting the cap is flagged in
+    the diagnostics, not raised.  On a symmetric index set with real samples
+    (every imaginary part 0) it runs in the real basis.
     """
     cfg = cfg or SolverConfig()
     w = np.asarray(weights, dtype=np.float64)
@@ -202,7 +132,7 @@ def least_squares(
     if f.shape != (op.row_count,):
         raise ValueError(f"expected {op.row_count} samples, got {f.shape}")
     real = not np.iscomplexobj(f) or not np.any(f.imag)
-    real_basis = cfg.mode == "iterative_normal" and real and op.index_set.symmetric
+    real_basis = real and op.index_set.symmetric
     if real_basis:
         f = f.real.astype(np.float64, copy=False)
     else:
@@ -213,11 +143,6 @@ def least_squares(
         rhs = op.real_adjoint(w * f)  # first, so its buffers go before the operator's
         x, iterations, normal_residual, converged = _solve_cg(op.real_normal(w), rhs, cfg)
         a = _from_real(x)
-    elif cfg.mode == "direct_normal":
-        rhs = op.adjoint(w * f)
-        a, converged = _solve_direct(op, w, f, rhs)
-        iterations = 0
-        normal_residual = float(np.linalg.norm(op.normal(w)(a) - rhs))
     else:
         a, iterations, normal_residual, converged = _solve_cg(
             op.normal(w), op.adjoint(w * f), cfg)
@@ -225,12 +150,10 @@ def least_squares(
 
     diag = SolveDiagnostics(
         operator_kind=op.kind,
-        mode=cfg.mode,
         iterations=iterations,
         normal_residual=normal_residual,
         converged=bool(converged),
         wall_time_s=elapsed,
-        _residual=partial(_weighted_residual, op, w, a.copy(), f),
     )
     return a, diag
 

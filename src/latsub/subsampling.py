@@ -10,10 +10,12 @@ the plan's normalized quadrature weights, ``rho_i = w_i / sum_j w_j``.
 Stage 2 reduces further to linear oversampling ``<= ceil(b * |I|)`` with the
 deterministic barrier-potential greedy of spectral (frame) sparsification:
 a weighted variant that certifies two-sided bounds, and a plain (unweighted)
-variant that certifies the lower bound only.  Both stages are certified a
-posteriori by dense eigensolves of the subsampled |I| x |I| Gram matrix
-(bounded by ``mz.DENSE_EIG_CAP``); a run that cannot meet its certificate
-raises instead of returning a bad selection.
+variant that certifies the lower bound only.  Both stage-2 variants are
+certified a posteriori by dense eigensolves of the subsampled |I| x |I| Gram
+matrix (bounded by ``mz.DENSE_EIG_CAP``); a run that cannot meet its
+certificate raises instead of returning a bad selection.  Stage 1 has no
+certificate of its own: ``bss_subsample`` checks the draw's MZ window before
+sparsifying, and ``plain_bss_subsample`` certifies only its output.
 
 The plain greedy's only per-row step is the product of all rows with the
 resolvent's two new vectors.  On a lattice-backed stage-1 draw over a
@@ -361,10 +363,13 @@ def bss_select_weighted(
     (and the lower shrunk) adaptively when no row qualifies, which extends
     the scheme to non-tight input frames; the caller certifies the final
     spectrum, so any internal schedule that completes is admissible.
+    Requires b > 1, where the upper barrier's step is positive.
 
     Returns (row positions, weights) over the full input (zeros where
     unselected rows); the number of positive weights is at most ceil(b*m).
     """
+    if b <= 1.0:
+        raise ValueError(f"b must exceed 1, got {b}")
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
     N, m = rows.shape
     q = int(math.ceil(b * m))
@@ -397,8 +402,9 @@ def bss_select_weighted(
             for grow in range(14):  # relax upper increment
                 d_upper = d_upper0 * (2.0**grow)
                 up, lp = upper + d_upper, lower + d_lower
-                if lp >= mu[0]:
-                    break
+                # the feasibility rule keeps the lower potential at or below
+                # its start 1/sqrt(b), so mu[0] - lower >= sqrt(b) > 1 >= d_lower
+                assert lp < mu[0], "lower barrier reached the spectrum"
                 du1 = 1.0 / (up - mu)
                 dl1 = 1.0 / (mu - lp)
                 d_phi_u = np.sum(1.0 / (upper - mu)) - np.sum(du1)

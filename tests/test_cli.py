@@ -147,17 +147,25 @@ _CROSS = ["--d", "2", "--gamma", "1.0", "--radius", "2.0"]
     ["lattice-search", "--index-set", "{empty}"],
     ["exp1", "--config", "{missing}"],
     ["exp1", "--config", "{unknown_field}"],
+    ["exp1", "--config", "{not_object}"],
     ["lattice-search", *_CROSS, "--out", "{missing}/lat.txt"],
+    ["lattice-search", "--d", "2", "--gamma", "1.0"],
 ], ids=["audit-empty", "audit-missing", "search-missing", "search-empty",
-        "exp1-missing", "exp1-unknown-field", "search-out-unwritable"])
+        "exp1-missing", "exp1-unknown-field", "exp1-not-object", "search-out-unwritable",
+        "search-no-radius"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {name: tmp_path / f"{name}.txt"
-             for name in ("empty", "missing", "unknown_field")}
+             for name in ("empty", "missing", "unknown_field", "not_object")}
     paths["empty"].write_text("")
     paths["unknown_field"].write_text(json.dumps({"dimension": 2, "oversampling": 3}))
+    paths["not_object"].write_text("[2, 0.5]")
     rc = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     if "{unknown_field}" in argv:
         assert "unknown fields: ['oversampling']" in err[0]
+    if "{not_object}" in argv:
+        assert "must hold a JSON object" in err[0]
+    if argv == ["lattice-search", "--d", "2", "--gamma", "1.0"]:
+        assert "provide --index-set or all of --d/--gamma/--radius" in err[0]

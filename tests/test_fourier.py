@@ -69,6 +69,14 @@ class TestForward:
         op = LatticeOperator(lat, I)
         with pytest.raises(ValueError):
             op.forward(np.zeros(len(I) + 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            LatticeOperator(Rank1Lattice(dimension=3, generator=[1, 5, 7], size=31), I)
+        with pytest.raises(ValueError, match="1-d index list"):
+            LatticeOperator(lat, I, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            op.masked(np.array([0, 31]))
+        with pytest.raises(ValueError, match="points must have 2 columns, got 3"):
+            DenseOperator(np.zeros((4, 3)), I)
 
 
 class TestAdjoint:

@@ -107,6 +107,12 @@ class TestIndexSetType:
         with pytest.raises(ValueError, match="duplicate"):
             IndexSet(dimension=2, frequencies=[[0, 1], [0, 1]])
 
+    def test_dimension_and_shape_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            IndexSet(dimension=0, frequencies=np.zeros((1, 0)))
+        with pytest.raises(ValueError, match=r"frequencies must have shape \(n, 2\)"):
+            IndexSet(dimension=2, frequencies=[[0, 1, 2]])
+
     def test_deterministic_lexicographic_order(self):
         I = IndexSet(dimension=2, frequencies=[[1, 0], [-1, 2], [0, 0], [-1, -2]])
         assert [tuple(r) for r in I.frequencies] == [
@@ -139,6 +145,10 @@ class TestIndexSetType:
     def test_text_without_header_rejected(self, text):
         with pytest.raises(ValueError, match="'d=<d> count=<n>'"):
             IndexSet.from_text(text)
+
+    def test_text_with_missing_rows_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 frequency rows, found 2"):
+            IndexSet.from_text("d=2 count=3\n0 0\n0 1\n")
 
 
 class TestWeightsAndEigenvalues:

@@ -143,6 +143,15 @@ class TestIsReconstructing:
         want = [(int(k0) * z[0] + int(k1) * z[1]) % M for k0, k1 in K]
         assert [int(v) for v in residues(lat, K)] == want
 
+    def test_validation(self):
+        lat = Rank1Lattice(dimension=2, generator=np.array([1, 3]), size=7)
+        with pytest.raises(ValueError, match=r"frequencies must have shape \(n, 2\)"):
+            residues(lat, np.zeros((4, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="index set must be nonempty"):
+            is_reconstructing(lat, IndexSet(dimension=2, frequencies=np.zeros((0, 2))))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_reconstructing(lat, interval_set(-1, 1))
+
     def test_size_beyond_int64_range_refused(self):
         Rank1Lattice(dimension=1, generator=[1], size=_INT64_SAFE_M)
         with pytest.raises(ValueError, match="exceeds the exact int64 range"):
@@ -155,6 +164,10 @@ class TestSearchGenerator:
         lat = search_generator(I, rng_seed=0)
         assert lat.size == 1
         assert np.array_equal(lat.generator, [0, 0, 0])
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="index set must be nonempty"):
+            search_generator(IndexSet(dimension=2, frequencies=np.zeros((0, 2))), rng_seed=0)
 
     def test_interval_needs_at_least_card_points(self):
         I = interval_set(-2, 2)
@@ -337,8 +350,18 @@ class TestSamplePlanSerialization:
         with pytest.raises(ValueError):
             Rank1Lattice.from_line(line)
 
+    def test_lattice_validation(self):
+        with pytest.raises(ValueError, match="lattice size must be >= 1, got 0"):
+            Rank1Lattice(dimension=1, generator=[1], size=0)
+        with pytest.raises(ValueError, match=r"generator must have shape \(3,\), got \(2,\)"):
+            Rank1Lattice(dimension=3, generator=[1, 2], size=5)
+
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             SamplePlan(points=[[0.0]], weights=[-1.0])
+        with pytest.raises(ValueError, match="finite"):
+            SamplePlan(points=[[np.nan]], weights=[1.0])
+        with pytest.raises(ValueError, match="finite"):
+            SamplePlan(points=[[0.0]], weights=[np.inf])
         with pytest.raises(ValueError):
             SamplePlan(points=[[0.0], [0.5]], weights=[1.0])

@@ -93,6 +93,15 @@ class TestMzConstants:
         with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 4096"):
             mz_constants(lattice_points(lat), I)
 
+    def test_input_validation(self):
+        I = hyperbolic_cross(2, 1.0, 2.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mz_constants(SamplePlan(points=[[0.0, 0.0, 0.0]], weights=[1.0]), I)
+        lat = Rank1Lattice(dimension=2, generator=np.array([1, 5]), size=31)
+        short = SamplePlan(points=lat.points()[:30], weights=np.full(30, 1 / 30), lattice=lat)
+        with pytest.raises(ValueError, match="full-lattice plan weight count != M"):
+            gram_matrix(short, I)
+
 
 def symmetric_set(odd):
     """A hyperbolic cross (odd |I|, k = 0 in the middle), or that cross without 0."""
@@ -175,6 +184,8 @@ class TestQuadratureExactness:
         I = hyperbolic_cross(3, 1.0, 3.0)
         lat = search_generator(I, rng_seed=4)
         assert quadrature_exactness(lattice_points(lat), I) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            quadrature_exactness(lattice_points(lat), I, tol=0.0)
 
     def test_colliding_pair_returns_none(self):
         # z = 1, M = 2 on {-1, 0, 1}: frequencies -1 and 1 share a residue,

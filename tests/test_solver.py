@@ -1,21 +1,20 @@
-"""Weighted least-squares solves: direct, iterative, and the wrapper."""
+"""Weighted least-squares solves: CG on the normal operator, and the wrapper."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-import latsub.mz
 from latsub.fourier import DenseOperator, LatticeOperator, SystemOperator
 from latsub.index_sets import IndexSet, hyperbolic_cross
-from latsub.lattice import Rank1Lattice, SamplePlan, search_generator
+from latsub.lattice import SamplePlan, search_generator
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.solver import (
     SolverConfig,
     _solve_cg,
-    _weighted_residual,
     least_squares,
+    operator_for,
     reconstruct,
 )
 from latsub.subsampling import density_weights, plain_bss_subsample, random_subsample
@@ -95,11 +94,12 @@ class TestLeastSquares:
         assert bounds.ratio <= 10
         op = LatticeOperator(lat, I).masked(sel.indices)
         f = crandn(rng, len(sel))  # arbitrary data, not in the range
-        direct, _ = least_squares(op, sel.reweights, f,
-                                  SolverConfig(mode="direct_normal"))
-        iterative, _ = least_squares(
+        sw = np.sqrt(sel.reweights)
+        direct, *_ = np.linalg.lstsq(sw[:, None] * op.dense_matrix(), sw * f, rcond=None)
+        iterative, diag = least_squares(
             op, sel.reweights, f,
             SolverConfig(max_iterations=500, residual_tolerance=1e-15))
+        assert diag.converged
         assert np.max(np.abs(direct - iterative)) < 1e-7 * np.max(np.abs(direct))
 
     def test_weighted_residual_optimality(self):
@@ -109,27 +109,16 @@ class TestLeastSquares:
         w = rng.random(3 * len(I)) + 0.1
         op = LatticeOperator(lat, I).masked(rows)
         f = crandn(rng, len(rows))
-        a, diag = least_squares(op, w, f, SolverConfig(mode="direct_normal"))
+        a, diag = least_squares(
+            op, w, f, SolverConfig(max_iterations=500, residual_tolerance=1e-15))
+        assert diag.converged
         base = np.sqrt(np.sum(w * np.abs(op.forward(a) - f) ** 2))
-        assert diag.weighted_residual == pytest.approx(base, rel=1e-12)
         for _ in range(100):
             delta = crandn(rng, len(I))
             delta *= 1e-3 / np.linalg.norm(delta)
             perturbed = np.sqrt(
                 np.sum(w * np.abs(op.forward(a + delta) - f) ** 2))
             assert perturbed >= base * (1 - 1e-12)
-
-    def test_singular_normal_matrix_downgrades_with_warning(self):
-        I = hyperbolic_cross(1, 1.0, 4.0)  # 9 frequencies
-        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=16)
-        op = LatticeOperator(lat, I).masked(np.arange(4))  # 4 rows < 9
-        f = np.ones(4, dtype=complex)
-        with pytest.warns(RuntimeWarning, match="least-norm"):
-            a, diag = least_squares(op, np.full(4, 0.25), f,
-                                    SolverConfig(mode="direct_normal"))
-        assert not diag.converged
-        # least-norm solution still fits the data
-        assert np.max(np.abs(op.forward(a) - f)) < 1e-10
 
     def test_iteration_cap_flagged_not_raised(self):
         rng = np.random.default_rng(5)
@@ -170,10 +159,14 @@ class TestLeastSquares:
             least_squares(op, plan.weights[:-1], np.zeros(lat.size))
         with pytest.raises(ValueError):
             least_squares(op, -plan.weights, np.zeros(lat.size))
+        with pytest.raises(ValueError, match=f"expected {lat.size} samples"):
+            least_squares(op, plan.weights, np.zeros(lat.size + 1))
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(mode="direct")
+        with pytest.raises(ValueError, match="residual_tolerance must be nonnegative"):
+            SolverConfig(residual_tolerance=-1e-12)
+        with pytest.raises(TypeError, match="cannot build an operator for ndarray"):
+            operator_for(plan.points, I)
 
     def test_diagnostics_json(self):
         I, lat, plan = tight_setup(1, 1.0, 2.0, seed=10)
@@ -182,29 +175,6 @@ class TestLeastSquares:
         data = json.loads(diag.to_json())
         assert data["operator_kind"] == "lattice_fft"
         assert data["converged"] is True
-
-    def test_direct_mode_refuses_more_than_dense_eig_cap_frequencies(self, monkeypatch):
-        I, lat, plan = tight_setup(1, 1.0, 4.0, seed=1)  # 9 frequencies
-        op = LatticeOperator(lat, I)
-        monkeypatch.setattr(latsub.mz, "DENSE_EIG_CAP", len(I) - 1)
-        with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 8; use iterative"):
-            least_squares(op, plan.weights, np.ones(lat.size),
-                          SolverConfig(mode="direct_normal"))
-        monkeypatch.setattr(latsub.mz, "DENSE_EIG_CAP", len(I))
-        least_squares(op, plan.weights, np.ones(lat.size),
-                      SolverConfig(mode="direct_normal"))
-
-    def test_direct_mode_refuses_more_than_2_26_matrix_entries(self):
-        # 4000 frequencies (under the |I| cap) times 16778 rows > 2^26 entries;
-        # the refusal comes before any dense matrix is formed
-        I = IndexSet(dimension=1, frequencies=np.arange(-2000, 2000)[:, None])
-        lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=4001)
-        rows = np.arange(16778) % lat.size
-        assert len(rows) * len(I) > 2**26 >= (len(rows) - 1) * len(I)
-        op = LatticeOperator(lat, I).masked(rows)
-        with pytest.raises(ValueError, match="too large to materialize"):
-            least_squares(op, np.ones(len(rows)), np.ones(len(rows)),
-                          SolverConfig(mode="direct_normal"))
 
 
 def count_normal_builds(monkeypatch):
@@ -219,24 +189,22 @@ def count_normal_builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode", ["iterative_normal", "direct_normal"])
-def test_normal_operator_built_once_per_solve(monkeypatch, mode):
+def test_normal_operator_built_once_per_solve(monkeypatch):
     rng = np.random.default_rng(12)
     I, lat, plan = tight_setup(2, 1.0, 6.0, seed=3)
     rows = rng.integers(0, lat.size, size=3 * len(I))
     op = LatticeOperator(lat, I).masked(rows)
     calls = count_normal_builds(monkeypatch)
     _, diag = least_squares(op, rng.random(len(rows)), crandn(rng, len(rows)),
-                            SolverConfig(max_iterations=10, mode=mode))
+                            SolverConfig(max_iterations=10))
     assert calls == [len(rows)]
-    assert diag.iterations == (10 if mode == "iterative_normal" else 0)
+    assert diag.iterations == 10
 
 
 def complex_solve(op, w, f, cfg):
     """The oracle: complex CG on the same data, with its diagnostics."""
     f = np.asarray(f, dtype=complex)
-    a, iterations, normal_residual, converged = _solve_cg(op.normal(w), op.adjoint(w * f), cfg)
-    return a, iterations, normal_residual, converged, _weighted_residual(op, w, a, f)
+    return _solve_cg(op.normal(w), op.adjoint(w * f), cfg)
 
 
 def kink_system(kind, d=3, R=8.0, seed=1):
@@ -265,7 +233,7 @@ class TestRealBasisSolve:
         assert op.index_set.symmetric and f.dtype == np.float64
         cfg = SolverConfig(max_iterations=cap)
         a, diag = least_squares(op, w, f, cfg)
-        want, iterations, normal_residual, converged, weighted = complex_solve(op, w, f, cfg)
+        want, iterations, normal_residual, converged = complex_solve(op, w, f, cfg)
         assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
         assert np.array_equal(a[::-1], a.conj())  # conjugate-symmetric, exactly
         assert diag.iterations == iterations
@@ -275,7 +243,6 @@ class TestRealBasisSolve:
             assert diag.normal_residual <= cfg.residual_tolerance * rhs_norm
         else:
             assert abs(diag.normal_residual - normal_residual) <= 1e-12 * normal_residual
-        assert abs(diag.weighted_residual - weighted) <= 1e-12 * weighted
 
     def test_complex_dtype_with_zero_imaginary_parts_is_real(self):
         op, w, f = kink_system("masked")
@@ -284,8 +251,8 @@ class TestRealBasisSolve:
         assert np.array_equal(a, b)
 
 
-class TestResidualOnDemand:
-    """The weighted residual is computed when read, not by the solve."""
+class TestDiagnostics:
+    """The diagnostics are what CG computes anyway: no extra operator apply."""
 
     def test_solve_applies_neither_forward_nor_adjoint(self, monkeypatch):
         op, w, f = kink_system("masked")
@@ -295,31 +262,16 @@ class TestResidualOnDemand:
             monkeypatch.setattr(LatticeOperator, name,
                                 lambda self, v, name=name, method=method:
                                 calls.append(name) or method(self, v))
-        a, diag = least_squares(op, w, f)
+        least_squares(op, w, f)
         assert calls == []
-        assert diag.weighted_residual == _weighted_residual(op, w, a, f)  # bit for bit
-        assert calls == ["forward", "forward"]
-        diag.weighted_residual
-        assert calls == ["forward", "forward"]  # kept once read
 
     def test_json_keys_and_dataclass_fields(self):
         op, w, f = kink_system("masked")
         _, diag = least_squares(op, w, f)
         data = json.loads(diag.to_json())
-        assert list(data) == ["operator_kind", "mode", "iterations", "normal_residual",
-                              "weighted_residual", "converged", "wall_time_s"]
-        assert data["weighted_residual"] == diag.weighted_residual
-        assert "partial" not in repr(diag) and "weighted_residual" not in repr(diag)
-        assert replace(diag, _residual=lambda: 0.0) == diag
-
-    @pytest.mark.parametrize("kind", ["masked", "dense"])
-    def test_residual_is_of_the_returned_coefficients(self, kind):
-        op, w, f = kink_system(kind)
-        a, diag = least_squares(op, w, f)
-        want = _weighted_residual(op, w, a.copy(), f)
-        a[:] = 0.0  # the caller owns the result
-        assert diag.weighted_residual == want
-        assert diag._residual is None  # operator, weights and samples released
+        assert list(data) == ["operator_kind", "iterations", "normal_residual",
+                              "converged", "wall_time_s"]
+        assert [field.name for field in fields(diag)] == list(data)
 
 
 class PathSpy:
@@ -348,9 +300,6 @@ def test_complex_samples_and_asymmetric_sets_take_the_complex_path(kind):
     spy.calls.clear()
     least_squares(op, w, f + 1e-3j * rng.standard_normal(len(f)))
     assert spy.calls == ["normal"]
-    spy.calls.clear()
-    least_squares(op, w, f, SolverConfig(mode="direct_normal"))
-    assert spy.calls == ["normal"]  # the normal residual of the direct solve
 
     I = op.index_set
     asymmetric = IndexSet(dimension=I.dimension, frequencies=I.frequencies[1:])
@@ -402,12 +351,13 @@ class TestReconstructWrapper:
         I = hyperbolic_cross(2, 1.0, 2.0)
         pts = rng.random((5 * len(I), 2))
         plan = SamplePlan(points=pts, weights=np.full(len(pts), 1 / len(pts)))
-        f = DenseOperator(pts, I).forward(crandn(rng, len(I)))
+        op = DenseOperator(pts, I)
+        f = op.forward(crandn(rng, len(I)))
         a, diag = reconstruct(plan, I, f,
                               SolverConfig(max_iterations=200,
                                            residual_tolerance=1e-14))
         assert diag.operator_kind == "dense"
-        assert diag.weighted_residual < 1e-10
+        assert np.sqrt(np.sum(plan.weights * np.abs(op.forward(a) - f) ** 2)) < 1e-10
 
     def test_bss_selection_source(self):
         rng = np.random.default_rng(10)

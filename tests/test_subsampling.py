@@ -117,6 +117,8 @@ class TestDensityWeights:
             DensityWeights(rho=np.array([0.5, 0.4]))
         with pytest.raises(ValueError, match="nonnegative"):
             DensityWeights(rho=np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            DensityWeights(rho=np.full((2, 2), 0.25))
 
 
 class TestSubsampleSize:
@@ -135,6 +137,8 @@ class TestSubsampleSize:
             random_subsample_size(1.0, 1.0, 1.5, 10, 1.0)
         with pytest.raises(ValueError):
             random_subsample_size(1.0, 1.0, 0.5, 10, 0.0)
+        with pytest.raises(ValueError, match="card_I must be >= 1"):
+            random_subsample_size(1.0, 1.0, 0.5, 0, 1.0)
 
 
 def inverse_cdf_loop(p, n, seed):
@@ -299,6 +303,17 @@ class TestRandomSubsample:
         with pytest.raises(ValueError, match="n must be >= 1"):
             random_subsample(plan, density_weights(plan), n=0, seed=0)
 
+    def test_selection_validation(self):
+        plan = SamplePlan(points=[[0.0], [0.5]], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="aligned 1-d arrays"):
+            SubsampleSelection(parent=plan, indices=[0, 1], reweights=[1.0], stage="random")
+        with pytest.raises(ValueError, match="out of range"):
+            SubsampleSelection(parent=plan, indices=[0, 2], reweights=[1.0, 1.0],
+                               stage="random")
+        with pytest.raises(ValueError, match="reweights must be nonnegative"):
+            SubsampleSelection(parent=plan, indices=[0, 1], reweights=[1.0, -1.0],
+                               stage="random")
+
     def test_rejects_density_of_another_plan(self):
         plan = SamplePlan(points=[[0.0], [0.5]], weights=[0.5, 0.5])
         rho = DensityWeights(rho=np.full(3, 1 / 3))
@@ -378,6 +393,12 @@ class TestWeightedSparsification:
         gram = (rows[chosen].conj().T * t[chosen]) @ rows[chosen]
         lam = np.linalg.eigvalsh(gram)
         assert abs(lam[0]) <= 1e-12 * lam[-1] and lam[1] > 0
+
+    @pytest.mark.parametrize("b", [1.0, 0.5])
+    def test_b_must_exceed_1(self, b):
+        # at b <= 1 the upper barrier's step (sqrt b - 1) / (b + sqrt b) is not positive
+        with pytest.raises(ValueError, match=f"b must exceed 1, got {b}"):
+            bss_select_weighted(np.eye(2, dtype=complex), b)
 
     @pytest.mark.parametrize("m, b, step", [(2, 16.0, 10), (3, 8.0, 14)])
     def test_rank_deficient_rows_stall_the_greedy(self, m, b, step):
@@ -493,6 +514,24 @@ class TestPlainSparsification:
         I, sel = stage1_selection(1, 1.0, 2.0, seed=18, n_factor=4)
         with pytest.raises(ValueError, match="1 \\+ 1/"):
             plain_bss_subsample(sel, I, b=1.0 + 0.5 / len(I))
+        with pytest.raises(ValueError, match="1 \\+ 1/"):
+            bss_select_plain(np.eye(4, dtype=complex), b=1.2)
+
+    def test_all_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="input rows carry no mass"):
+            bss_select_plain(np.zeros((30, 2), dtype=complex), b=2.0)
+        with pytest.raises(ValueError, match="input rows span nothing"):
+            bss_select_weighted(np.zeros((30, 2), dtype=complex), b=2.0)
+
+    def test_requires_stage1_selection_with_draw_count_and_bounds(self):
+        I, sel = stage1_selection(1, 1.0, 2.0, seed=18, n_factor=4)
+        with pytest.raises(ValueError, match="expects a stage-1 selection"):
+            plain_bss_subsample(replace(sel, stage="plain_bss"), I, b=2.0)
+        with pytest.raises(ValueError, match="must record its draw count"):
+            plain_bss_subsample(replace(sel, draw_count=None), I, b=2.0)
+        bare = replace(sel.parent, bounds=None)
+        with pytest.raises(ValueError, match="no spectral bounds supplied"):
+            plain_bss_subsample(replace(sel, parent=bare), I, b=2.0)
 
     def test_zero_rows_never_selected(self):
         rng = np.random.default_rng(19)
