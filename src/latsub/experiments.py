@@ -180,22 +180,26 @@ _FIXED_BYTES = 32 << 10
 def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     """Bytes of a ``full`` plus ``random_sub`` round on a lattice of size M.
 
-    An upper bound that counts every large array as alive at once.  Per
-    lattice point: the points (8d) and the kink's two M x d temporaries
-    (16d); the weights, the density and the kink's real values (24); the
-    full adjoint's complex copy of the values and its spectrum (32); the
-    solve's right-hand side, the point sums of the weighted values and
-    their half spectrum (16); then its Hermitian apply's total weight per
-    point, complex half spectrum and real work vector (24).  Per frequency
-    of the |I| = m: the frequencies (8d); the residues and the reference
-    and full coefficients (32); the solve's real right-hand side and its
-    gather temporary, the slots of the apply's scatter and the complex
-    result (40); the five real CG vectors (40); the Hermitian apply's slot
-    index, its two scale vectors and their build temporaries (48).  Per
-    draw: the indices, the reweights, the masked values and their weighted
-    product (32).  And the fixed bytes.
+    What the round holds throughout, plus the largest of its phases, which
+    never hold memory at the same time.  Held: per lattice point the points
+    (8d), the weights, the density and the kink's real values (24); per
+    frequency of the |I| = m the frequencies (8d), the residues and the
+    reference and full coefficients (32); and the fixed bytes.  Phases: the
+    full adjoint's complex copy of the values and its spectrum (32 per point)
+    and its gather (16 per frequency); or one solve, which holds the draw's
+    indices, reweights, masked values and their weighted product (32 per
+    draw), the right-hand side's point sums and half spectrum (16 per point)
+    and then, after them, the Hermitian apply's total weight per point,
+    complex half spectrum and real work vector (24 per point), and per
+    frequency the right-hand side and its gather temporary, the slots of the
+    apply's scatter and the complex result (40), the five real CG vectors
+    (40), and the apply's slot index, its two scale vectors and their build
+    temporaries (48).  The kink's two temporaries (16 per point) come before
+    both and are fewer than the adjoint's.
     """
-    return M * (24 * d + 96) + m * (8 * d + 160) + 32 * _draw_count(m) + _FIXED_BYTES
+    adjoint = 32 * M + 16 * m
+    solve = 24 * M + 32 * _draw_count(m) + 128 * m
+    return M * (8 * d + 24) + m * (8 * d + 32) + max(adjoint, solve) + _FIXED_BYTES
 
 
 def _dense_row_bytes(n: int, d: int, m: int) -> int:

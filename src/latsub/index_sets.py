@@ -151,9 +151,15 @@ def hyperbolic_cross(
 ) -> IndexSet:
     """Enumerate the hyperbolic cross ``{k : prod_j max(1, |k_j|/gamma) <= R}``.
 
-    Uses a recursive coordinate-wise descent with a running product budget, so
-    the full bounding box is never materialized.  Every returned frequency
-    satisfies ``|k_j| <= gamma * R`` componentwise.
+    Builds the cross one coordinate at a time: the members' prefixes of
+    length j + 1 extend those of length j, each prefix with partial product p
+    by the range ``|k_j| <= gamma * R / p`` trimmed at its ends by the exact
+    test of :func:`hyperbolic_cross_product`.  Taking the prefixes in order
+    with ascending ``k_j`` gives lex order.  Every level has at most as many
+    prefixes as the cross has frequencies, and its size is checked against
+    ``size_cap`` before it is allocated, so the build holds O(d * size_cap)
+    integers and never the bounding box.  Every returned frequency satisfies
+    ``|k_j| <= gamma * R`` componentwise.
 
     Parameters
     ----------
@@ -164,7 +170,8 @@ def hyperbolic_cross(
     R:
         Radius, > 1.  Membership is non-strict: a product equal to R is inside.
     size_cap:
-        Resource guard; enumeration aborts once the set would exceed this size.
+        Resource guard; raises ``ValueError`` exactly when the set would
+        exceed this size.
 
     Returns
     -------
@@ -180,29 +187,41 @@ def hyperbolic_cross(
     if not np.isfinite(R) or R <= 1:
         raise ValueError(f"R must be a finite real > 1, got {R}")
 
-    out: list[np.ndarray] = []
-    k = np.zeros(d, dtype=np.int64)
+    def too_large() -> ValueError:
+        return ValueError(
+            f"hyperbolic cross (d={d}, gamma={gamma}, R={R}) exceeds "
+            f"the size cap of {size_cap} frequencies"
+        )
 
-    def descend(j: int, partial: float) -> None:
-        if j == d:
-            out.append(k.copy())
-            if len(out) > size_cap:
-                raise ValueError(
-                    f"hyperbolic cross (d={d}, gamma={gamma}, R={R}) exceeds "
-                    f"the size cap of {size_cap} frequencies"
-                )
-            return
+    # The members' distinct prefixes of length j, in lex order, and their
+    # partial products.
+    freqs = np.zeros((1, 0), dtype=np.int64)
+    partial = np.ones(1)
+    for _ in range(d):
+        budget = R / partial
+        # Every |k| up to this lower bound passes the exact test; if they
+        # alone exceed the cap, so does the cross.  Past this check kmax fits
+        # in int64 and exceeds the bound by at most 3 + 2e-12 * size_cap, so
+        # the trimming loop below is short.
+        if np.sum(2.0 * np.floor(gamma * budget * (1.0 - 1e-12)) + 1.0) > size_cap:
+            raise too_large()
         # Range bound with a whisker of slack; the exact product test decides.
-        kmax = int(np.floor(gamma * (R / partial) * (1.0 + 1e-12)))
-        for kj in range(-kmax, kmax + 1):
-            nxt = partial * max(1.0, abs(kj) / gamma)
-            if nxt <= R:
-                k[j] = kj
-                descend(j + 1, nxt)
-        k[j] = 0
-
-    descend(0, 1.0)
-    freqs = np.array(out, dtype=np.int64).reshape(len(out), d)
+        # The product is monotone in |k| (correctly rounded operations are),
+        # so each prefix's members are |k| <= kmax once the ends pass.
+        kmax = np.floor(gamma * budget * (1.0 + 1e-12)).astype(np.int64)
+        while True:
+            fails = partial * np.maximum(1.0, kmax / gamma) > R
+            if not fails.any():
+                break
+            kmax -= fails
+        counts = 2 * kmax + 1
+        if counts.sum() > size_cap:
+            raise too_large()
+        parents = np.repeat(np.arange(len(counts)), counts)
+        # prefix i's run -kmax_i .. kmax_i ends at position cumsum_i - 1
+        col = np.arange(len(parents)) - np.repeat(np.cumsum(counts) - kmax - 1, counts)
+        partial = partial[parents] * np.maximum(1.0, np.abs(col) / gamma)
+        freqs = np.column_stack([freqs[parents], col])
     return IndexSet(dimension=d, frequencies=freqs)
 
 

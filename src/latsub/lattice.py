@@ -224,7 +224,7 @@ def is_reconstructing(lat: Rank1Lattice, index_set: IndexSet) -> bool:
 def _distinct(r: np.ndarray) -> bool:
     """Whether the entries of ``r`` are pairwise distinct (one sort)."""
     s = np.sort(r)
-    return bool(np.all(s[1:] != s[:-1]))
+    return bool((s[1:] != s[:-1]).all())
 
 
 def _prefix_structure(K: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -328,7 +328,13 @@ def search_generator(
     if m == 1:
         return Rank1Lattice(dimension=d, generator=np.zeros(d, dtype=np.int64), size=1)
 
-    structure = _prefix_structure(index_set.frequencies)
+    # A stage's last coordinates take few distinct values (at most
+    # 2 gamma R + 1 on a hyperbolic cross), so a candidate's term is computed
+    # once per value and gathered per prefix.
+    structure = [
+        (parents, *np.unique(lastcol, return_inverse=True))
+        for parents, lastcol in _prefix_structure(index_set.frequencies)
+    ]
     if m_schedule is None:
         m_schedule = _default_schedule(2 * m)
 
@@ -347,11 +353,12 @@ def search_generator(
             )
             z = np.zeros(d, dtype=np.int64)
             r = np.zeros(1, dtype=np.int64)
-            for j, (parents, lastcol) in enumerate(structure):
-                kred = lastcol % M
+            for j, (parents, values, which) in enumerate(structure):
+                r_parents = r[parents]
+                vred = values % M
                 for _ in range(_CANDIDATES_PER_COMPONENT):
                     cand = int(rng.integers(1, M))
-                    r_new = (r[parents] + kred * cand % M) % M
+                    r_new = (r_parents + (vred * cand % M)[which]) % M
                     if _distinct(r_new):
                         z[j], r = cand, r_new
                         break

@@ -209,22 +209,23 @@ class TestRunExperiment1:
             assert 0 < peaks[-1] <= needed
 
     def test_lattice_estimate_counts_the_round(self, tmp_path):
-        # per lattice point the points and the kink's two M x d temporaries,
-        # weights, density, real values, the full adjoint's complex copy and
-        # spectrum, the solve's point sums of the weighted values and their
-        # half spectrum, and the Hermitian apply's point weights and two
-        # buffers; per frequency the frequencies, residues, coefficients, the
-        # solve's vectors and the Hermitian apply's index and scales; per
-        # draw indices, reweights, masked values and their product; fixed
-        # bytes.  d = 2, R = 16 is a round small enough for the fixed bytes
-        # to dominate.
-        for d, radius in ((5, 8.0), (2, 16.0)):
+        # held: per lattice point the points, weights, density and real
+        # values; per frequency the frequencies, residues and reference and
+        # full coefficients; fixed bytes.  Plus the larger phase: the full
+        # adjoint's complex copy and spectrum and its gather, or one solve
+        # (per draw indices, reweights, masked values and their product; per
+        # point the Hermitian apply's weights and two buffers; per frequency
+        # the solve's vectors and the apply's index and scales).  d = 2,
+        # R = 16 is a round small enough for the fixed bytes to dominate;
+        # d = 5, R = 16 is one the summed phases overestimated twofold.
+        for d, radius in ((5, 8.0), (2, 16.0), (5, 16.0)):
             cfg = desk_config(tmp_path, dimension=d, radii=(radius,), repetitions=1,
                               strategies=("full", "random_sub"))
             full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
             M, m = full.num_points, full.num_frequencies
             n = math.ceil(m * math.log(m))
-            needed = (M * (24 * d + 96) + m * (8 * d + 160) + 32 * n
+            needed = (M * (8 * d + 24) + m * (8 * d + 32)
+                      + max(32 * M + 16 * m, 24 * M + 32 * n + 128 * m)
                       + latsub.experiments._FIXED_BYTES)
             rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
             assert not any(r.skipped for r in rows)
@@ -436,6 +437,11 @@ class TestReports:
         report.rows.append(row(strategy, **broken))
         tag = f"[{strategy} R=4.0 rep=0]"
         assert check_report(report) == [f"{tag} {problem}"]
+
+    def test_matched_point_ratios_need_baseline_rows(self, tmp_path):
+        report = ExperimentReport(kind="exp1", config=desk_config(tmp_path), rows=[])
+        with pytest.raises(ValueError, match="no rows for baseline strategy 'full'"):
+            error_at_matched_points(report)
 
     def test_matched_point_ratios(self, tmp_path):
         # structural checks; the 1.05 median threshold is a d = 5 acceptance

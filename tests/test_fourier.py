@@ -623,11 +623,14 @@ class TestTransformCounts:
 class TestRuntimeScaling:
     def test_forward_cost_independent_of_index_size(self):
         # doubling M at fixed |I| must not blow past ~2.4x (O(M log M) path);
-        # the two sizes alternate trial by trial so machine drift hits both
+        # the two sizes alternate trial by trial so machine drift hits both.
+        # A forward holds three complex M-vectors, 0.75 and 1.5 MiB here:
+        # both fit in a 2 MiB L2 cache, so the ratio times the FFT and not
+        # the larger size spilling out of L2
         I = hyperbolic_cross(2, 1.0, 8.0)
         a = np.ones(len(I), dtype=complex)
         ops = []
-        for M in (1 << 18, 1 << 19):
+        for M in (1 << 14, 1 << 15):
             lat = Rank1Lattice(
                 dimension=2, generator=np.array([1, 104729]), size=M)
             ops.append(LatticeOperator(lat, I))

@@ -1,6 +1,7 @@
 """Index set construction, weights, eigenvalues, and serialization."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ def brute_force_cross(d, gamma, R):
     return sorted(members)
 
 
+def recursive_cross(d, gamma, R):
+    """Oracle: a recursive coordinate-wise descent, one call per tree node,
+    with the same range bound and exact test as the enumerator."""
+    out = []
+    k = np.zeros(d, dtype=np.int64)
+
+    def descend(j, partial):
+        if j == d:
+            out.append(k.copy())
+            return
+        kmax = int(np.floor(gamma * (R / partial) * (1.0 + 1e-12)))
+        for kj in range(-kmax, kmax + 1):
+            nxt = partial * max(1.0, abs(kj) / gamma)
+            if nxt <= R:
+                k[j] = kj
+                descend(j + 1, nxt)
+        k[j] = 0
+
+    descend(0, 1.0)
+    return np.array(out, dtype=np.int64).reshape(len(out), d)
+
+
 class TestHyperbolicCross:
     def test_tiny_radius_keeps_only_zero(self):
         # any |k_j| >= 1 contributes a factor 2|k_j| >= 2 > 1.9
@@ -51,7 +74,11 @@ class TestHyperbolicCross:
         assert (2, 1) in [tuple(r) for r in I.frequencies]
 
     @pytest.mark.parametrize("d,gamma,R", [(1, 1.0, 7.0), (2, 0.5, 6.0),
-                                           (2, 2.0, 3.5), (3, 1.0, 4.0)])
+                                           (2, 2.0, 3.5), (3, 1.0, 4.0),
+                                           # the range bound's slack takes in
+                                           # a |k| the exact test rejects
+                                           (1, 1.0, 3.0 * (1 - 1e-13)),
+                                           (3, 0.5, 6.0 * (1 - 1e-13))])
     def test_matches_brute_force(self, d, gamma, R):
         oracle = brute_force_cross(d, gamma, R)
         I = hyperbolic_cross(d, gamma, R)
@@ -89,6 +116,41 @@ class TestHyperbolicCross:
         with pytest.raises(ValueError, match="size cap"):
             hyperbolic_cross(2, gamma=1.0, R=200.0, size_cap=100)
         assert DEFAULT_SIZE_CAP > 10**6
+
+    def test_size_cap_is_exact(self):
+        assert len(hyperbolic_cross(3, 1.0, 4.0, size_cap=225)) == 225
+        with pytest.raises(ValueError, match="exceeds the size cap of 224"):
+            hyperbolic_cross(3, 1.0, 4.0, size_cap=224)
+
+    def test_size_cap_raises_before_allocating(self):
+        # the first level alone would hold 2e9 frequencies; the cap must
+        # be checked before it is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="size cap of 100"):
+                hyperbolic_cross(2, 1.0, 1e9, size_cap=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d,R", [(10, 8.0), (10, 14.0), (5, 8.0), (5, 10.0),
+                                     (5, 12.0), (5, 16.0), (5, 22.0)])
+    def test_matches_recursive_descent_on_benchmark_crosses(self, d, R):
+        got = hyperbolic_cross(d, 0.5, R).frequencies
+        want = recursive_cross(d, 0.5, R)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        gamma=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+        R=st.floats(1.0, 40.0, exclude_min=True),
+    )
+    def test_matches_recursive_descent(self, d, gamma, R):
+        got = hyperbolic_cross(d, gamma, R).frequencies
+        want = recursive_cross(d, gamma, R)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -429,6 +429,38 @@ class TestWeightedSparsification:
             out.reweights, out.bss_weights * sel.reweights[
                 np.searchsorted(np.arange(len(sel)), _positions(sel, out))])
 
+    @pytest.mark.parametrize("spectrum, match", [
+        ((0.0, 1.0), "lost full rank"),
+        ((0.5, 1e6), "upper constant 1e\\+06 exceeds the certified cap"),
+    ])
+    def test_missed_certificate_raises(self, monkeypatch, spectrum, match):
+        # the stage-1 window and the greedy see the real eigensolve; the
+        # certificate's eigensolve, after the greedy, reports the extremes
+        I, sel = stage1_selection(1, 1.0, 3.5, seed=11)
+        eigvalsh, greedy = np.linalg.eigvalsh, bss_select_weighted
+        selected = []
+
+        def select(rows, b):
+            selected.append(greedy(rows, b))
+            return selected[-1]
+
+        monkeypatch.setattr(latsub.subsampling, "bss_select_weighted", select)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: np.array(spectrum) if selected else eigvalsh(a))
+        with pytest.raises(SpectralCertificateError, match=match):
+            bss_subsample(sel, I, b=16.0)
+
+    def test_oversized_selection_raises(self, monkeypatch):
+        # no spectrum fails the lower bound once it is rescaled to A/2, so
+        # the size bound is reached by a greedy that keeps all n > ceil(b |I|)
+        # stage-1 rows with unit scalars, whose spectrum passes
+        I, sel = stage1_selection(1, 1.0, 3.5, seed=11)
+        assert len(sel) > math.ceil(16.0 * len(I))
+        monkeypatch.setattr(latsub.subsampling, "bss_select_weighted",
+                            lambda rows, b: (np.arange(len(rows)), np.ones(len(rows))))
+        with pytest.raises(SpectralCertificateError, match="bound violated"):
+            bss_subsample(sel, I, b=16.0)
+
     def test_infeasible_b_rejected(self):
         I, sel = stage1_selection(1, 1.0, 2.0, seed=12)
         kap = kappa(1.0, 1.0)
