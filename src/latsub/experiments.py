@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,6 +73,27 @@ __all__ = [
 ]
 
 
+def _check_field(name: str, value, annotation: str) -> None:
+    """Reject a config value whose type does not match its field annotation.
+
+    An int is a real too, and a bool is neither; a ``tuple[X, ...]`` field
+    takes a list or tuple of X values.
+    """
+    item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+    kind = {"int": numbers.Integral, "float": numbers.Real, "str": str}[item]
+
+    def accepted(v) -> bool:
+        return not isinstance(v, bool) and isinstance(v, kind)
+
+    if item == annotation:
+        ok, expected = accepted(value), item
+    else:
+        ok = isinstance(value, (list, tuple)) and all(map(accepted, value))
+        expected = f"a list of {item}"
+    if not ok:
+        raise ValueError(f"config field {name} expects {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dimension: int = 5
@@ -90,6 +112,8 @@ class ExperimentConfig:
     solver_iterations: int = 10
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name), f.type)
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if self.repetitions < 1:

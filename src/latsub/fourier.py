@@ -19,38 +19,37 @@ x^i>``, the orthonormal real trigonometric basis.  ``real_adjoint`` and
 ``real_normal`` act on such real coordinates; the solver uses them for real
 samples on symmetric sets.
 
-On a lattice the weights ``W`` act as the total weight h on each of the M
-points (a masked view may draw a point several times), so the normal
-operator ``L* W L`` is the full lattice's forward, a multiply by h and the
-full lattice's adjoint: two length-M FFTs per apply and none to build it.
-Every lattice transform runs at M itself (numpy's FFT takes any length,
-primes included).  The real ``real_normal`` places each residue at its
-centred value c in (-M/2, M/2]; the spread of a conjugate-symmetric vector
-is then Hermitian mod M, so an apply is one ``irfft``, a multiply by h and
-one ``rfft``, on half spectra: real transforms, about half the work of the
-complex path's.  Both hold about 3M real numbers (h, a real work vector and
-a complex half spectrum; ``M h`` and a complex length-M buffer).  The real
-right-hand side ``real_adjoint(w * f)`` is one ``rfft`` of the point sums of
-``w * f``, gathered from the same slots.
+The complex normal operator ``L* W L`` is ``adjoint(w * forward(a))`` on
+every operator.  Every lattice transform runs at M itself (numpy's FFT
+takes any length, primes included).  On a lattice the weights ``W`` act as
+the total weight h on each of the M points (a masked view may draw a point
+several times), so the real ``real_normal`` is the full lattice's forward, a
+multiply by h and the full lattice's adjoint, and building it runs no
+transform.  It places each residue at its centred value c in (-M/2, M/2];
+the spread of a conjugate-symmetric vector is then Hermitian mod M, so an
+apply is one ``irfft``, a multiply by h and one ``rfft``, on half spectra.
+It holds about 3M real numbers (h, a real work vector and a complex half
+spectrum).  The real right-hand side ``real_adjoint(w * f)`` is one
+``rfft`` of the point sums of ``w * f``, gathered from the same slots.
 
-Arbitrary point sets use an explicit matrix, stored as one contiguous row
-per frequency.  On a symmetric set it is the real ``(L T^H)^T``, |I| x N
-float64, half the bytes of the complex matrix: its normal apply is two real
-matrix-vector products, and complex ``forward``/``adjoint`` go through ``T``
-with real products.  Rows are built by recursion on the frequencies: a
-frequency's parent is the frequency with its last nonzero coordinate ``j``
-moved one step towards 0, and when the parent is in the set the row is the
-parent's row times the tone ``exp(+-2*pi*i*x_j)``, filled level by level in
-``|k|_1``; in the real basis a (cos, sin) row pair is its parent's pair
-rotated by the tone, four real multiplies per point.  Only the tone tables
-and the rows of frequencies whose parent is missing go through ``exp``, or
-``cos`` and ``sin``.  On other sets the matrix is complex and the adjoint is
+Arbitrary point sets use an explicit matrix.  On a symmetric set it is the
+real ``(L T^H)^T``, |I| x N float64, one contiguous row per frequency and
+half the bytes of the complex matrix: its normal apply is two real
+matrix-vector products, and complex ``forward``/``adjoint`` go through
+``T`` with real products.  Its rows are built by recursion on the
+frequencies: a frequency's parent is the frequency with its last nonzero
+coordinate ``j`` moved one step towards 0, and when the parent is in the
+set its (cos, sin) row pair is the parent's pair rotated by the tone
+``exp(+-2*pi*i*x_j)``, four real multiplies per point, filled level by level
+in ``|k|_1``.  Only the tone tables and the rows of frequencies whose parent
+is missing go through ``cos`` and ``sin``.  On other sets the matrix is the
+complex ``L`` of ``_characters``, one ``exp`` per entry, and the adjoint is
 ``conj(conj(f) @ L)``, which makes no copy of it.
 
 Operators are immutable and reentrant; residues are computed once per
 (lattice, index set) pair at construction and shared by masked views.  The
-functions returned by ``normal`` and ``real_normal`` write into their own
-buffers, so one of them serves one caller at a time.
+function a lattice ``real_normal`` returns writes into its own buffers, so
+it serves one caller at a time.
 """
 
 from __future__ import annotations
@@ -67,32 +66,13 @@ __all__ = ["SystemOperator", "LatticeOperator", "DenseOperator"]
 
 
 def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The rows ``exp(2*pi*i*<k, x^i>)`` over the points, one per frequency.
+    """The system matrix ``L[i, k] = exp(2*pi*i*<k, x^i>)``, points by freqs.
 
-    Returns ``L^T`` as a C-contiguous (len(freqs), len(points)) array.  Rows
-    whose parent (last nonzero coordinate moved one step towards 0) is in
-    ``freqs`` are the parent's row times one tone, written in place; the rest
-    get ``np.exp``.
+    The one complex character builder, one ``exp`` per entry: the dense
+    operator on an asymmetric set, the stage-1 rows of the sparsifiers and
+    the Gram matrix of a point set without a lattice all take it.
     """
-    out = np.empty((len(freqs), points.shape[0]), dtype=np.complex128)
-    up = np.exp(2j * np.pi * np.ascontiguousarray(points.T))
-    tones = (up, up.conj())
-    keys = [tuple(k) for k in freqs.tolist()]
-    row_of = {k: i for i, k in enumerate(keys)}
-    # level by level in |k|_1, so every parent row is filled before its children
-    for i in np.argsort(np.abs(freqs).sum(axis=1), kind="stable").tolist():
-        k = keys[i]
-        nonzero = [j for j, c in enumerate(k) if c]
-        p = None
-        if nonzero:
-            j = nonzero[-1]
-            negative = k[j] < 0
-            p = row_of.get(k[:j] + (k[j] + 1 if negative else k[j] - 1,) + k[j + 1:])
-        if p is None:
-            out[i] = np.exp(2j * np.pi * (points @ freqs[i]))
-        else:
-            np.multiply(out[p], tones[negative][j], out=out[i])
-    return out
+    return np.exp(2j * np.pi * (points @ freqs.T))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -349,29 +329,6 @@ class LatticeOperator(SystemOperator):
             return v
         return np.bincount(self.rows, v, minlength=self.lattice.size)
 
-    def normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``a -> L* W L a`` as forward, point weights, adjoint.
-
-        ``W`` acts on the lattice as the total weight h on each point, so each
-        call scatters onto the residues, ``ifft_M``s, multiplies by ``M h``,
-        ``fft_M``s and gathers.  Building it runs no transform.  The returned
-        function writes into its own buffer and is not reentrant.
-        """
-        M, res = self.lattice.size, self._res
-        scaled = M * self._spread(self._check_weights(weights))
-        buf = np.empty(M, dtype=np.complex128)
-
-        def apply(coeffs: np.ndarray) -> np.ndarray:
-            a = self._check_coeffs(coeffs)
-            buf.fill(0)
-            np.add.at(buf, res, a)  # colliding residues accumulate
-            np.fft.ifft(buf, out=buf)
-            np.multiply(buf, scaled, out=buf)
-            np.fft.fft(buf, out=buf)
-            return buf[res]
-
-        return apply
-
     def _real_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Where each real coordinate sits in a Hermitian half spectrum.
 
@@ -448,7 +405,9 @@ class DenseOperator(SystemOperator):
 
     On a symmetric index set the matrix is stored real, as ``(L T^H)^T``
     (|I| x N float64), and complex products go through the real basis;
-    otherwise it is the complex ``L^T``.
+    otherwise it is the complex ``L^T``, a view of ``_characters``: one
+    ``exp`` per entry, with complex temporaries of the same size.  No
+    pipeline run builds that one, as every hyperbolic cross is symmetric.
     """
 
     kind = "dense"
@@ -466,9 +425,9 @@ class DenseOperator(SystemOperator):
         self.points = pts
         self.index_set = index_set
         self._real = index_set.symmetric
+        freqs = index_set.frequencies
         # (L T^H)^T when real, else L^T
-        build = _real_characters if self._real else _characters
-        self._rows = build(pts, index_set.frequencies)
+        self._rows = _real_characters(pts, freqs) if self._real else _characters(pts, freqs).T
 
     @property
     def row_count(self) -> int:

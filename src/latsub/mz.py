@@ -12,13 +12,13 @@ certifies that weighted least squares reconstructs the space exactly; A = B
 is equivalent to exact quadrature on all products of basis functions.
 
 The constants come from dense eigensolves of the |I| x |I| Gram matrix,
-which is not formed above ``DENSE_EIG_CAP``.  On a lattice plan the Gram
-entries are weighted character sums ``char[t] = sum_i w_i exp(2 pi i t j_i /
-M)`` at residue differences, from one length-M FFT.  Over a symmetric set
-(I = -I) ``mz_constants`` assembles the Gram in the real basis of
-``fourier._to_real`` straight from those sums, a real symmetric matrix with
-the same eigenvalues, and runs a real eigensolve; every other input, and
-``gram_matrix`` itself, stays complex.
+which is not formed above ``DENSE_CAP_BYTES`` of complex entries.  On a
+lattice plan the Gram entries are weighted character sums ``char[t] =
+sum_i w_i exp(2 pi i t j_i / M)`` at residue differences, from one length-M
+FFT.  Over a symmetric set (I = -I) ``mz_constants`` assembles the Gram in
+the real basis of ``fourier._to_real`` straight from those sums, a real
+symmetric matrix with the same eigenvalues, and runs a real eigensolve;
+every other input, and ``gram_matrix`` itself, stays complex.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import _real_blocks
+from .fourier import _characters, _real_blocks
 from .index_sets import IndexSet
 from .lattice import SamplePlan, residues
 
@@ -40,9 +40,11 @@ __all__ = [
     "mz_report",
 ]
 
-#: Largest |I| for which a dense |I| x |I| Gram matrix is formed: by the
-#: certificates here, which the sparsifiers and ``mz-audit`` compute.
-DENSE_EIG_CAP = 4096
+#: Largest dense complex matrix formed, in bytes (256 MiB): the |I| x |I|
+#: Gram matrix of the certificates here, which the sparsifiers and
+#: ``mz-audit`` compute (|I| <= 4096), and the N x |I| stage-1 rows of the
+#: dense sparsifier paths (N |I| <= 2^24).
+DENSE_CAP_BYTES = 1 << 28
 
 _GRAM_BLOCK = 512
 
@@ -66,10 +68,10 @@ class SpectralBounds:
 
 def _check_sizes(plan: SamplePlan, index_set: IndexSet) -> None:
     n = len(index_set)
-    if n > DENSE_EIG_CAP:
+    if 16 * n * n > DENSE_CAP_BYTES:
         raise ValueError(
-            f"|I| = {n} exceeds DENSE_EIG_CAP = {DENSE_EIG_CAP}: dense Gram "
-            "matrices are not formed above it"
+            f"|I| = {n} needs a dense Gram matrix of {16 * n * n} bytes, above "
+            f"DENSE_CAP_BYTES = {DENSE_CAP_BYTES}: it is not formed"
         )
     if plan.dimension != index_set.dimension:
         raise ValueError("dimension mismatch between plan and index set")
@@ -111,7 +113,7 @@ def gram_matrix(plan: SamplePlan, index_set: IndexSet) -> np.ndarray:
         step = max(1, (1 << 22) // max(n, 1))
         for lo in range(0, len(pts), step):
             hi = min(lo + step, len(pts))
-            L = np.exp(2j * np.pi * (pts[lo:hi] @ index_set.frequencies.T))
+            L = _characters(pts[lo:hi], index_set.frequencies)
             G += L.conj().T @ (w[lo:hi, None] * L)
     return 0.5 * (G + G.conj().T)
 

@@ -12,10 +12,13 @@ deterministic barrier-potential greedy of spectral (frame) sparsification:
 a weighted variant that certifies two-sided bounds, and a plain (unweighted)
 variant that certifies the lower bound only.  Both stage-2 variants are
 certified a posteriori by dense eigensolves of the subsampled |I| x |I| Gram
-matrix (bounded by ``mz.DENSE_EIG_CAP``); a run that cannot meet its
-certificate raises instead of returning a bad selection.  Stage 1 has no
-certificate of its own: ``bss_subsample`` checks the draw's MZ window before
-sparsifying, and ``plain_bss_subsample`` certifies only its output.
+matrix, and ``mz.DENSE_CAP_BYTES`` bounds them: the plain variant's through
+``mz.mz_constants``, the weighted variant's through its N x |I| stage-1 rows,
+which hold at least |I|^2 entries whenever N >= |I|.  A run that cannot
+meet its certificate raises instead of returning a bad selection.  Stage 1
+has no certificate of its own: ``bss_subsample`` checks the draw's MZ
+window before sparsifying, and ``plain_bss_subsample`` certifies only its
+output.
 
 The plain greedy's only per-row step is the product of all rows with the
 resolvent's two new vectors.  On a lattice-backed stage-1 draw over a
@@ -53,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import _from_real, _real_blocks
+from . import mz
+from .fourier import _characters, _from_real, _real_blocks
 from .index_sets import IndexSet
 from .lattice import SamplePlan, residues
 from .mz import SpectralBounds, mz_constants
@@ -73,10 +77,6 @@ __all__ = [
 ]
 
 _STREAM_DRAW = 11  # SeedSequence tag for the stage-1 categorical draw
-
-#: Cap on N * |I| entries of a dense stage-1 row matrix: the weighted greedy
-#: and the plain greedy on draws without a lattice build one.
-BSS_ENTRY_CAP = 1 << 24
 
 #: Relative gap below the best gain within which the plain greedy treats gains
 #: as tied and takes the lowest position, so that rounding noise between
@@ -392,10 +392,11 @@ def bss_select_weighted(
     lower = -m / eps_lower
     upper = m / eps_upper
 
+    conj_scaled = scaled.conj()
     S = np.zeros((m, m), dtype=np.complex128)
     for step in range(q):
         mu, V = np.linalg.eigh(S)
-        proj = np.abs(scaled.conj() @ V) ** 2
+        proj = np.abs(conj_scaled @ V) ** 2
         placed = False
         d_lower = d_lower0
         for _ in range(12):  # shrink lower increment
@@ -440,13 +441,14 @@ def bss_select_weighted(
 def _stage1_rows(selection: SubsampleSelection, index_set: IndexSet) -> np.ndarray:
     """Weighted frame rows ``sqrt(reweight_i) * (eta_k(x^i))_k`` of a selection."""
     n, m = len(selection), len(index_set)
-    if n * m > BSS_ENTRY_CAP:
+    if 16 * n * m > mz.DENSE_CAP_BYTES:
         raise ValueError(
-            f"stage-1 row matrix of {n}x{m} entries exceeds the dense cap "
-            f"({BSS_ENTRY_CAP}); sparsification is a dense precomputation"
+            f"stage-1 row matrix of {n}x{m} entries ({16 * n * m} bytes) exceeds "
+            f"the dense cap (mz.DENSE_CAP_BYTES = {mz.DENSE_CAP_BYTES}); "
+            "sparsification is a dense precomputation"
         )
     pts = selection.parent.points[selection.indices]
-    rows = np.exp(2j * np.pi * (pts @ index_set.frequencies.T))
+    rows = _characters(pts, index_set.frequencies)
     rows *= np.sqrt(selection.reweights)[:, None]
     return rows
 
@@ -620,12 +622,13 @@ def plain_bss_subsample(
     On a lattice-backed parent with a symmetric index set (I = -I, see
     ``IndexSet.symmetric``) the greedy runs in a real basis and scores
     rows through one lattice DFT, O(M log M + |I|^2) per
-    step with no row matrix (so ``BSS_ENTRY_CAP`` does not apply); any other
+    step with no row matrix (so the row cap, ``mz.DENSE_CAP_BYTES``, does not
+    apply); any other
     input uses the dense complex rows, O(N |I|) per step.  Both pass the
     exact row norms ``rw_i |I|`` and select alike unless rounding moves a
     gain across the near-tie tolerance.  The
     certificate is a dense Gram eigensolve (real on a symmetric set, see
-    ``mz.mz_constants``), bounded by ``mz.DENSE_EIG_CAP``.
+    ``mz.mz_constants``), bounded by ``mz.DENSE_CAP_BYTES``.
     """
     if selection.stage != "random":
         raise ValueError("plain sparsification expects a stage-1 selection")

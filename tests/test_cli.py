@@ -34,16 +34,16 @@ def test_lattice_search_and_audit(tmp_path, capsys):
     assert report["num_points"] == lat.size
 
 
-def test_mz_audit_above_dense_eig_cap_exits_2(tmp_path, capsys, monkeypatch):
+def test_mz_audit_above_dense_cap_exits_2(tmp_path, capsys, monkeypatch):
     lattice_path = tmp_path / "lat.txt"
     Rank1Lattice(dimension=1, generator=[1], size=16).save(lattice_path)
-    monkeypatch.setattr(latsub.mz, "DENSE_EIG_CAP", 8)
+    monkeypatch.setattr(latsub.mz, "DENSE_CAP_BYTES", 16 * 8 * 8)  # |I| <= 8
     rc = main(["mz-audit", "--lattice", str(lattice_path),
                "--d", "1", "--gamma", "1.0", "--radius", "4.0"])  # |I| = 9
     captured = capsys.readouterr()
     assert rc == 2
-    assert ("error: |I| = 9 exceeds DENSE_EIG_CAP = 8: dense Gram matrices "
-            "are not formed above it") in captured.err
+    assert ("error: |I| = 9 needs a dense Gram matrix of 1296 bytes, above "
+            "DENSE_CAP_BYTES = 1024: it is not formed") in captured.err
 
 
 def test_mz_audit_lattice_beyond_int64_range_exits_2(tmp_path, capsys):
@@ -169,3 +169,24 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         assert "must hold a JSON object" in err[0]
     if argv == ["lattice-search", "--d", "2", "--gamma", "1.0"]:
         assert "provide --index-set or all of --d/--gamma/--radius" in err[0]
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("radii", 5, "a list of float"),
+    ("repetitions", "3", "int"),
+    ("dimension", "5", "int"),
+    ("b", None, "float"),
+])
+@pytest.mark.parametrize("command", ["exp1", "exp2"])
+def test_mistyped_config_field_exits_2_naming_it(tmp_path, capsys, command, field,
+                                                 value, expected):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dimension": 2, "radii": [4.0], "repetitions": 1,
+                                    "output_dir": str(tmp_path / "out"), field: value}))
+    rc = main([command, "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [
+        f"error: config field {field} expects {expected}, got {value!r}"]
+    assert "Traceback" not in captured.out + captured.err
+    assert not os.path.exists(tmp_path / "out")

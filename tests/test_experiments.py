@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import latsub.experiments
+import latsub.fourier
+import latsub.mz
+import latsub.subsampling
 from latsub.experiments import (
     KNOWN_STRATEGIES,
     ExperimentConfig,
@@ -23,7 +26,7 @@ from latsub.experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from latsub.fourier import LatticeOperator
+from latsub.fourier import DenseOperator, LatticeOperator, SystemOperator
 from latsub.index_sets import hyperbolic_cross
 from latsub.lattice import _DEFAULT_SCHEDULE_NAME, search_generator
 from latsub.mz import SpectralBounds
@@ -351,6 +354,35 @@ class TestRunExperiment2:
         (row,) = run_experiment_2(cfg).rows
         assert row.skipped
         assert row.skip_reason == f"injected refusal in {name}"
+
+
+class TestRealPaths:
+    def test_pipeline_runs_only_the_real_paths(self, tmp_path, monkeypatch):
+        # every cross is symmetric and every sample real, so no strategy
+        # reaches the complex normal operator, the complex characters (under
+        # any name they are imported as), the complex Gram or the dense scorer
+        calls = {}
+
+        def count(owner, name):
+            key = f"{owner.__name__}.{name}"
+            fn, calls[key] = getattr(owner, name), 0
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+            return key
+
+        idle = [count(owner, name) for owner, name in [
+            (SystemOperator, "normal"), (latsub.fourier, "_characters"),
+            (latsub.mz, "_characters"), (latsub.subsampling, "_characters"),
+            (latsub.mz, "gram_matrix"), (latsub.subsampling, "_dense_scorer")]]
+        busy = [count(LatticeOperator, "real_normal"), count(DenseOperator, "real_normal")]
+        report = run_experiment_2(desk_config(tmp_path, strategies=KNOWN_STRATEGIES))
+        assert {r.strategy for r in report.rows if not r.skipped} == set(KNOWN_STRATEGIES)
+        assert {key: calls[key] for key in idle} == dict.fromkeys(idle, 0)
+        assert all(calls[key] > 0 for key in busy), calls
 
 
 class TestReports:

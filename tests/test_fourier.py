@@ -219,7 +219,7 @@ def normal_instances(draw):
 
 
 class TestNormalOperator:
-    """The convolution normal operator against forward/adjoint and the dense Gram."""
+    """The lattice normal operator against forward/adjoint and the dense Gram."""
 
     @settings(max_examples=150, deadline=None)
     @given(normal_instances())
@@ -263,9 +263,11 @@ class TestNormalOperator:
 def character_instances(draw):
     """Points, an index set and a row list (with duplicates) for the dense build.
 
-    Either a hyperbolic cross, where only k = 0 lacks a parent, or an explicit
-    set of small offsets around a possibly large shift, which is usually not
-    downward closed and often misses 0, so several rows have no parent.
+    Either a hyperbolic cross, symmetric, so the real rows are built by
+    recursion and only k = 0 lacks a parent, or an explicit set of small
+    offsets around a possibly large shift, which is usually not symmetric
+    (the complex rows of ``_characters``) and, when it is, usually not
+    downward closed, so several real rows have no parent.
     """
     d = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -284,7 +286,7 @@ def character_instances(draw):
 
 
 class TestDenseCharacters:
-    """The recursive dense build and the copy-free adjoint against np.exp."""
+    """The dense builds, real and complex, and the copy-free adjoint against np.exp."""
 
     @settings(max_examples=80, deadline=None)
     @given(character_instances())
@@ -292,7 +294,7 @@ class TestDenseCharacters:
               IndexSet(dimension=1,
                        frequencies=[[-100], [-3], [4], [5], [6], [9], [97]]),
               np.array([2, 0, 2, 2, 1])))
-    def test_recursive_build_and_adjoint_match_exp(self, instance):
+    def test_build_and_adjoint_match_exp(self, instance):
         pts, I, rows = instance
         op = DenseOperator(pts, I, rows=rows)
         want = np.exp(2j * np.pi * (pts[rows] @ I.frequencies.T))
@@ -363,7 +365,7 @@ class TestRealBasis:
         rng = np.random.default_rng(len(I))
         m, h, n = len(I), len(I) // 2, 40
         pts = rng.random((n, I.dimension))
-        C = _characters(pts, I.frequencies)  # L^T, complex
+        C = _characters(pts, I.frequencies).T  # L^T, complex
         op = DenseOperator(pts, I)
         B = op._rows
         assert B.dtype == np.float64 and B.shape == (m, n)

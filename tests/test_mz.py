@@ -85,12 +85,12 @@ class TestMzConstants:
     def test_size_cap(self):
         I = IndexSet(dimension=1, frequencies=[[k] for k in range(-2500, 2500)])
         plan = SamplePlan(points=[[0.0]], weights=[1.0])
-        with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 4096"):
+        with pytest.raises(ValueError, match="above DENSE_CAP_BYTES = 268435456"):
             mz_constants(plan, I)
         # the real path of a symmetric set on a lattice has the same cap
         I = IndexSet(dimension=1, frequencies=[[k] for k in range(-2500, 2501)])
         lat = Rank1Lattice(dimension=1, generator=np.array([1]), size=5003)
-        with pytest.raises(ValueError, match="exceeds DENSE_EIG_CAP = 4096"):
+        with pytest.raises(ValueError, match="above DENSE_CAP_BYTES = 268435456"):
             mz_constants(lattice_points(lat), I)
 
     def test_input_validation(self):

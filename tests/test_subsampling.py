@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latsub.mz
 import latsub.subsampling
 from latsub.experiments import _derived_seed
 from latsub.fourier import DenseOperator
@@ -589,6 +590,13 @@ class TestPlainSparsification:
             assert out.indices[0] == sel.indices[0]
 
 
+def gram_only_cap(index_set, selection):
+    """A dense cap that admits the |I| x |I| Gram but not the N x |I| rows."""
+    m = len(index_set)
+    assert len(selection) > m
+    return 16 * m * m
+
+
 def stripped(selection):
     """The same stage-1 draw on a plan without its lattice link (dense path)."""
     plan = replace(selection.parent, lattice=None, lattice_rows=None)
@@ -628,7 +636,7 @@ class TestLatticeScoredSparsification:
     def test_entry_cap_binds_only_the_dense_paths(self, monkeypatch):
         I, sel = stage1_selection(2, 1.0, 3.0, seed=22, n_factor=4)
         before = plain_bss_subsample(sel, I, b=2.0)
-        monkeypatch.setattr(latsub.subsampling, "BSS_ENTRY_CAP", 16)
+        monkeypatch.setattr(latsub.mz, "DENSE_CAP_BYTES", gram_only_cap(I, sel))
         after = plain_bss_subsample(sel, I, b=2.0)
         assert np.array_equal(after.indices, before.indices)
         assert np.array_equal(after.reweights, before.reweights)
@@ -650,10 +658,13 @@ class TestLatticeScoredSparsification:
         I_sym = hyperbolic_cross(2, 1.0, 8.0)
         I = select_largest_eigenvalues(I_sym, 8, 1.5)
         assert not np.array_equal(I.frequencies[::-1], -I.frequencies)
-        monkeypatch.setattr(latsub.subsampling, "BSS_ENTRY_CAP", 16)
+        sel = draw(I)
+        monkeypatch.setattr(latsub.mz, "DENSE_CAP_BYTES", gram_only_cap(I, sel))
         with pytest.raises(ValueError, match="dense cap"):
-            plain_bss_subsample(draw(I), I, b=2.0)
-        assert len(plain_bss_subsample(draw(I_sym), I_sym, b=2.0)) <= 2 * len(I_sym)
+            plain_bss_subsample(sel, I, b=2.0)
+        sel = draw(I_sym)
+        monkeypatch.setattr(latsub.mz, "DENSE_CAP_BYTES", gram_only_cap(I_sym, sel))
+        assert len(plain_bss_subsample(sel, I_sym, b=2.0)) <= 2 * len(I_sym)
 
     @settings(max_examples=80, deadline=None)
     @given(
