@@ -46,10 +46,29 @@ is missing go through ``cos`` and ``sin``.  On other sets the matrix is the
 complex ``L`` of ``_characters``, one ``exp`` per entry, and the adjoint is
 ``conj(conj(f) @ L)``, which makes no copy of it.
 
+The lattice operator also owns what the certificates and the barrier
+greedy read off the lattice, from the same residues r and point sums.  The
+weight spectrum ``char[t] = sum_i w_i exp(2 pi i t j_i / M)`` over the rows
+j_i is one length-M FFT of the point sums, and the Gram ``L* W L`` has
+entry (k, l) ``char[r_l - r_k]`` (``gram``).  In the real basis
+(``real_gram``, ``real_normal`` as a matrix) products of the rows
+``[sqrt2 cos, 1, sqrt2 sin]`` of ``2 pi r_p j / M`` over the cos block's
+residues sum to ``char`` at ``r_p -+ r_q``: the cos-cos and sin-sin blocks
+are ``Re char[r_p - r_q] +- Re char[r_p + r_q]``, the cos-sin block ``Im
+char[r_q + r_p] + Im char[r_q - r_p]``, and the k = 0 row and column (m
+odd) ``sqrt2 Re/Im char[r_p]`` with ``char[0]`` on the diagonal.  The
+greedy's rows ``diag(s) L T^H`` (``real_rows``) read their cos and sin from
+one table of ``exp(2 pi i t / M)`` at ``t = r_p j_i mod M``.  Their
+products with real w and g are real: the product with w is ``conj(L) T^T
+w`` with ``T^T w = conj(T^H w)``, so one length-M FFT of ``T^T (w + i g)``
+scattered onto the residues (colliding residues add), gathered at the rows
+and scaled by s, yields both as its real and imaginary parts, with no
+N x |I| matrix formed.
+
 Operators are immutable and reentrant; residues are computed once per
 (lattice, index set) pair at construction and shared by masked views.  The
-function a lattice ``real_normal`` returns writes into its own buffers, so
-it serves one caller at a time.
+functions a lattice ``real_normal`` and ``real_rows`` return write into
+their own buffers, so each serves one caller at a time.
 """
 
 from __future__ import annotations
@@ -77,6 +96,8 @@ def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 _SQRT2 = math.sqrt(2.0)
 
+_GRAM_BLOCK = 512  # rows of the complex lattice Gram gathered at a time
+
 
 def _real_blocks(m: int) -> tuple[slice, slice, slice]:
     """The cos, k = 0 and sin blocks of the real basis of a symmetric set.
@@ -87,9 +108,9 @@ def _real_blocks(m: int) -> tuple[slice, slice, slice]:
     when m is even) and the sin block position m-h+p, the partner of p.  A
     real row of ``L T^H`` at x is ``sqrt2 cos 2 pi <k_p, x>`` in the cos
     block, 1 at k = 0 and ``sqrt2 sin 2 pi <k_p, x>`` in the sin block.
-    ``_to_real``, ``_from_real``, ``_real_characters``, the lattice
-    ``real_adjoint`` and ``real_normal``, ``subsampling._lattice_scorer``
-    and ``mz._real_gram`` all index through these blocks.
+    ``_to_real``, ``_from_real``, ``_real_characters`` and the lattice
+    operator's ``real_adjoint``, ``real_normal``, ``real_gram`` and
+    ``real_rows`` all index through these blocks.
     """
     h = m // 2
     return slice(0, h), slice(h, m - h), slice(m - h, m)
@@ -328,6 +349,85 @@ class LatticeOperator(SystemOperator):
         if self.rows is None:
             return v
         return np.bincount(self.rows, v, minlength=self.lattice.size)
+
+    def _weight_spectrum(self, weights: np.ndarray) -> np.ndarray:
+        """``char[t] = sum_i w_i exp(2 pi i t j_i / M)``, from the point sums."""
+        return self.lattice.size * np.fft.ifft(self._spread(self._check_weights(weights)))
+
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """The complex Gram ``L* W L``: entry (k, l) is ``char[r_l - r_k]``."""
+        M, r = self.lattice.size, self._res
+        n = len(r)
+        char = self._weight_spectrum(weights)
+        G = np.empty((n, n), dtype=np.complex128)
+        for lo in range(0, n, _GRAM_BLOCK):
+            hi = min(lo + _GRAM_BLOCK, n)
+            G[lo:hi] = char[(r[None, :] - r[lo:hi, None]) % M]
+        return G
+
+    def real_gram(self, weights: np.ndarray) -> np.ndarray:
+        """``T L* W L T^H``, the matrix of ``real_normal``, by the module's rules.
+
+        ``char`` is made exactly Hermitian first, so the result is exactly
+        symmetric.
+        """
+        self._check_symmetric()
+        M = self.lattice.size
+        char = self._weight_spectrum(weights)
+        char[: M // 2 : -1] = char[1 : (M + 1) // 2].conj()  # char[-t] = conj char[t]
+        m = len(self._res)
+        cos, k0, sin = _real_blocks(m)
+        r = self._res[cos]
+        G = np.empty((m, m))
+        diff = char[(r[:, None] - r) % M]
+        total = char[(r[:, None] + r) % M]
+        np.add(diff.real, total.real, out=G[cos, cos])
+        np.subtract(diff.real, total.real, out=G[sin, sin])
+        np.subtract(total.imag, diff.imag, out=G[cos, sin])  # Im char[-t] = -Im char[t]
+        del diff, total
+        G[sin, cos] = G[cos, sin].T
+        if m % 2:  # k = 0, the one position of its block
+            z = k0.start
+            edge = char[r] * _SQRT2
+            G[z, cos] = G[cos, z] = edge.real
+            G[z, sin] = G[sin, z] = edge.imag
+            G[z, z] = char[0].real
+        return G
+
+    def real_rows(self, scale: np.ndarray) -> tuple[Callable, Callable]:
+        """``row(i)`` and ``products(w, g)`` of the rows of ``diag(scale) L T^H``.
+
+        ``row(i)`` is row i, real; ``products(w, g)`` returns the products of
+        all rows with real w and g, from one length-M FFT (module docstring).
+        """
+        self._check_symmetric()
+        scale = self._check_values(scale, np.float64)
+        M, res = self.lattice.size, self._res
+        j = np.arange(M) if self.rows is None else self.rows
+        m = len(res)
+        cos, k0, sin = _real_blocks(m)
+        table = np.exp((2j * np.pi / M) * np.arange(M))
+        half_res = res[cos]
+        spread = np.zeros(M, dtype=np.complex128)
+
+        def row(i):
+            t = table[half_res * j[i] % M]
+            scale_i = _SQRT2 * scale[i]
+            v = np.empty(m)
+            np.multiply(t.real, scale_i, out=v[cos])
+            v[k0] = scale[i]
+            np.multiply(t.imag, scale_i, out=v[sin])
+            return v
+
+        def products(w, g):
+            x = _from_real(w - 1j * g).conj()  # T^T (w + i g), on the residues
+            spread[:] = 0.0
+            np.add.at(spread, res, x)  # colliding residues add
+            f = np.fft.fft(spread)[j]
+            f *= scale
+            return f.real, f.imag
+
+        return row, products
 
     def _real_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Where each real coordinate sits in a Hermitian half spectrum.

@@ -48,8 +48,8 @@ class IndexSet:
     reproducible across runs.  The order is a contract that three places
     rely on: ``lattice._prefix_structure`` finds shared prefixes as adjacent
     rows, ``symmetric`` tests I = -I as ``freqs[::-1] == -freqs``, and the
-    real basis of ``fourier._real_blocks`` (used by ``fourier``, ``mz`` and
-    ``subsampling``) pairs position p with its mirror m-1-p.
+    real basis of ``fourier._real_blocks`` (the real-basis operators, Grams
+    and greedy rows) pairs position p with its mirror m-1-p.
 
     Parameters
     ----------

@@ -141,7 +141,9 @@ class SamplePlan:
 
     ``lattice``/``lattice_rows`` record that the points are (a subset of) a
     rank-1 lattice, which unlocks FFT-based operators and Gram assembly
-    downstream; they carry no information beyond ``points`` itself.
+    downstream; they carry no information beyond ``points`` itself.  The
+    rows are the lattice index of each point, in ``[0, M)``; without them
+    the plan holds all M lattice points in order.
     """
 
     points: np.ndarray
@@ -166,9 +168,22 @@ class SamplePlan:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         if self.lattice_rows is not None:
+            if self.lattice is None:
+                raise ValueError("lattice_rows need a lattice")
             rows = np.asarray(self.lattice_rows, dtype=np.int64)
+            if rows.shape != w.shape:
+                raise ValueError(
+                    f"got {len(w)} points but lattice_rows of shape {rows.shape}"
+                )
+            if len(rows) and (rows.min() < 0 or rows.max() >= self.lattice.size):
+                raise ValueError(f"lattice_rows must lie in [0, M = {self.lattice.size})")
             rows.flags.writeable = False
             object.__setattr__(self, "lattice_rows", rows)
+        elif self.lattice is not None and len(w) != self.lattice.size:
+            raise ValueError(
+                f"a plan without lattice_rows holds all M = {self.lattice.size} "
+                f"lattice points, got {len(w)}"
+            )
 
     @property
     def dimension(self) -> int:

@@ -12,25 +12,22 @@ certifies that weighted least squares reconstructs the space exactly; A = B
 is equivalent to exact quadrature on all products of basis functions.
 
 The constants come from dense eigensolves of the |I| x |I| Gram matrix,
-which is not formed above ``DENSE_CAP_BYTES`` of complex entries.  On a
-lattice plan the Gram entries are weighted character sums ``char[t] =
-sum_i w_i exp(2 pi i t j_i / M)`` at residue differences, from one length-M
-FFT.  Over a symmetric set (I = -I) ``mz_constants`` assembles the Gram in
-the real basis of ``fourier._to_real`` straight from those sums, a real
-symmetric matrix with the same eigenvalues, and runs a real eigensolve;
-every other input, and ``gram_matrix`` itself, stays complex.
+which is not formed above ``DENSE_CAP_BYTES`` of complex entries.  A
+lattice plan's Gram comes from its ``LatticeOperator`` (one length-M FFT of
+the weights); over a symmetric set (I = -I) ``mz_constants`` takes it in
+the real basis (``real_gram``), with the same eigenvalues, and runs a real
+eigensolve.  Every other input, and ``gram_matrix`` itself, stays complex.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import _characters, _real_blocks
+from .fourier import LatticeOperator, _characters
 from .index_sets import IndexSet
-from .lattice import SamplePlan, residues
+from .lattice import SamplePlan
 
 __all__ = [
     "SpectralBounds",
@@ -45,8 +42,6 @@ __all__ = [
 #: ``mz-audit`` compute (|I| <= 4096), and the N x |I| stage-1 rows of the
 #: dense sparsifier paths (N |I| <= 2^24).
 DENSE_CAP_BYTES = 1 << 28
-
-_GRAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -77,36 +72,17 @@ def _check_sizes(plan: SamplePlan, index_set: IndexSet) -> None:
         raise ValueError("dimension mismatch between plan and index set")
 
 
-def _character_sums(plan: SamplePlan) -> np.ndarray:
-    """``char[t] = sum_i w_i exp(2 pi i t j_i / M)`` over a lattice plan's rows."""
-    M = plan.lattice.size
-    w_full = np.zeros(M)
-    if plan.lattice_rows is None:
-        if len(plan.weights) != M:
-            raise ValueError("full-lattice plan weight count != M")
-        w_full[:] = plan.weights
-    else:
-        np.add.at(w_full, plan.lattice_rows, plan.weights)
-    return M * np.fft.ifft(w_full)
-
-
 def gram_matrix(plan: SamplePlan, index_set: IndexSet) -> np.ndarray:
     """Assemble the |I| x |I| Hermitian Gram matrix ``L* W L``.
 
-    Lattice-backed plans use a single length-M FFT of the weight vector: the
-    (k, l) entry is the weighted character sum at residue difference
-    ``r_l - r_k``.  Arbitrary point sets fall back to blocked dense assembly.
+    Lattice-backed plans take ``LatticeOperator.gram``, one length-M FFT of
+    the weights; arbitrary point sets fall back to blocked dense assembly.
     """
     _check_sizes(plan, index_set)
     n = len(index_set)
     if plan.lattice is not None:
-        M = plan.lattice.size
-        char = _character_sums(plan)
-        r = residues(plan.lattice, index_set.frequencies)
-        G = np.empty((n, n), dtype=np.complex128)
-        for lo in range(0, n, _GRAM_BLOCK):
-            hi = min(lo + _GRAM_BLOCK, n)
-            G[lo:hi] = char[(r[None, :] - r[lo:hi, None]) % M]
+        op = LatticeOperator(plan.lattice, index_set, plan.lattice_rows)
+        G = op.gram(plan.weights)
     else:
         G = np.zeros((n, n), dtype=np.complex128)
         pts, w = plan.points, plan.weights
@@ -118,52 +94,17 @@ def gram_matrix(plan: SamplePlan, index_set: IndexSet) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _real_gram(plan: SamplePlan, index_set: IndexSet) -> np.ndarray:
-    """``T G T^H`` for a lattice plan over a symmetric set, as a real matrix.
-
-    ``T`` is the real basis of ``fourier._to_real``, in the blocks of
-    ``fourier._real_blocks``: the system matrix has the rows ``[sqrt2 cos,
-    1, sqrt2 sin]`` of ``2 pi r_p j / M`` over the cos block's residues r_p.
-    Products of those rows sum to the weighted character sums ``char`` at
-    ``r_p -+ r_q``: the cos-cos and sin-sin blocks are ``Re char[r_p - r_q]
-    +- Re char[r_p + r_q]``, the cos-sin block is ``Im char[r_q + r_p] + Im
-    char[r_q - r_p]``, and the k = 0 row and column (m odd) are ``sqrt2
-    Re/Im char[r_p]`` with ``char[0]`` on the diagonal.  ``char`` is made
-    exactly Hermitian first, so the result is exactly symmetric.
-    """
-    _check_sizes(plan, index_set)
-    M = plan.lattice.size
-    char = _character_sums(plan)
-    char[: M // 2 : -1] = char[1 : (M + 1) // 2].conj()  # char[-t] = conj char[t]
-    m = len(index_set)
-    cos, k0, sin = _real_blocks(m)
-    r = residues(plan.lattice, index_set.frequencies[cos])
-    G = np.empty((m, m))
-    diff = char[(r[:, None] - r) % M]
-    total = char[(r[:, None] + r) % M]
-    np.add(diff.real, total.real, out=G[cos, cos])
-    np.subtract(diff.real, total.real, out=G[sin, sin])
-    np.subtract(total.imag, diff.imag, out=G[cos, sin])  # Im char[-t] = -Im char[t]
-    del diff, total
-    G[sin, cos] = G[cos, sin].T
-    if m % 2:  # k = 0, the one position of its block
-        z = k0.start
-        edge = char[r] * math.sqrt(2.0)
-        G[z, cos] = G[cos, z] = edge.real
-        G[z, sin] = G[sin, z] = edge.imag
-        G[z, z] = char[0].real
-    return G
-
-
 def mz_constants(plan: SamplePlan, index_set: IndexSet) -> SpectralBounds:
     """Exact MZ/frame constants from the extreme eigenvalues of ``L* W L``.
 
     A lattice plan over a symmetric set (I = -I) is solved in the real basis
-    (``_real_gram``), with the same eigenvalues; any other input takes the
-    complex ``gram_matrix``.
+    (``LatticeOperator.real_gram``), with the same eigenvalues; any other
+    input takes the complex ``gram_matrix``.
     """
     if plan.lattice is not None and index_set.symmetric:
-        G = _real_gram(plan, index_set)
+        _check_sizes(plan, index_set)
+        op = LatticeOperator(plan.lattice, index_set, plan.lattice_rows)
+        G = op.real_gram(plan.weights)
     else:
         G = gram_matrix(plan, index_set)
     lam = np.linalg.eigvalsh(G)

@@ -167,14 +167,14 @@ def operator_for(source, index_set: IndexSet) -> SystemOperator:
     from .subsampling import SubsampleSelection
 
     if isinstance(source, SubsampleSelection):
-        plan = source.as_plan()
+        plan, rows = source.parent, source.indices
     elif isinstance(source, SamplePlan):
-        plan = source
+        plan, rows = source, None
     else:
         raise TypeError(f"cannot build an operator for {type(source).__name__}")
     if plan.lattice is not None:
-        return LatticeOperator(plan.lattice, index_set, plan.lattice_rows)
-    return DenseOperator(plan.points, index_set)
+        return LatticeOperator(plan.lattice, index_set, source.lattice_rows)
+    return DenseOperator(plan.points, index_set, rows)
 
 
 def reconstruct(

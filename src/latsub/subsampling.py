@@ -22,19 +22,13 @@ output.
 
 The plain greedy's only per-row step is the product of all rows with the
 resolvent's two new vectors.  On a lattice-backed stage-1 draw over a
-symmetric index set (I = -I, e.g. a hyperbolic cross) every row
-``sqrt(rw_i) exp(2 pi i r_k j_i / M)`` is conjugate-symmetric, so the greedy
-runs in the real orthonormal basis ``[sqrt2 Re v_p (p < h), v_0,
-sqrt2 Im v_p (p < h)]`` of ``fourier._real_blocks``, pairing lex position
-p with m-1-p.  Rows, resolvent
-and scores are then real; a row's cos and sin come from one table of
-``exp(2 pi i t / M)``, both products pack into one complex length-M DFT
-gathered at the drawn rows, and the real symmetric resolvent is updated by
-BLAS ``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no
-N x |I| row matrix held.  The DFT is one ``np.fft.fft`` at M, whatever M
-is (numpy's FFT takes prime lengths too).  Any other input uses the dense
-complex rows at O(N |I|) per step with ``zhemv``/``zher``.  Both share one
-loop.
+symmetric index set (I = -I, e.g. a hyperbolic cross) the draw's
+``LatticeOperator`` supplies the rows in the real basis of ``fourier``
+(``real_rows``): rows, resolvent and scores are real, both products come
+from one length-M FFT, and the real symmetric resolvent is updated by BLAS
+``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no N x |I| row
+matrix held.  Any other input uses the dense complex rows at O(N |I|) per
+step with ``zhemv``/``zher``.  Both share one loop.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn
@@ -57,10 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mz
-from .fourier import _characters, _from_real, _real_blocks
+from .fourier import LatticeOperator, _characters
 from .index_sets import IndexSet
-from .lattice import SamplePlan, residues
-from .mz import SpectralBounds, mz_constants
+from .lattice import SamplePlan
+from .mz import mz_constants
 
 __all__ = [
     "DensityWeights",
@@ -149,21 +143,22 @@ class SubsampleSelection:
     def __len__(self) -> int:
         return len(self.indices)
 
+    @property
+    def lattice_rows(self) -> np.ndarray | None:
+        """The lattice row of each selected point; None without a lattice."""
+        parent = self.parent
+        if parent.lattice is None:
+            return None
+        rows = parent.lattice_rows
+        return self.indices if rows is None else rows[self.indices]
+
     def as_plan(self) -> SamplePlan:
         """The selection as a standalone SamplePlan (lattice link preserved)."""
-        parent = self.parent
-        rows = None
-        if parent.lattice is not None:
-            rows = (
-                self.indices
-                if parent.lattice_rows is None
-                else parent.lattice_rows[self.indices]
-            )
         return SamplePlan(
-            points=parent.points[self.indices],
+            points=self.parent.points[self.indices],
             weights=self.reweights,
-            lattice=parent.lattice,
-            lattice_rows=rows,
+            lattice=self.parent.lattice,
+            lattice_rows=self.lattice_rows,
         )
 
 
@@ -464,88 +459,22 @@ def _dense_scorer(rows: np.ndarray):
     return rows.__getitem__, cross
 
 
-def _lattice_scorer(selection: SubsampleSelection, index_set: IndexSet):
-    """Real ``row(i)`` and ``cross(w, g)`` of the plain greedy on a lattice draw.
-
-    Requires a symmetric index set (I = -I).  In lex order frequency p is
-    the negative of frequency m-1-p, so stage-1 row ``v_i = sqrt(rw_i)
-    exp(2 pi i r_k j_i / M)`` (lattice row j_i, residues ``r_k = <k, z> mod
-    M``) is conjugate-symmetric, and in the real basis ``T`` of ``fourier``
-    it is the real row ``T conj(v_i) = [sqrt2 Re v_p, v_h, sqrt2 Im v_p]``
-    (blocks of ``fourier._real_blocks``).  ``row(i)`` reads its cos and sin
-    from one table of ``exp(2 pi i t / M)`` at ``t = r_p j_i mod M``.  For
-    real w, ``T conj(v_i) . w = conj(v_i) @ T^T w`` with ``T^T w = conj(T^H
-    w)`` (``fourier._from_real``): the length-M DFT of ``T^T w`` scattered
-    onto the residues, gathered at the j_i.  Both products are real, so the
-    one DFT of ``T^T (w + i g)`` yields them as its real and imaginary parts
-    (residues that collide add).  That DFT is one ``np.fft.fft`` at M,
-    O(M log M) per call, and no N x |I| matrix is formed.
-    """
-    parent = selection.parent
-    lat = parent.lattice
-    M = lat.size
-    j = (
-        selection.indices
-        if parent.lattice_rows is None
-        else parent.lattice_rows[selection.indices]
-    )
-    m = len(index_set)
-    cos, k0, sin = _real_blocks(m)
-    res = residues(lat, index_set.frequencies)
-    sqrt_rw = np.sqrt(selection.reweights)
-    table = np.exp((2j * np.pi / M) * np.arange(M))
-    half_res = res[cos]
-    r2 = math.sqrt(2.0)
-    spread = np.zeros(M, dtype=np.complex128)
-
-    def row(i):
-        t = table[half_res * j[i] % M]
-        scale_i = r2 * sqrt_rw[i]
-        v = np.empty(m)
-        np.multiply(t.real, scale_i, out=v[cos])
-        v[k0] = sqrt_rw[i]
-        np.multiply(t.imag, scale_i, out=v[sin])
-        return v
-
-    def cross(w, g):
-        x = _from_real(w - 1j * g).conj()  # T^T (w + i g), on the residues
-        spread[:] = 0.0
-        np.add.at(spread, res, x)  # colliding residues add
-        f = np.fft.fft(spread)[j]
-        f *= sqrt_rw
-        return f.real, f.imag
-
-    return row, cross
-
-
 def _weighted_upper_cap(B: float, b: float, kap: float) -> float:
     sqrt_b = math.sqrt(b)
     return 1.5 * B * (sqrt_b + 1.0) ** 2 / ((sqrt_b - 1.0) * (sqrt_b - kap))
-
-
-def _resolve_bounds(
-    selection: SubsampleSelection, bounds: SpectralBounds | None
-) -> SpectralBounds:
-    if bounds is None:
-        bounds = selection.parent.bounds
-    if bounds is None:
-        raise ValueError(
-            "no spectral bounds supplied and the parent plan carries none"
-        )
-    return bounds
 
 
 def bss_subsample(
     selection: SubsampleSelection,
     index_set: IndexSet,
     b: float,
-    bounds: SpectralBounds | None = None,
 ) -> SubsampleSelection:
     """Weighted sparsification of a stage-1 selection with two-sided certificate.
 
-    ``bounds`` are the (A, B) constants of the MZ system the stage-1 draw
-    came from; the stage-1 rows are assumed to satisfy the inflated window
-    [A/2, 3B/2], which is verified up front.  Requires ``b > kappa(A, B)^2``.
+    The parent plan's ``bounds`` are the (A, B) constants of the MZ system
+    the stage-1 draw came from; the stage-1 rows are assumed to satisfy the
+    inflated window [A/2, 3B/2], which is verified up front.  Requires ``b >
+    kappa(A, B)^2``.
     The output reweights are ``s_i`` times the stage-1 reweights, rescaled so
     the subsampled system's lower constant is at least A/2 while its upper
     constant stays below ``(3/2) B (sqrt(b)+1)^2 / ((sqrt(b)-1)(sqrt(b)-kappa))``;
@@ -553,7 +482,9 @@ def bss_subsample(
     """
     if selection.stage != "random":
         raise ValueError("weighted sparsification expects a stage-1 selection")
-    bounds = _resolve_bounds(selection, bounds)
+    bounds = selection.parent.bounds
+    if bounds is None:
+        raise ValueError("no spectral bounds supplied: the parent plan carries none")
     A, B = bounds.A, bounds.B
     kap = kappa(A, B)
     if b <= kap * kap:
@@ -610,7 +541,6 @@ def plain_bss_subsample(
     selection: SubsampleSelection,
     index_set: IndexSet,
     b: float,
-    bounds: SpectralBounds | None = None,
 ) -> SubsampleSelection:
     """Unweighted sparsification certifying the lower MZ constant only.
 
@@ -620,19 +550,21 @@ def plain_bss_subsample(
     ``(b-1)^3 / (178 (b+1)^2) * A``; the upper constant is unconstrained.
 
     On a lattice-backed parent with a symmetric index set (I = -I, see
-    ``IndexSet.symmetric``) the greedy runs in a real basis and scores
-    rows through one lattice DFT, O(M log M + |I|^2) per
-    step with no row matrix (so the row cap, ``mz.DENSE_CAP_BYTES``, does not
-    apply); any other
-    input uses the dense complex rows, O(N |I|) per step.  Both pass the
-    exact row norms ``rw_i |I|`` and select alike unless rounding moves a
-    gain across the near-tie tolerance.  The
-    certificate is a dense Gram eigensolve (real on a symmetric set, see
-    ``mz.mz_constants``), bounded by ``mz.DENSE_CAP_BYTES``.
+    ``IndexSet.symmetric``) the greedy takes the draw's real rows from
+    ``LatticeOperator.real_rows``, scored through one lattice FFT, O(M log M
+    + |I|^2) per step with no row matrix (so the row cap,
+    ``mz.DENSE_CAP_BYTES``, does not apply); any other input uses the dense
+    complex rows, O(N |I|) per step.  Both pass the exact row norms ``rw_i
+    |I|`` and select alike unless rounding moves a gain across the near-tie
+    tolerance.  The certificate is a dense Gram eigensolve (real on a
+    symmetric set, see ``mz.mz_constants``), bounded by
+    ``mz.DENSE_CAP_BYTES``.
     """
     if selection.stage != "random":
         raise ValueError("plain sparsification expects a stage-1 selection")
-    bounds = _resolve_bounds(selection, bounds)
+    bounds = selection.parent.bounds
+    if bounds is None:
+        raise ValueError("no spectral bounds supplied: the parent plan carries none")
     A = bounds.A
     m = len(index_set)
     if b <= 1.0 + 1.0 / m:
@@ -643,7 +575,8 @@ def plain_bss_subsample(
     # |row_i|^2 = rw_i |I| exactly: every character has unit modulus
     norms = selection.reweights * m
     if selection.parent.lattice is not None and index_set.symmetric:
-        scorer = _lattice_scorer(selection, index_set)
+        op = LatticeOperator(selection.parent.lattice, index_set, selection.lattice_rows)
+        scorer = op.real_rows(np.sqrt(selection.reweights))
     else:
         scorer = _dense_scorer(_stage1_rows(selection, index_set))
     chosen = _barrier_greedy(norms, m, b, *scorer)

@@ -360,7 +360,9 @@ class TestRealPaths:
     def test_pipeline_runs_only_the_real_paths(self, tmp_path, monkeypatch):
         # every cross is symmetric and every sample real, so no strategy
         # reaches the complex normal operator, the complex characters (under
-        # any name they are imported as), the complex Gram or the dense scorer
+        # any name they are imported as), the complex Gram or the dense
+        # scorer; the certificates and the greedy take the lattice's real
+        # Gram and rows
         calls = {}
 
         def count(owner, name):
@@ -377,8 +379,11 @@ class TestRealPaths:
         idle = [count(owner, name) for owner, name in [
             (SystemOperator, "normal"), (latsub.fourier, "_characters"),
             (latsub.mz, "_characters"), (latsub.subsampling, "_characters"),
-            (latsub.mz, "gram_matrix"), (latsub.subsampling, "_dense_scorer")]]
-        busy = [count(LatticeOperator, "real_normal"), count(DenseOperator, "real_normal")]
+            (latsub.mz, "gram_matrix"), (LatticeOperator, "gram"),
+            (latsub.subsampling, "_dense_scorer")]]
+        busy = [count(owner, name) for owner, name in [
+            (LatticeOperator, "real_normal"), (DenseOperator, "real_normal"),
+            (LatticeOperator, "real_gram"), (LatticeOperator, "real_rows")]]
         report = run_experiment_2(desk_config(tmp_path, strategies=KNOWN_STRATEGIES))
         assert {r.strategy for r in report.rows if not r.skipped} == set(KNOWN_STRATEGIES)
         assert {key: calls[key] for key in idle} == dict.fromkeys(idle, 0)

@@ -456,6 +456,50 @@ class TestRealBasis:
             op.real_normal(np.ones(7))(np.ones(len(op.index_set), dtype=complex))
 
 
+class TestLatticeRealForms:
+    """The lattice's real rows and Gram beyond what the sparsifier and the
+    certificates run (``tests/test_subsampling.py``, ``tests/test_mz.py``)."""
+
+    @pytest.mark.parametrize("I", [
+        hyperbolic_cross(3, 0.5, 8.0),  # odd |I|: k = 0 present
+        cross_without_zero(2, 0.5, 6.0),  # even |I|: no k = 0
+    ], ids=["odd", "even"])
+    def test_full_lattice_rows_match_the_dense_matrix(self, I):
+        rng = np.random.default_rng(len(I))
+        lat = search_generator(I, rng_seed=5)
+        s = rng.random(lat.size)
+        rows = DenseOperator(lat.points(), I)._rows.T * s[:, None]  # diag(s) L T^H
+        row, products = LatticeOperator(lat, I).real_rows(s)
+        np.testing.assert_allclose([row(i) for i in range(lat.size)], rows,
+                                   rtol=0, atol=1e-13)
+        x, y = rng.standard_normal((2, len(I)))
+        for got, want in zip(products(x, y), (rows @ x, rows @ y)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_real_forms_need_a_symmetric_set(self):
+        I = IndexSet(dimension=1, frequencies=[[0], [1], [2]])
+        op = LatticeOperator(Rank1Lattice(1, np.array([1]), 5), I)
+        for method in (op.real_gram, op.real_rows):
+            with pytest.raises(ValueError, match="symmetric index set"):
+                method(np.ones(5))
+
+
+class TestAbstractInterface:
+    @pytest.mark.parametrize("call", [
+        lambda op: op.row_count,
+        lambda op: op.forward(np.zeros(1)),
+        lambda op: op.adjoint(np.zeros(1)),
+        lambda op: op.masked(np.zeros(1, dtype=np.int64)),
+        lambda op: op.dense_matrix(),
+    ], ids=["row_count", "forward", "adjoint", "masked", "dense_matrix"])
+    def test_bare_subclass_raises(self, call):
+        class Bare(SystemOperator):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            call(Bare())
+
+
 def relative_error(got, want):
     """``||got - want|| / ||want||``, scaled so that neither norm overflows."""
     scale = np.max(np.abs(want))

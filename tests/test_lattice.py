@@ -365,3 +365,23 @@ class TestSamplePlanSerialization:
             SamplePlan(points=[[0.0]], weights=[np.inf])
         with pytest.raises(ValueError):
             SamplePlan(points=[[0.0], [0.5]], weights=[1.0])
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda rows: rows - 5, r"lattice_rows must lie in \[0, M = 31\)"),
+        (lambda rows: rows + 31, r"lattice_rows must lie in \[0, M = 31\)"),
+        (lambda rows: rows[:-1], r"got 40 points but lattice_rows of shape \(39,\)"),
+        (lambda rows: rows.reshape(2, 20), r"lattice_rows of shape \(2, 20\)"),
+        (lambda rows: None, "holds all M = 31 lattice points, got 40"),
+    ], ids=["negative", "beyond_M", "short", "2d", "absent"])
+    def test_lattice_rows_must_fit_the_points(self, change, match):
+        lat = Rank1Lattice(dimension=2, generator=np.array([1, 5]), size=31)
+        rows = np.random.default_rng(0).integers(0, 5, 40)  # some rows below 5
+        w = np.full(40, 1 / 40)
+        SamplePlan(points=lat.points(rows), weights=w, lattice=lat, lattice_rows=rows)
+        with pytest.raises(ValueError, match=match):
+            SamplePlan(points=lat.points(rows), weights=w, lattice=lat,
+                       lattice_rows=change(rows))
+
+    def test_lattice_rows_need_a_lattice(self):
+        with pytest.raises(ValueError, match="lattice_rows need a lattice"):
+            SamplePlan(points=[[0.0]], weights=[1.0], lattice_rows=[0])

@@ -19,8 +19,15 @@ from latsub.index_sets import (
     hyperbolic_cross,
     select_largest_eigenvalues,
 )
-from latsub.lattice import Rank1Lattice, SamplePlan, lattice_points, search_generator
+from latsub.lattice import (
+    Rank1Lattice,
+    SamplePlan,
+    lattice_points,
+    residues,
+    search_generator,
+)
 from latsub.mz import SpectralBounds, mz_constants
+from latsub.solver import operator_for
 from latsub.subsampling import (
     DensityWeights,
     SpectralCertificateError,
@@ -35,9 +42,13 @@ from latsub.subsampling import (
     plain_bss_subsample,
     random_subsample,
     random_subsample_size,
-    _lattice_scorer,
     _stage1_rows,
 )
+
+
+def lattice_scorer(selection, I):
+    """The plain greedy's real scorer on a lattice draw, as ``plain_bss_subsample`` builds it."""
+    return operator_for(selection, I).real_rows(np.sqrt(selection.reweights))
 
 
 def literal_density_oracle(plan, I, I_mz, s):
@@ -482,6 +493,9 @@ class TestWeightedSparsification:
         out = plain_bss_subsample(sel, I, b=2.0)
         with pytest.raises(ValueError, match="stage-1"):
             bss_subsample(out, I, b=16.0)
+        bare = replace(sel.parent, bounds=None)
+        with pytest.raises(ValueError, match="no spectral bounds supplied"):
+            bss_subsample(replace(sel, parent=bare), I, b=16.0)
 
 
 def _positions(stage1, out):
@@ -629,7 +643,7 @@ class TestLatticeScoredSparsification:
                                        _derived_seed(0, r_index, "bss_sub", rep))
                 assert mz_constants(sel.as_plan(), I).A > 1e-8  # the first draw is used
                 norms = sel.reweights * m
-                fast = _barrier_greedy(norms, m, 2.0, *_lattice_scorer(sel, I))
+                fast = _barrier_greedy(norms, m, 2.0, *lattice_scorer(sel, I))
                 dense = _barrier_greedy(norms, m, 2.0, *_dense_scorer(_stage1_rows(sel, I)))
                 assert np.array_equal(fast, dense), (R, rep)
 
@@ -695,7 +709,7 @@ class TestLatticeScoredSparsification:
                                  stage="random", draw_count=len(idx))
         w, g = rng.standard_normal((2, len(I)))
         rows = realified(_stage1_rows(sel, I))
-        row, cross = _lattice_scorer(sel, I)
+        row, cross = lattice_scorer(sel, I)
         a1, a2 = cross(w, g)
         np.testing.assert_allclose(a1, rows @ w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a2, rows @ g, rtol=0, atol=1e-12)
@@ -707,7 +721,7 @@ class TestLatticeScoredSparsification:
 def fft_cross(sel, I, w, g):
     """The scorer's products by one ``np.fft.fft`` at the lattice size M."""
     m, h = len(I), len(I) // 2
-    res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
+    res = residues(sel.parent.lattice, I.frequencies)
     x = np.asarray(w + 1j * g)
     y = x.copy()  # T^T x, written out apart from fourier._from_real
     y[:h] = (x[:h] + 1j * x[m - h:]) / math.sqrt(2)
@@ -719,7 +733,7 @@ def fft_cross(sel, I, w, g):
 
 
 class TestScorerAtEveryLatticeSize:
-    """``_lattice_scorer`` runs one length-M FFT at every lattice size M:
+    """``LatticeOperator.real_rows`` runs one length-M FFT at every lattice size M:
     prime, 5-smooth or neither."""
 
     @staticmethod
@@ -747,7 +761,7 @@ class TestScorerAtEveryLatticeSize:
                                    1024, 1440, 12800, 32400])
     def test_cross_matches_dense_and_fft(self, M, colliding):
         I, sel, rng = self.draw(M, colliding)
-        res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
+        res = residues(sel.parent.lattice, I.frequencies)
         if colliding:
             assert len(np.unique(res)) < len(I)
         self.assert_matches(I, sel, rng)
@@ -756,7 +770,7 @@ class TestScorerAtEveryLatticeSize:
     def test_residue_at_half_m(self, M):
         # z_2 = M/2 puts (0, +-1) at residue M/2; 1442 is not 5-smooth
         I, sel, rng = self.draw(M, False, z=[1, M // 2])
-        res = latsub.subsampling.residues(sel.parent.lattice, I.frequencies)
+        res = residues(sel.parent.lattice, I.frequencies)
         assert np.any(2 * res == M)
         self.assert_matches(I, sel, rng)
 
@@ -764,7 +778,7 @@ class TestScorerAtEveryLatticeSize:
     def assert_matches(I, sel, rng):
         w, g = rng.standard_normal((2, len(I)))
         rows = realified(_stage1_rows(sel, I))
-        row, cross = _lattice_scorer(sel, I)
+        row, cross = lattice_scorer(sel, I)
         got = cross(w, g)
         for want in ((rows @ w, rows @ g), fft_cross(sel, I, w, g)):
             for a, b in zip(got, want):
@@ -787,7 +801,7 @@ class TestScorerAtEveryLatticeSize:
 
             monkeypatch.setattr(np.fft, name, spy)
         m = len(I)
-        chosen = _barrier_greedy(sel.reweights * m, m, 2.0, *_lattice_scorer(sel, I))
+        chosen = _barrier_greedy(sel.reweights * m, m, 2.0, *lattice_scorer(sel, I))
         assert len(chosen) == min(2 * m, len(sel))
         assert lengths
         return set(lengths)
