@@ -95,6 +95,7 @@ def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 _SQRT2 = math.sqrt(2.0)
+_RSQRT2 = 1.0 / _SQRT2  # what numpy's complex division by _SQRT2 multiplies by
 
 _GRAM_BLOCK = 512  # rows of the complex lattice Gram gathered at a time
 
@@ -399,6 +400,8 @@ class LatticeOperator(SystemOperator):
 
         ``row(i)`` is row i, real; ``products(w, g)`` returns the products of
         all rows with real w and g, from one length-M FFT (module docstring).
+        It writes ``T^T (w + i g)`` straight from w and g, and returns its own
+        two buffers, which the next call overwrites.
         """
         self._check_symmetric()
         scale = self._check_values(scale, np.float64)
@@ -408,7 +411,11 @@ class LatticeOperator(SystemOperator):
         cos, k0, sin = _real_blocks(m)
         table = np.exp((2j * np.pi / M) * np.arange(M))
         half_res = res[cos]
-        spread = np.zeros(M, dtype=np.complex128)
+        spread, spectrum = np.zeros((2, M), dtype=np.complex128)
+        x = np.empty(m, dtype=np.complex128)
+        out_re, out_im = np.empty((2, len(j)))
+        x_re, x_im = x.real, x.imag
+        x_re_sin, x_im_sin = x_re[sin][::-1], x_im[sin][::-1]  # p at m-1-p
 
         def row(i):
             t = table[half_res * j[i] % M]
@@ -420,12 +427,20 @@ class LatticeOperator(SystemOperator):
             return v
 
         def products(w, g):
-            x = _from_real(w - 1j * g).conj()  # T^T (w + i g), on the residues
+            # x = T^T (w + i g) = conj(T^H (w - i g)), written out real and
+            # imaginary part at a time, with _from_real's scaling
+            ws, gs = w * _RSQRT2, g * _RSQRT2
+            np.subtract(ws[cos], gs[sin], out=x_re[cos])
+            np.add(ws[cos], gs[sin], out=x_re_sin)
+            np.add(gs[cos], ws[sin], out=x_im[cos])
+            np.subtract(gs[cos], ws[sin], out=x_im_sin)
+            x_re[k0], x_im[k0] = w[k0], g[k0]
             spread[:] = 0.0
             np.add.at(spread, res, x)  # colliding residues add
-            f = np.fft.fft(spread)[j]
-            f *= scale
-            return f.real, f.imag
+            f = np.fft.fft(spread, out=spectrum)[j]
+            np.multiply(f.real, scale, out=out_re)
+            np.multiply(f.imag, scale, out=out_im)
+            return out_re, out_im
 
         return row, products
 

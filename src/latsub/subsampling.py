@@ -21,14 +21,19 @@ window before sparsifying, and ``plain_bss_subsample`` certifies only its
 output.
 
 The plain greedy's only per-row step is the product of all rows with the
-resolvent's two new vectors.  On a lattice-backed stage-1 draw over a
-symmetric index set (I = -I, e.g. a hyperbolic cross) the draw's
-``LatticeOperator`` supplies the rows in the real basis of ``fourier``
-(``real_rows``): rows, resolvent and scores are real, both products come
-from one length-M FFT, and the real symmetric resolvent is updated by BLAS
-``dsymv``/``dsyr``, so a step costs O(M log M + |I|^2) with no N x |I| row
-matrix held.  Any other input uses the dense complex rows at O(N |I|) per
-step with ``zhemv``/``zher``.  Both share one loop.
+resolvent's two new vectors.  A stage-1 draw repeats points, and a repeated
+point repeats its row bit for bit, so ``plain_bss_subsample`` hands the
+greedy each distinct row once and the greedy scores it once for all its
+copies.  On a lattice-backed stage-1 draw over a symmetric index set (I =
+-I, e.g. a hyperbolic cross) the draw's ``LatticeOperator`` supplies the
+rows in the real basis of ``fourier`` (``real_rows``): rows, resolvent and
+scores are real and both products come from one length-M FFT.  Any other
+input uses the dense complex rows.  Both share one loop.  The resolvent is
+held in full; each step's rank-1 update is queued and the queue is applied
+as one rank-``_FLUSH`` matrix product every ``_FLUSH`` steps, so a step
+costs two |I| x |I| matrix-vector products, O(M log M) on a lattice or
+O(N |I|) on dense rows, and O(N) score updates, N the number of distinct
+rows.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,6 +81,10 @@ _STREAM_DRAW = 11  # SeedSequence tag for the stage-1 categorical draw
 #: as tied and takes the lowest position, so that rounding noise between
 #: arithmetically equal scorers cannot decide a selection.
 _NEAR_TIE = 64 * np.finfo(np.float64).eps
+
+#: Steps of the plain greedy whose rank-1 resolvent updates are queued and
+#: then applied as one matrix product (16, 32 and 64 time alike).
+_FLUSH = 32
 
 
 class SpectralCertificateError(RuntimeError):
@@ -265,20 +274,31 @@ def _barrier_greedy(
     b: float,
     row: Callable[[int], np.ndarray],
     cross: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    groups: np.ndarray | None = None,
 ) -> np.ndarray:
     """The plain lower-barrier greedy over N rows of length m.
 
-    ``norms[i]`` is ``|v_i|^2``, ``row(i)`` returns row v_i, and
-    ``cross(w, g)`` returns ``(conj(rows) @ w, conj(rows) @ g)`` over all N
-    rows; the scorers differ only in those three.  Each step takes the
-    lowest position among the gains within ``_NEAR_TIE`` (relative) of the
-    best, so rounding noise does not decide between tied rows.  The resolvent
-    ``(S - l I)^{-1}`` is Hermitian (real symmetric for real rows); it is
-    kept in its upper triangle and updated in place by BLAS
-    ``zhemv``/``zher``, or ``dsymv``/``dsyr`` when the rows are real.
-    """
-    from scipy.linalg.blas import dsymv, dsyr, zhemv, zher  # 0.3 s to import
+    ``norms[i]`` is ``|v_i|^2`` at position i.  ``groups[i]`` names the
+    group of bitwise-equal rows that position i belongs to, labelled 0 to
+    G-1 with none empty (by default each position is its own group); ``row(k)`` returns group k's row and
+    ``cross(w, g)`` returns ``(conj(rows) @ w, conj(rows) @ g)`` over one row
+    per group.  The scorers differ only in those two.  A group's scores are
+    those of each of its copies, so the next unused position of a group
+    stands for it, and the group leaves the race once every copy is taken.
+    Each step takes the lowest position among the gains within
+    ``_NEAR_TIE`` (relative) of the best, so rounding noise does not decide
+    between tied rows, and the positions returned are those the greedy
+    takes on the ungrouped rows.
 
+    The resolvent ``(S - l I)^{-1}`` is Hermitian (real symmetric for real
+    rows) and held in full, as it stood at the last flush.  A step's rank-1
+    update ``-beta w w^H`` is queued as the factors w and ``beta conj(w)``,
+    and ``R v`` is the held matrix times v less the queued terms; every
+    ``_FLUSH`` steps the queue is applied as one rank-``_FLUSH`` matrix
+    product.  A step therefore costs two products with the m x m resolvent
+    and two with the queue, one ``cross``, and a fixed number of vector
+    operations over the groups, in preallocated buffers.
+    """
     if b <= 1.0 + 1.0 / m:
         raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
     active = norms > 0
@@ -290,33 +310,71 @@ def _barrier_greedy(
     if level <= 0:
         raise ValueError("input rows carry no mass")
 
+    if groups is None:
+        groups = np.arange(len(norms))
+    # each group's positions in ascending order, and the next unused one
+    order = np.argsort(groups, kind="stable")
+    count = np.bincount(groups)
+    end = np.cumsum(count)
+    head = end - count
+    nxt = order[head]
+    q1 = norms[nxt] / level  # row scores  v^H (S - l I)^{-1} v
+    q2 = norms[nxt] / level**2  # and  v^H (S - l I)^{-2} v
+    blocked = ~active[nxt]
+
     dtype = row(0).dtype
-    hemv, her = (dsymv, dsyr) if dtype == np.float64 else (zhemv, zher)
-    # (S - l I)^{-1} at S = 0; Fortran order so BLAS updates it in place
-    resolvent = np.asfortranarray(np.eye(m, dtype=dtype) / level)
-    q1 = norms / level  # row scores  v^H (S - l I)^{-1} v
-    q2 = norms / level**2  # and  v^H (S - l I)^{-2} v
-    blocked = ~active
+    resolvent = np.eye(m, dtype=dtype) / level  # (S - l I)^{-1} at S = 0
+    # the pending updates -beta w w^H: w in ``queue``, beta conj(w) in ``scaled``
+    queue = np.empty((_FLUSH, m), dtype=dtype)
+    scaled = np.empty_like(queue)
+    coef = np.empty(_FLUSH, dtype=dtype)
+    pending = np.empty(m, dtype=dtype)
+    g = np.empty(m, dtype=dtype)
+    gain = np.empty(len(q1))
+    abs1 = np.empty(len(q1))
+    prod = np.empty(len(q1), dtype=dtype)
+    queued = 0
+
+    def resolve(v, out):
+        """``out = R v``: the flushed resolvent, less the queued terms."""
+        np.dot(resolvent, v, out=out)
+        if queued:
+            np.dot(scaled[:queued], v, out=coef[:queued])
+            out -= np.dot(coef[:queued], queue[:queued], out=pending)
+
     selected = []
-    for _ in range(q):
-        gain = q2 / (1.0 + q1)  # potential decrease when adding the row
-        gain[blocked] = -np.inf
-        top = gain.max()
-        i = int(np.argmax(gain >= top - _NEAR_TIE * abs(top)))  # lowest near-tie
-        blocked[i] = True
-        selected.append(i)
-        w = hemv(1.0, resolvent, row(i))
-        g = hemv(1.0, resolvent, w)
-        beta = 1.0 / (1.0 + q1[i])
+    for step in range(q):
+        # potential decrease when adding the row
+        np.divide(q2, np.add(1.0, q1, out=gain), out=gain)
+        np.putmask(gain, blocked, -np.inf)
+        k = int(gain.argmax())
+        near = gain >= gain[k] - _NEAR_TIE * abs(gain[k])
+        if np.count_nonzero(near) > 1:  # the lowest near-tied position wins
+            near = np.flatnonzero(near)
+            k = near[np.argmin(nxt[near])]
+        selected.append(nxt[k])
+        head[k] += 1
+        if head[k] == end[k]:
+            blocked[k] = True
+        else:
+            nxt[k] = order[head[k]]
+        if step == q - 1:
+            break
+        w = queue[queued]
+        resolve(row(k), w)
+        resolve(w, g)
+        beta = 1.0 / (1.0 + q1[k])
         a1, a2 = cross(w, g)
-        abs1 = np.abs(a1) ** 2
-        q1 = q1 - beta * abs1
-        q2 = (
-            q2
-            - 2.0 * beta * np.real(a2 * a1.conj())
-            + beta**2 * float(np.real(np.vdot(w, w))) * abs1
-        )
-        her(-beta, w, a=resolvent, overwrite_a=True)
+        np.square(np.abs(a1, out=abs1), out=abs1)
+        np.multiply(a2, a1.conj(), out=prod)  # .conj() of a real array is itself
+        q1 -= np.multiply(beta, abs1, out=gain)
+        q2 -= np.multiply(2.0 * beta, prod.real, out=gain)
+        q2 += np.multiply(beta**2 * float(np.real(np.vdot(w, w))), abs1, out=abs1)
+        np.multiply(w.conj(), beta, out=scaled[queued])
+        queued += 1
+        if queued == _FLUSH:
+            resolvent -= np.matmul(queue.T, scaled)
+            queued = 0
     return np.array(selected, dtype=np.int64)
 
 
@@ -330,9 +388,12 @@ def bss_select_plain(rows: np.ndarray, b: float) -> np.ndarray:
     zero, which keeps the resolvent well conditioned and lets both score
     vectors update by rank-1 (Sherman-Morrison) algebra instead of a fresh
     eigendecomposition.  Each step costs O(N m) for the dense product
-    ``conj(rows) @ [w, g]`` plus O(m^2) for the in-place resolvent update;
-    ``plain_bss_subsample`` replaces that product by a lattice FFT,
-    O(M log M), when its draw has a lattice parent and I = -I.
+    ``conj(rows) @ [w, g]`` plus two O(m^2) products with the resolvent,
+    whose rank-1 updates are queued and applied as one matrix product every
+    ``_FLUSH`` steps; ``plain_bss_subsample`` replaces the dense product by
+    a lattice FFT, O(M log M), when its draw has a lattice parent and I =
+    -I, and scores each distinct drawn row once.  Here every row is scored,
+    repeated or not.
 
     Ties go to the lowest row position, and so do near-ties: gains within a
     relative ``64 eps`` of the best.  The row norms are computed here as
@@ -549,12 +610,15 @@ def plain_bss_subsample(
     output's lower MZ constant is certified to be at least
     ``(b-1)^3 / (178 (b+1)^2) * A``; the upper constant is unconstrained.
 
-    On a lattice-backed parent with a symmetric index set (I = -I, see
-    ``IndexSet.symmetric``) the greedy takes the draw's real rows from
-    ``LatticeOperator.real_rows``, scored through one lattice FFT, O(M log M
-    + |I|^2) per step with no row matrix (so the row cap,
+    The greedy scores each distinct (index, reweight) pair of the draw once,
+    for all of its copies, and returns the draw positions the ungrouped
+    greedy would.  On a lattice-backed parent with a symmetric index set
+    (I = -I, see ``IndexSet.symmetric``) it takes the distinct real rows
+    from ``LatticeOperator.real_rows``, scored through one lattice FFT,
+    O(M log M + |I|^2) per step with no row matrix (so the row cap,
     ``mz.DENSE_CAP_BYTES``, does not apply); any other input uses the dense
-    complex rows, O(N |I|) per step.  Both pass the exact row norms ``rw_i
+    complex rows of the distinct points, O(N |I|) per step for N of them,
+    and the row cap bounds those.  Both pass the exact row norms ``rw_i
     |I|`` and select alike unless rounding moves a gain across the near-tie
     tolerance.  The certificate is a dense Gram eigensolve (real on a
     symmetric set, see ``mz.mz_constants``), bounded by
@@ -574,12 +638,18 @@ def plain_bss_subsample(
 
     # |row_i|^2 = rw_i |I| exactly: every character has unit modulus
     norms = selection.reweights * m
+    # a repeated (index, reweight) pair repeats its row bit for bit, so the
+    # scorer holds one row per distinct pair, found as ``index + i reweight``
+    _, first, groups = np.unique(selection.indices + 1j * selection.reweights,
+                                 return_index=True, return_inverse=True)
+    distinct = replace(selection, indices=selection.indices[first],
+                       reweights=selection.reweights[first])
     if selection.parent.lattice is not None and index_set.symmetric:
-        op = LatticeOperator(selection.parent.lattice, index_set, selection.lattice_rows)
-        scorer = op.real_rows(np.sqrt(selection.reweights))
+        op = LatticeOperator(selection.parent.lattice, index_set, distinct.lattice_rows)
+        scorer = op.real_rows(np.sqrt(distinct.reweights))
     else:
-        scorer = _dense_scorer(_stage1_rows(selection, index_set))
-    chosen = _barrier_greedy(norms, m, b, *scorer)
+        scorer = _dense_scorer(_stage1_rows(distinct, index_set))
+    chosen = _barrier_greedy(norms, m, b, *scorer, groups=groups)
     n = selection.draw_count
     # w_i / rho_i = n * stage-1 reweight; the certified sum carries 1/|I|
     reweights = selection.reweights[chosen] * (n / m)

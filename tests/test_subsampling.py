@@ -29,6 +29,7 @@ from latsub.lattice import (
 from latsub.mz import SpectralBounds, mz_constants
 from latsub.solver import operator_for
 from latsub.subsampling import (
+    _FLUSH,
     DensityWeights,
     SpectralCertificateError,
     SubsampleSelection,
@@ -822,3 +823,147 @@ def realified(rows):
     np.testing.assert_allclose(np.sum(out**2, axis=1), np.sum(np.abs(rows)**2, axis=1),
                                rtol=1e-12)
     return out
+
+
+def blas_barrier_greedy(norms, m, b, row, cross):
+    """The plain greedy with an in-place BLAS resolvent, one rank-1 update per
+    step and every position scored: the differential oracle of ``_barrier_greedy``.
+
+    The resolvent is kept in its upper triangle and updated by scipy's BLAS
+    ``dsymv``/``dsyr``, or ``zhemv``/``zher`` for complex rows.
+    """
+    from scipy.linalg.blas import dsymv, dsyr, zhemv, zher
+
+    if b <= 1.0 + 1.0 / m:
+        raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
+    active = norms > 0
+    n_active = int(active.sum())
+    q = min(int(math.ceil(b * m)), n_active)
+    tr_total = norms[active].sum()
+    # barrier depth: a quarter of the selection's fair-share eigenvalue
+    level = 0.25 * tr_total * q / (max(n_active, 1) * m)
+    if level <= 0:
+        raise ValueError("input rows carry no mass")
+
+    dtype = row(0).dtype
+    hemv, her = (dsymv, dsyr) if dtype == np.float64 else (zhemv, zher)
+    # (S - l I)^{-1} at S = 0; Fortran order so BLAS updates it in place
+    resolvent = np.asfortranarray(np.eye(m, dtype=dtype) / level)
+    q1 = norms / level  # row scores  v^H (S - l I)^{-1} v
+    q2 = norms / level**2  # and  v^H (S - l I)^{-2} v
+    blocked = ~active
+    selected = []
+    for _ in range(q):
+        gain = q2 / (1.0 + q1)  # potential decrease when adding the row
+        gain[blocked] = -np.inf
+        top = gain.max()
+        i = int(np.argmax(gain >= top - latsub.subsampling._NEAR_TIE * abs(top)))
+        blocked[i] = True
+        selected.append(i)
+        w = hemv(1.0, resolvent, row(i))
+        g = hemv(1.0, resolvent, w)
+        beta = 1.0 / (1.0 + q1[i])
+        a1, a2 = cross(w, g)
+        abs1 = np.abs(a1) ** 2
+        q1 = q1 - beta * abs1
+        q2 = (
+            q2
+            - 2.0 * beta * np.real(a2 * a1.conj())
+            + beta**2 * float(np.real(np.vdot(w, w))) * abs1
+        )
+        her(-beta, w, a=resolvent, overwrite_a=True)
+    return np.array(selected, dtype=np.int64)
+
+
+class TestGreedyAgainstTheBlasLoop:
+    """``_barrier_greedy``, with queued rank-``_FLUSH`` resolvent updates and
+    each group of equal rows scored once, returns the positions of the
+    in-place BLAS loop scoring every position."""
+
+    @staticmethod
+    def plain_positions(monkeypatch, sel, I, b=2.0):
+        """The positions ``plain_bss_subsample`` gets from the greedy on ``sel``."""
+        got = []
+
+        def spy(*args, **kwargs):
+            got.append(_barrier_greedy(*args, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr(latsub.subsampling, "_barrier_greedy", spy)
+        out = plain_bss_subsample(sel, I, b)
+        assert np.array_equal(out.indices, sel.indices[got[0]])
+        return got[0]
+
+    @staticmethod
+    def oracle_positions(sel, I, b=2.0):
+        m = len(I)
+        scorer = (lattice_scorer(sel, I) if sel.parent.lattice is not None
+                  else _dense_scorer(_stage1_rows(sel, I)))
+        return blas_barrier_greedy(sel.reweights * m, m, b, *scorer)
+
+    @staticmethod
+    def draws():
+        """Lattice draws with many duplicates, none, and one repeated row."""
+        I, lat, plan = tight_plan(2, 0.5, 8.0, 3)
+        many = random_subsample(plan, density_weights(plan), 6 * lat.size, 5)
+        assert len(np.unique(many.indices)) < len(many) / 4
+        keep = np.sort(np.unique(many.indices, return_index=True)[1])
+        none = replace(many, indices=many.indices[keep], reweights=many.reweights[keep])
+        one = replace(none, indices=np.insert(none.indices, 17, none.indices[3]),
+                      reweights=np.insert(none.reweights, 17, none.reweights[3]))
+        return I, {"many": many, "none": none, "one": one}
+
+    @pytest.mark.parametrize("kind", ["many", "none", "one"])
+    @pytest.mark.parametrize("path", ["lattice", "dense"])
+    def test_lattice_draws(self, monkeypatch, kind, path):
+        I, draws = self.draws()
+        sel = draws[kind] if path == "lattice" else stripped(draws[kind])
+        got = self.plain_positions(monkeypatch, sel, I)
+        assert np.array_equal(got, self.oracle_positions(sel, I))
+
+    @pytest.mark.parametrize("path", ["lattice", "dense"])
+    def test_uniform_draw_takes_position_zero_first(self, monkeypatch, path):
+        # every row ties at step 0, and position 0's row recurs later in the draw
+        I, sel = stage1_selection(2, 1.0, 3.0, seed=21, n_factor=4)
+        assert np.all(sel.reweights == sel.reweights[0])
+        assert np.count_nonzero(sel.indices == sel.indices[0]) > 1
+        if path == "dense":
+            sel = stripped(sel)
+        got = self.plain_positions(monkeypatch, sel, I)
+        assert got[0] == 0
+        assert np.array_equal(got, self.oracle_positions(sel, I))
+
+    @pytest.mark.parametrize("q", [_FLUSH - 1, _FLUSH, _FLUSH + 1, 2 * _FLUSH + 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_selection_lengths_around_the_flush(self, q, dtype):
+        # q = ceil(b m) steps on m = 8 random rows, each of them drawn one or more times
+        m, groups = 8, 2 * q
+        rng = np.random.default_rng(q)
+        base = rng.standard_normal((groups, m))
+        if dtype == np.complex128:
+            base = base + 1j * rng.standard_normal((groups, m))
+        draw = rng.permutation(np.concatenate((np.arange(groups),
+                                               rng.integers(0, groups, groups))))
+        rows = base[draw]
+        norms = np.sum(np.abs(rows) ** 2, axis=1)
+        b = q / m
+        want = blas_barrier_greedy(norms, m, b, *_dense_scorer(rows))
+        assert len(want) == q
+        assert np.array_equal(_barrier_greedy(norms, m, b, *_dense_scorer(rows)), want)
+        assert np.array_equal(
+            _barrier_greedy(norms, m, b, *_dense_scorer(base), groups=draw), want)
+
+    def test_complex_dense_path_on_an_asymmetric_set(self, monkeypatch):
+        I = select_largest_eigenvalues(hyperbolic_cross(2, 1.0, 8.0), 8, 1.5)
+        assert not np.array_equal(I.frequencies[::-1], -I.frequencies)
+        lat = search_generator(I, rng_seed=23)
+        plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
+                          bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+        m = len(I)
+        sel = random_subsample(plan, density_weights(plan),
+                               math.ceil(4 * m * (math.log(m) + 1)), seed=23)
+        assert len(np.unique(sel.indices)) < len(sel)
+        got = self.plain_positions(monkeypatch, sel, I)
+        want = blas_barrier_greedy(sel.reweights * m, m, 2.0,
+                                   *_dense_scorer(_stage1_rows(sel, I)))
+        assert np.array_equal(got, want)
