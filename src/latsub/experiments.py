@@ -42,8 +42,8 @@ from .index_sets import IndexSet, hyperbolic_cross
 from .lattice import (
     _DEFAULT_SCHEDULE_NAME,
     Rank1Lattice,
+    SamplePlan,
     is_reconstructing,
-    lattice_points,
     search_generator,
 )
 from .mz import SpectralBounds, mz_constants
@@ -180,14 +180,17 @@ def _lattice_for(
         f"lat_d{cfg.dimension}_g{cfg.gamma!r}_R{radius!r}_s{cfg.seed}"
         f"_{_DEFAULT_SCHEDULE_NAME}.txt",
     )
-    lat = None
-    if os.path.exists(fname):
+    try:  # an absent, empty or broken file is a miss, and is overwritten
         cached = Rank1Lattice.load(fname)
+    except (FileNotFoundError, ValueError):
+        pass
+    else:
         if cached.dimension == cfg.dimension and is_reconstructing(cached, index_set):
-            lat = cached
-    if lat is None:
-        lat = search_generator(index_set, rng_seed=cfg.seed)
-        lat.save(fname)
+            return cached
+    lat = search_generator(index_set, rng_seed=cfg.seed)
+    part = f"{fname}.{os.getpid()}.part"  # not *.txt; a killed run leaves no partial .txt
+    lat.save(part)
+    os.replace(part, fname)
     return lat
 
 
@@ -205,25 +208,26 @@ def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     """Bytes of a ``full`` plus ``random_sub`` round on a lattice of size M.
 
     What the round holds throughout, plus the largest of its phases, which
-    never hold memory at the same time.  Held: per lattice point the points
-    (8d), the weights, the density and the kink's real values (24); per
-    frequency of the |I| = m the frequencies (8d), the residues and the
-    reference and full coefficients (32); and the fixed bytes.  Phases: the
-    full adjoint's complex copy of the values and its spectrum (32 per point)
-    and its gather (16 per frequency); or one solve, which holds the draw's
-    indices, reweights, masked values and their weighted product (32 per
-    draw), the right-hand side's point sums and half spectrum (16 per point)
-    and then, after them, the Hermitian apply's total weight per point,
-    complex half spectrum and real work vector (24 per point), and per
-    frequency the right-hand side and its gather temporary, the slots of the
-    apply's scatter and the complex result (40), the five real CG vectors
-    (40), and the apply's slot index, its two scale vectors and their build
-    temporaries (48).  The kink's two temporaries (16 per point) come before
-    both and are fewer than the adjoint's.
+    never hold memory at the same time.  Held: per lattice point the weights,
+    the density and the kink's real values (24); per frequency of the |I| = m
+    the frequencies (8d), the residues and the reference and full
+    coefficients (32); and the fixed bytes.  Phases: the kink, which holds
+    the lattice points computed for it and its two temporaries (8d + 16 per
+    point); or the full adjoint's complex copy of the values and its
+    spectrum (32 per point) and its gather (16 per frequency); or one solve,
+    which holds the draw's indices, reweights, masked values and their
+    weighted product (32 per draw), the right-hand side's point sums and
+    half spectrum (16 per point) and then, after them, the Hermitian apply's
+    total weight per point, complex half spectrum and real work vector (24
+    per point), and per frequency the right-hand side and its gather
+    temporary, the slots of the apply's scatter and the complex result (40),
+    the five real CG vectors (40), and the apply's slot index, its two scale
+    vectors and their build temporaries (48).
     """
+    kink = (8 * d + 16) * M
     adjoint = 32 * M + 16 * m
     solve = 24 * M + 32 * _draw_count(m) + 128 * m
-    return M * (8 * d + 24) + m * (8 * d + 32) + max(adjoint, solve) + _FIXED_BYTES
+    return 24 * M + m * (8 * d + 32) + max(kink, adjoint, solve) + _FIXED_BYTES
 
 
 def _dense_row_bytes(n: int, d: int, m: int) -> int:
@@ -275,8 +279,9 @@ class _Round:
         kink = KinkFunction(cfg.dimension)
         self.cfg, self.index_set = cfg, index_set
         self.n_draw = _draw_count(len(index_set))
-        self.plan = replace(lattice_points(lat), bounds=SpectralBounds(1.0, 1.0))
-        self.values = kink(self.plan.points)
+        self.plan = SamplePlan(weights=np.full(lat.size, 1.0 / lat.size),
+                               bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+        self.values = kink(self.plan.points)  # the points are freed after the call
         self.ref = kink_coefficients(index_set.frequencies)
         self.trunc_sq = truncation_error_sq(kink.norm_sq, self.ref)
         self.op = LatticeOperator(lat, index_set)

@@ -79,6 +79,8 @@ class Rank1Lattice:
         )
 
     def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ValueError(f"lattice dimension must be >= 1, got {self.dimension}")
         if self.size < 1:
             raise ValueError(f"lattice size must be >= 1, got {self.size}")
         if self.size > _INT64_SAFE_M:
@@ -120,10 +122,10 @@ class Rank1Lattice:
         if len(tok) < 2:
             raise ValueError(f"lattice line must read 'd M z_1 ... z_d', got {line!r}")
         d, M = int(tok[0]), int(tok[1])
-        z = np.array([int(t) for t in tok[2 : 2 + d]], dtype=np.int64)
-        if len(z) != d:
-            raise ValueError("lattice line has fewer generator entries than d")
-        return cls(dimension=d, generator=z, size=M)
+        if len(tok) != d + 2:
+            raise ValueError(f"lattice line must hold d = {d} generator entries, "
+                             f"got {len(tok) - 2}")
+        return cls(dimension=d, generator=[int(t) for t in tok[2:]], size=M)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -135,73 +137,69 @@ class Rank1Lattice:
             return cls.from_line(fh.readline())
 
 
-@dataclass(frozen=True, eq=False)
 class SamplePlan:
-    """A point set with nonnegative weights, optionally tied to a lattice.
+    """Nonnegative quadrature weights on a point set or on rows of a lattice.
 
-    ``lattice``/``lattice_rows`` record that the points are (a subset of) a
-    rank-1 lattice, which unlocks FFT-based operators and Gram assembly
-    downstream; they carry no information beyond ``points`` itself.  The
-    rows are the lattice index of each point, in ``[0, M)``; without them
-    the plan holds all M lattice points in order.
+    A point set, ``SamplePlan(points=..., weights=...)``, stores its points.
+    A lattice plan, ``SamplePlan(weights=..., lattice=..., lattice_rows=...)``,
+    stores each point's lattice index in ``[0, M)`` (None: all M in order);
+    reading ``points`` computes ``lattice.points(lattice_rows)``, so the rows
+    and points cannot disagree.  ``bounds`` may record the MZ constants.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
-    bounds: "SpectralBounds | None" = None
-    lattice: Rank1Lattice | None = None
-    lattice_rows: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (pts.shape[0],):
-            raise ValueError(
-                f"got {pts.shape[0]} points but {w.shape} weights"
-            )
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise ValueError("points and weights must be finite")
+    def __init__(self, points=None, *, weights, bounds: "SpectralBounds | None" = None,
+                 lattice: Rank1Lattice | None = None, lattice_rows=None):
+        w = np.asarray(weights, dtype=np.float64)
+        if lattice is None:
+            if lattice_rows is not None:
+                raise ValueError("lattice_rows need a lattice")
+            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+            if not np.all(np.isfinite(points)):
+                raise ValueError("points must be finite")
+            points.flags.writeable = False
+            shape, of = points.shape[:1], f"{len(points)} points"
+        elif points is not None:
+            raise ValueError("a lattice plan takes no points: they are computed from its rows")
+        elif lattice_rows is None:
+            shape, of = (lattice.size,), f"all M = {lattice.size} lattice points"
+        else:
+            rows = lattice_rows = np.asarray(lattice_rows, dtype=np.int64)
+            if rows.size and not 0 <= rows.min() <= rows.max() < lattice.size:
+                raise ValueError(f"lattice_rows must lie in [0, M = {lattice.size})")
+            rows.flags.writeable = False
+            shape, of = rows.shape, f"lattice_rows of shape {rows.shape}"
+        if w.ndim != 1 or w.shape != shape:
+            raise ValueError(f"got {w.shape} weights for {of}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        pts.flags.writeable = False
         w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        if self.lattice_rows is not None:
-            if self.lattice is None:
-                raise ValueError("lattice_rows need a lattice")
-            rows = np.asarray(self.lattice_rows, dtype=np.int64)
-            if rows.shape != w.shape:
-                raise ValueError(
-                    f"got {len(w)} points but lattice_rows of shape {rows.shape}"
-                )
-            if len(rows) and (rows.min() < 0 or rows.max() >= self.lattice.size):
-                raise ValueError(f"lattice_rows must lie in [0, M = {self.lattice.size})")
-            rows.flags.writeable = False
-            object.__setattr__(self, "lattice_rows", rows)
-        elif self.lattice is not None and len(w) != self.lattice.size:
-            raise ValueError(
-                f"a plan without lattice_rows holds all M = {self.lattice.size} "
-                f"lattice points, got {len(w)}"
-            )
+        for name, value in (("_points", points), ("weights", w), ("bounds", bounds),
+                            ("lattice", lattice), ("lattice_rows", lattice_rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SamplePlan is immutable: cannot set {name!r}")
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, d) points; a lattice plan computes them from its rows."""
+        if self.lattice is None:
+            return self._points
+        return self.lattice.points(self.lattice_rows)
 
     @property
     def dimension(self) -> int:
-        return self.points.shape[1]
+        return self._points.shape[1] if self.lattice is None else self.lattice.dimension
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return len(self.weights)
 
 
 def lattice_points(lat: Rank1Lattice) -> SamplePlan:
-    """All M lattice points with uniform quadrature weights 1/M (summing to 1)."""
-    M = lat.size
-    return SamplePlan(
-        points=lat.points(),
-        weights=np.full(M, 1.0 / M),
-        lattice=lat,
-        lattice_rows=None,
-    )
+    """All M lattice points (computed on reading) with uniform weights 1/M."""
+    return SamplePlan(weights=np.full(lat.size, 1.0 / lat.size), lattice=lat)
 
 
 def residues(lat: Rank1Lattice, freqs: np.ndarray) -> np.ndarray:

@@ -162,13 +162,11 @@ class SubsampleSelection:
         return self.indices if rows is None else rows[self.indices]
 
     def as_plan(self) -> SamplePlan:
-        """The selection as a standalone SamplePlan (lattice link preserved)."""
-        return SamplePlan(
-            points=self.parent.points[self.indices],
-            weights=self.reweights,
-            lattice=self.parent.lattice,
-            lattice_rows=self.lattice_rows,
-        )
+        """The selection as a plan with the reweights; on a lattice, its rows."""
+        lat = self.parent.lattice
+        points = self.parent.points[self.indices] if lat is None else None
+        return SamplePlan(points, weights=self.reweights, lattice=lat,
+                          lattice_rows=self.lattice_rows)
 
 
 def density_weights(plan: SamplePlan) -> DensityWeights:
@@ -503,8 +501,7 @@ def _stage1_rows(selection: SubsampleSelection, index_set: IndexSet) -> np.ndarr
             f"the dense cap (mz.DENSE_CAP_BYTES = {mz.DENSE_CAP_BYTES}); "
             "sparsification is a dense precomputation"
         )
-    pts = selection.parent.points[selection.indices]
-    rows = _characters(pts, index_set.frequencies)
+    rows = _characters(selection.as_plan().points, index_set.frequencies)
     rows *= np.sqrt(selection.reweights)[:, None]
     return rows
 

@@ -55,9 +55,8 @@ def _report(num: int, ok: bool, detail: str, elapsed: float, budget_s: float):
 
 def tight_plan_for(index_set, seed):
     lat = search_generator(index_set, rng_seed=seed)
-    return lat, SamplePlan(
-        points=lat.points(), weights=np.full(lat.size, 1.0 / lat.size),
-        bounds=SpectralBounds(1.0, 1.0), lattice=lat)
+    return lat, SamplePlan(weights=np.full(lat.size, 1.0 / lat.size),
+                           bounds=SpectralBounds(1.0, 1.0), lattice=lat)
 
 
 def trimmed_cross(d, gamma, m, s=1.5):

@@ -150,13 +150,15 @@ _CROSS = ["--d", "2", "--gamma", "1.0", "--radius", "2.0"]
     ["exp1", "--config", "{not_object}"],
     ["lattice-search", *_CROSS, "--out", "{missing}/lat.txt"],
     ["lattice-search", "--d", "2", "--gamma", "1.0"],
+    ["mz-audit", "--lattice", "{over_long}", *_CROSS],
 ], ids=["audit-empty", "audit-missing", "search-missing", "search-empty",
         "exp1-missing", "exp1-unknown-field", "exp1-not-object", "search-out-unwritable",
-        "search-no-radius"])
+        "search-no-radius", "audit-over-long"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {name: tmp_path / f"{name}.txt"
-             for name in ("empty", "missing", "unknown_field", "not_object")}
+             for name in ("empty", "missing", "unknown_field", "not_object", "over_long")}
     paths["empty"].write_text("")
+    paths["over_long"].write_text("2 101 1 5 7\n")
     paths["unknown_field"].write_text(json.dumps({"dimension": 2, "oversampling": 3}))
     paths["not_object"].write_text("[2, 0.5]")
     rc = main([a.format(**paths) for a in argv])
@@ -169,6 +171,26 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         assert "must hold a JSON object" in err[0]
     if argv == ["lattice-search", "--d", "2", "--gamma", "1.0"]:
         assert "provide --index-set or all of --d/--gamma/--radius" in err[0]
+    if "{over_long}" in argv:
+        assert "must hold d = 2 generator entries, got 3" in err[0]
+
+
+@pytest.mark.parametrize("content", ["", "2 10", "2 101 1 5 7\n"],
+                         ids=["empty", "truncated", "over-long"])
+def test_broken_lattice_cache_file_is_a_miss(tmp_path, capsys, content):
+    # a run killed while writing the cache could once leave such a file, and
+    # every later run with that --out then failed until it was deleted
+    argv = ["exp1", "--d", "2", "--gamma", "0.5", "--radii", "4", "--seed", "3",
+            "--reps", "1", "--strategies", "full"]
+    assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    (cold,) = (tmp_path / "cold" / "lattice_cache").iterdir()
+    broken = tmp_path / "warm" / "lattice_cache" / cold.name
+    broken.parent.mkdir(parents=True)
+    broken.write_text(content)
+    rc = main([*argv, "--out", str(tmp_path / "warm")])
+    assert rc == 0, capsys.readouterr().err
+    assert os.listdir(broken.parent) == [cold.name]  # no temporary file left
+    assert broken.read_text() == cold.read_text()
 
 
 @pytest.mark.parametrize("field, value, expected", [

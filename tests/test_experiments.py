@@ -212,10 +212,11 @@ class TestRunExperiment1:
             assert 0 < peaks[-1] <= needed
 
     def test_lattice_estimate_counts_the_round(self, tmp_path):
-        # held: per lattice point the points, weights, density and real
-        # values; per frequency the frequencies, residues and reference and
-        # full coefficients; fixed bytes.  Plus the larger phase: the full
-        # adjoint's complex copy and spectrum and its gather, or one solve
+        # held: per lattice point the weights, density and real values; per
+        # frequency the frequencies, residues and reference and full
+        # coefficients; fixed bytes.  Plus the largest phase: the kink (the
+        # points computed for it and two temporaries), the full adjoint's
+        # complex copy and spectrum and its gather, or one solve
         # (per draw indices, reweights, masked values and their product; per
         # point the Hermitian apply's weights and two buffers; per frequency
         # the solve's vectors and the apply's index and scales).  d = 2,
@@ -227,8 +228,9 @@ class TestRunExperiment1:
             full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
             M, m = full.num_points, full.num_frequencies
             n = math.ceil(m * math.log(m))
-            needed = (M * (8 * d + 24) + m * (8 * d + 32)
-                      + max(32 * M + 16 * m, 24 * M + 32 * n + 128 * m)
+            needed = (24 * M + m * (8 * d + 32)
+                      + max((8 * d + 16) * M, 32 * M + 16 * m,
+                            24 * M + 32 * n + 128 * m)
                       + latsub.experiments._FIXED_BYTES)
             rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
             assert not any(r.skipped for r in rows)
@@ -251,6 +253,58 @@ class TestRunExperiment1:
         assert skipped
         assert all(r.skip_reason for r in skipped)
         assert check_report(report) == []  # skipping is not a violation
+
+
+class TestPinnedOutputs:
+    """Outputs recorded while lattice plans still stored their points.
+
+    Point counts, seeds, |I| and the cached lattice lines compare exactly.
+    The errors compare within 1e-12 relative: the dense rows differ in their
+    last digits between BLAS thread counts.  A change that moves outputs on
+    purpose updates these values and says so.
+    """
+
+    LATTICES = {4.0: "2 29 28 5", 8.0: "2 59 22 38"}
+    # (radius, strategy, repetition): (|I|, points, seed, truncation, aliasing, total)
+    EXP1 = {
+        (4.0, "full", 0): (13, 29, 7, 0.09006369740400784, 0.017336914219358963, 0.09171716406829258),
+        (4.0, "full", 1): (13, 29, 7, 0.09006369740400784, 0.017336914219358963, 0.09171716406829258),
+        (4.0, "random_sub", 0): (13, 34, 5730826186778930994, 0.09006369740400784, 0.05985856462947346, 0.10814119173368462),
+        (4.0, "random_sub", 1): (13, 34, 7772559887313084161, 0.09006369740400784, 0.04609549339155075, 0.10117442414509305),
+        (4.0, "continuous_random", 0): (13, 34, 5093101976529578930, 0.09006369740400784, 0.060313795455580965, 0.1083938352137166),
+        (4.0, "continuous_random", 1): (13, 34, 913400366549931948, 0.09006369740400784, 0.04600145300514491, 0.10113161359666543),
+        (8.0, "full", 0): (29, 59, 7, 0.03287105137195121, 0.01635090380706413, 0.03671318664465562),
+        (8.0, "full", 1): (29, 59, 7, 0.03287105137195121, 0.01635090380706413, 0.03671318664465562),
+        (8.0, "random_sub", 0): (29, 98, 2048857388707803343, 0.03287105137195121, 0.030380601110094267, 0.04476032777033829),
+        (8.0, "random_sub", 1): (29, 98, 3121033225316537670, 0.03287105137195121, 0.023449795922915923, 0.04037819890886492),
+        (8.0, "continuous_random", 0): (29, 98, 7964965305340474863, 0.03287105137195121, 0.02767753434634614, 0.042971524592346336),
+        (8.0, "continuous_random", 1): (29, 98, 1045227425872043019, 0.03287105137195121, 0.027518977998293902, 0.04286957159067536),
+    }
+    EXP2 = {
+        (4.0, "bss_sub", 0): (13, 26, 266270478720369778, 0.09006369740400784, 0.03890472635185873, 0.09810732552971618),
+        (4.0, "bss_sub", 1): (13, 26, 7882089576940760838, 0.09006369740400784, 0.07374051744804515, 0.1164007452879325),
+        (8.0, "bss_sub", 0): (29, 58, 3418810207754707518, 0.03287105137195121, 0.033649325456170345, 0.047040228761696404),
+        (8.0, "bss_sub", 1): (29, 58, 789219003664472821, 0.03287105137195121, 0.025978716212512985, 0.04189749054952743),
+    }
+
+    @pytest.mark.parametrize("run, strategies, expected", [
+        (run_experiment_1, ("full", "random_sub", "continuous_random"), EXP1),
+        (run_experiment_2, ("bss_sub",), EXP2),
+    ], ids=["exp1", "exp2"])
+    def test_rows_and_lattices_unchanged(self, tmp_path, run, strategies, expected):
+        cfg = ExperimentConfig(dimension=2, gamma=0.5, radii=(4.0, 8.0), repetitions=2,
+                               seed=7, strategies=strategies, output_dir=str(tmp_path))
+        rows = run(cfg).rows
+        assert [(r.radius, r.strategy, r.repetition) for r in rows] == list(expected)
+        for r in rows:
+            m, n, seed, *errors = expected[r.radius, r.strategy, r.repetition]
+            assert not r.skipped
+            assert (r.num_frequencies, r.num_points, r.seed) == (m, n, seed)
+            got = [r.truncation_error, r.aliasing_error, r.total_error]
+            assert got == pytest.approx(errors, rel=1e-12, abs=0)
+        for radius, line in self.LATTICES.items():
+            (path,) = (tmp_path / "lattice_cache").glob(f"*_R{radius!r}_*.txt")
+            assert path.read_text() == line + "\n"
 
 
 class TestRunExperiment2:

@@ -110,6 +110,40 @@ class TestAdjoint:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestMaskedViews:
+    """``masked`` on a view composes its rows; every apply sees the same rows."""
+
+    def test_mask_of_a_masked_lattice_view_is_one_mask(self):
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        lat = Rank1Lattice(dimension=3, generator=np.array([1, 33, 301]), size=1024)
+        rng = np.random.default_rng(11)
+        outer, inner = rng.integers(0, 1024, 300), rng.integers(0, 300, 500)
+        assert len(np.unique(outer)) < 300 and len(np.unique(inner)) < 500  # duplicates
+        twice = LatticeOperator(lat, I).masked(outer).masked(inner)
+        once = LatticeOperator(lat, I).masked(outer[inner])
+        assert np.array_equal(twice.rows, outer[inner])
+        a, f, w = crandn(rng, len(I)), crandn(rng, 500), rng.random(500)
+        x = rng.standard_normal(len(I))
+        assert np.array_equal(twice.forward(a), once.forward(a))
+        assert np.array_equal(twice.adjoint(f), once.adjoint(f))
+        assert np.array_equal(twice.real_normal(w)(x), once.real_normal(w)(x))
+        assert np.array_equal(twice.real_adjoint(f.real), once.real_adjoint(f.real))
+
+    @pytest.mark.parametrize("I", [
+        hyperbolic_cross(2, 0.5, 6.0),
+        IndexSet(dimension=2, frequencies=[[0, 0], [1, 2], [-3, 1]]),
+    ], ids=["real", "complex"])
+    def test_masked_dense_operator_is_built_on_the_masked_points(self, I):
+        rng = np.random.default_rng(12)
+        pts, rows = rng.random((40, 2)), rng.integers(0, 40, 60)
+        masked = DenseOperator(pts, I).masked(rows)
+        direct = DenseOperator(pts[rows], I)
+        assert np.array_equal(masked.points, pts[rows])
+        a, f = crandn(rng, len(I)), crandn(rng, 60)
+        assert np.array_equal(masked.forward(a), direct.forward(a))
+        assert np.array_equal(masked.adjoint(f), direct.adjoint(f))
+
+
 class TestApplyNormal:
     def test_identity_on_full_reconstructing_lattice(self):
         rng = np.random.default_rng(3)

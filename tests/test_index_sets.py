@@ -188,6 +188,15 @@ class TestIndexSetType:
         assert [0, 0, 0] not in I
         assert [0, 0] not in IndexSet(dimension=2, frequencies=np.zeros((0, 2)))
 
+    def test_equality_is_set_equality(self):
+        freqs = [[1, 0], [-1, 2], [0, 0], [-1, -2]]
+        I = IndexSet(dimension=2, frequencies=freqs)
+        assert I == IndexSet(dimension=2, frequencies=freqs[::-1])  # rows reordered
+        assert I != IndexSet(dimension=2, frequencies=freqs[:3])
+        assert IndexSet(dimension=1, frequencies=[[0], [1]]) != IndexSet(
+            dimension=2, frequencies=[[0, 1]])
+        assert I != I.frequencies and I != "I"
+
     def test_frequencies_immutable(self):
         I = hyperbolic_cross(2, 1.0, 2.0)
         with pytest.raises(ValueError):

@@ -350,6 +350,15 @@ class TestSamplePlanSerialization:
         with pytest.raises(ValueError):
             Rank1Lattice.from_line(line)
 
+    @pytest.mark.parametrize("line, match", [
+        ("2 101 1 5 7", "must hold d = 2 generator entries, got 3"),
+        ("0 5", "lattice dimension must be >= 1, got 0"),
+        ("-1 5", "must hold d = -1 generator entries, got 0"),
+    ], ids=["over-long", "zero-dimension", "negative-dimension"])
+    def test_malformed_lattice_line_rejected(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            Rank1Lattice.from_line(line)
+
     def test_lattice_validation(self):
         with pytest.raises(ValueError, match="lattice size must be >= 1, got 0"):
             Rank1Lattice(dimension=1, generator=[1], size=0)
@@ -369,19 +378,58 @@ class TestSamplePlanSerialization:
     @pytest.mark.parametrize("change, match", [
         (lambda rows: rows - 5, r"lattice_rows must lie in \[0, M = 31\)"),
         (lambda rows: rows + 31, r"lattice_rows must lie in \[0, M = 31\)"),
-        (lambda rows: rows[:-1], r"got 40 points but lattice_rows of shape \(39,\)"),
+        (lambda rows: rows[:-1], r"got \(40,\) weights for lattice_rows of shape \(39,\)"),
         (lambda rows: rows.reshape(2, 20), r"lattice_rows of shape \(2, 20\)"),
-        (lambda rows: None, "holds all M = 31 lattice points, got 40"),
+        (lambda rows: None, r"got \(40,\) weights for all M = 31 lattice points"),
     ], ids=["negative", "beyond_M", "short", "2d", "absent"])
-    def test_lattice_rows_must_fit_the_points(self, change, match):
+    def test_lattice_rows_must_fit_the_weights(self, change, match):
         lat = Rank1Lattice(dimension=2, generator=np.array([1, 5]), size=31)
         rows = np.random.default_rng(0).integers(0, 5, 40)  # some rows below 5
         w = np.full(40, 1 / 40)
-        SamplePlan(points=lat.points(rows), weights=w, lattice=lat, lattice_rows=rows)
+        SamplePlan(weights=w, lattice=lat, lattice_rows=rows)
         with pytest.raises(ValueError, match=match):
-            SamplePlan(points=lat.points(rows), weights=w, lattice=lat,
-                       lattice_rows=change(rows))
+            SamplePlan(weights=w, lattice=lat, lattice_rows=change(rows))
 
     def test_lattice_rows_need_a_lattice(self):
         with pytest.raises(ValueError, match="lattice_rows need a lattice"):
             SamplePlan(points=[[0.0]], weights=[1.0], lattice_rows=[0])
+
+
+class TestLatticePlanHoldsRows:
+    """A lattice plan stores its rows and weights; its points are computed."""
+
+    LAT = Rank1Lattice(dimension=3, generator=np.array([1, 7, 12]), size=31)
+
+    def test_points_are_the_rows_points_bitwise(self):
+        rows = np.random.default_rng(1).integers(0, 31, 50)
+        plan = SamplePlan(weights=np.ones(50), lattice=self.LAT, lattice_rows=rows)
+        assert np.array_equal(plan.points, self.LAT.points(rows))
+        full = lattice_points(self.LAT)
+        assert np.array_equal(full.points, self.LAT.points())
+        assert (len(plan), plan.dimension, len(full), full.dimension) == (50, 3, 31, 3)
+
+    @pytest.mark.parametrize("rows", [None, [0, 3, 3]], ids=["all", "some"])
+    def test_lattice_plan_refuses_points(self, rows):
+        n = 31 if rows is None else len(rows)
+        with pytest.raises(ValueError, match="a lattice plan takes no points"):
+            SamplePlan(points=self.LAT.points(rows), weights=np.ones(n),
+                       lattice=self.LAT, lattice_rows=rows)
+
+    def test_rows_cannot_disagree_with_the_points(self):
+        # a plan once accepted the rows of other points, and its operators
+        # then described those; the points now follow from the rows
+        rng = np.random.default_rng(2)
+        rows = rng.integers(0, 31, 20)
+        moved = rng.permutation(rows)
+        assert not np.array_equal(rows, moved)
+        with pytest.raises(ValueError):
+            SamplePlan(points=self.LAT.points(rows), weights=np.ones(20),
+                       lattice=self.LAT, lattice_rows=moved)
+        plan = SamplePlan(weights=np.ones(20), lattice=self.LAT, lattice_rows=moved)
+        assert np.array_equal(plan.points, self.LAT.points(moved))
+
+    def test_plans_are_immutable(self):
+        plan = lattice_points(self.LAT)
+        with pytest.raises(AttributeError, match="immutable"):
+            plan.lattice_rows = np.arange(31)
+        assert not plan.weights.flags.writeable

@@ -65,8 +65,7 @@ class TestMzConstants:
         lat = Rank1Lattice(dimension=2, generator=np.array([4, 9]), size=41)
         rows = rng.integers(0, 41, size=60)
         w = rng.random(60)
-        plan = SamplePlan(points=lat.points(rows), weights=w,
-                          lattice=lat, lattice_rows=rows)
+        plan = SamplePlan(weights=w, lattice=lat, lattice_rows=rows)
         L = np.exp(2j * np.pi * (lat.points(rows) @ I.frequencies.T))
         want = L.conj().T @ (w[:, None] * L)
         got = gram_matrix(plan, I)
@@ -97,8 +96,8 @@ class TestMzConstants:
         with pytest.raises(ValueError, match="dimension mismatch"):
             mz_constants(SamplePlan(points=[[0.0, 0.0, 0.0]], weights=[1.0]), I)
         lat = Rank1Lattice(dimension=2, generator=np.array([1, 5]), size=31)
-        with pytest.raises(ValueError, match="holds all M = 31 lattice points, got 30"):
-            SamplePlan(points=lat.points()[:30], weights=np.full(30, 1 / 30), lattice=lat)
+        with pytest.raises(ValueError, match=r"got \(30,\) weights for all M = 31 lattice points"):
+            SamplePlan(weights=np.full(30, 1 / 30), lattice=lat)
 
 
 def symmetric_set(odd):
@@ -118,8 +117,7 @@ def lattice_plan(I, masked):
     rng = np.random.default_rng(4)
     rows = rng.integers(0, lat.size, 400)
     rows[:30] = rows[30:60]
-    return SamplePlan(points=lat.points(rows), weights=rng.random(400),
-                      lattice=lat, lattice_rows=rows)
+    return SamplePlan(weights=rng.random(400), lattice=lat, lattice_rows=rows)
 
 
 class TestRealGram:
@@ -199,8 +197,7 @@ class TestQuadratureExactness:
         I = hyperbolic_cross(2, 1.0, 2.0)
         lat = search_generator(I, rng_seed=5)
         plan = lattice_points(lat)
-        scaled = SamplePlan(points=plan.points, weights=3.5 * plan.weights,
-                            lattice=lat)
+        scaled = SamplePlan(weights=3.5 * plan.weights, lattice=lat)
         assert quadrature_exactness(scaled, I) == pytest.approx(3.5)
 
     def test_exactness_iff_tight_constants(self):

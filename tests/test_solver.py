@@ -28,7 +28,7 @@ def crandn(rng, n):
 def tight_setup(d, gamma, R, seed):
     I = hyperbolic_cross(d, gamma, R)
     lat = search_generator(I, rng_seed=seed)
-    plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
+    plan = SamplePlan(weights=np.full(lat.size, 1 / lat.size),
                       bounds=SpectralBounds(1.0, 1.0), lattice=lat)
     return I, lat, plan
 

@@ -77,7 +77,7 @@ def literal_density_oracle(plan, I, I_mz, s):
 def tight_plan(d, gamma, R, seed):
     I = hyperbolic_cross(d, gamma, R)
     lat = search_generator(I, rng_seed=seed)
-    plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
+    plan = SamplePlan(weights=np.full(lat.size, 1 / lat.size),
                       bounds=SpectralBounds(1.0, 1.0), lattice=lat)
     return I, lat, plan
 
@@ -494,7 +494,7 @@ class TestWeightedSparsification:
         out = plain_bss_subsample(sel, I, b=2.0)
         with pytest.raises(ValueError, match="stage-1"):
             bss_subsample(out, I, b=16.0)
-        bare = replace(sel.parent, bounds=None)
+        bare = SamplePlan(weights=sel.parent.weights, lattice=sel.parent.lattice)
         with pytest.raises(ValueError, match="no spectral bounds supplied"):
             bss_subsample(replace(sel, parent=bare), I, b=16.0)
 
@@ -577,7 +577,7 @@ class TestPlainSparsification:
             plain_bss_subsample(replace(sel, stage="plain_bss"), I, b=2.0)
         with pytest.raises(ValueError, match="must record its draw count"):
             plain_bss_subsample(replace(sel, draw_count=None), I, b=2.0)
-        bare = replace(sel.parent, bounds=None)
+        bare = SamplePlan(weights=sel.parent.weights, lattice=sel.parent.lattice)
         with pytest.raises(ValueError, match="no spectral bounds supplied"):
             plain_bss_subsample(replace(sel, parent=bare), I, b=2.0)
 
@@ -605,6 +605,30 @@ class TestPlainSparsification:
             assert out.indices[0] == sel.indices[0]
 
 
+class TestLatticeDrawsReadNoPoints:
+    """A lattice draw runs from its rows: no step computes lattice points."""
+
+    def test_pipeline_on_a_lattice_draw_never_computes_points(self, monkeypatch):
+        I, sel = stage1_selection(2, 1.0, 3.0, seed=21, n_factor=4)
+        rows = sel.lattice_rows
+        want = sel.parent.lattice.points(rows)
+
+        def refuse(*args):
+            raise AssertionError("lattice points computed")
+
+        monkeypatch.setattr(Rank1Lattice, "points", refuse)
+        lat = sel.parent.lattice
+        assert (len(lattice_points(lat)), lattice_points(lat).dimension) == (lat.size, 2)
+        plan = sel.as_plan()
+        assert (len(plan), plan.dimension) == (len(sel), 2)
+        assert np.array_equal(plan.lattice_rows, rows)
+        assert mz_constants(plan, I).A > 0
+        out = plain_bss_subsample(sel, I, b=2.0)
+        assert len(out.as_plan()) == len(out)
+        monkeypatch.undo()
+        assert np.array_equal(plan.points, want)  # bitwise the rows' points
+
+
 def gram_only_cap(index_set, selection):
     """A dense cap that admits the |I| x |I| Gram but not the N x |I| rows."""
     m = len(index_set)
@@ -614,7 +638,8 @@ def gram_only_cap(index_set, selection):
 
 def stripped(selection):
     """The same stage-1 draw on a plan without its lattice link (dense path)."""
-    plan = replace(selection.parent, lattice=None, lattice_rows=None)
+    parent = selection.parent
+    plan = SamplePlan(points=parent.points, weights=parent.weights, bounds=parent.bounds)
     return replace(selection, parent=plan)
 
 
@@ -664,7 +689,7 @@ class TestLatticeScoredSparsification:
         # a lattice parent alone does not pick the real scorer: I must be -I
         def draw(index_set):
             lat = search_generator(index_set, rng_seed=23)
-            plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
+            plan = SamplePlan(weights=np.full(lat.size, 1 / lat.size),
                               bounds=SpectralBounds(1.0, 1.0), lattice=lat)
             m = len(index_set)
             return random_subsample(plan, density_weights(plan),
@@ -701,8 +726,7 @@ class TestLatticeScoredSparsification:
         I = IndexSet(d, np.array(sorted(freqs)).reshape(-1, d))
         # a parent that is itself a lattice subset, drawn from with duplicates
         sub = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=20)))
-        parent = SamplePlan(points=lat.points(sub), weights=np.full(len(sub), 1.0),
-                            lattice=lat, lattice_rows=sub)
+        parent = SamplePlan(weights=np.full(len(sub), 1.0), lattice=lat, lattice_rows=sub)
         idx = data.draw(st.lists(st.integers(0, len(sub) - 1), min_size=1, max_size=30))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         sel = SubsampleSelection(parent=parent, indices=np.array(idx),
@@ -748,8 +772,7 @@ class TestScorerAtEveryLatticeSize:
         rng = np.random.default_rng(M)
         sub = rng.integers(0, M, 40)
         sub[1] = sub[0]  # the parent repeats a lattice row
-        parent = SamplePlan(points=lat.points(sub), weights=np.full(len(sub), 1.0),
-                            lattice=lat, lattice_rows=sub)
+        parent = SamplePlan(weights=np.full(len(sub), 1.0), lattice=lat, lattice_rows=sub)
         idx = rng.integers(0, len(sub), 60)
         idx[3] = idx[2]  # the draw repeats a parent row
         sel = SubsampleSelection(parent=parent, indices=idx,
@@ -957,7 +980,7 @@ class TestGreedyAgainstTheBlasLoop:
         I = select_largest_eigenvalues(hyperbolic_cross(2, 1.0, 8.0), 8, 1.5)
         assert not np.array_equal(I.frequencies[::-1], -I.frequencies)
         lat = search_generator(I, rng_seed=23)
-        plan = SamplePlan(points=lat.points(), weights=np.full(lat.size, 1 / lat.size),
+        plan = SamplePlan(weights=np.full(lat.size, 1 / lat.size),
                           bounds=SpectralBounds(1.0, 1.0), lattice=lat)
         m = len(I)
         sel = random_subsample(plan, density_weights(plan),
