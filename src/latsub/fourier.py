@@ -21,16 +21,20 @@ samples on symmetric sets.
 
 The complex normal operator ``L* W L`` is ``adjoint(w * forward(a))`` on
 every operator.  Every lattice transform runs at M itself (numpy's FFT
-takes any length, primes included).  On a lattice the weights ``W`` act as
-the total weight h on each of the M points (a masked view may draw a point
-several times), so the real ``real_normal`` is the full lattice's forward, a
-multiply by h and the full lattice's adjoint, and building it runs no
-transform.  It places each residue at its centred value c in (-M/2, M/2];
-the spread of a conjugate-symmetric vector is then Hermitian mod M, so an
-apply is one ``irfft``, a multiply by h and one ``rfft``, on half spectra.
-It holds about 3M real numbers (h, a real work vector and a complex half
-spectrum).  The real right-hand side ``real_adjoint(w * f)`` is one
-``rfft`` of the point sums of ``w * f``, gathered from the same slots.
+takes any length, primes included).  On a lattice every real coordinate
+is one tone, and ``LatticeOperator._real_basis`` states the real basis
+once: coordinate q is ``Re(sigma_q exp(2 pi i rho_q j / M))`` at lattice
+point j, with rho_q the residue of the cos-block frequency of q's pair (0
+for k = 0) and sigma_q = sqrt2, 1 or -i sqrt2 by block.  Read on a
+Hermitian half spectrum (slots 0..M//2, ``_real_slots``), q sits at slot
+rho_q with factor sigma_q, or at slot M - rho_q with conj(sigma_q) when
+2 rho_q > M.  The weights ``W`` act as the total weight h on each of the
+M points (a masked view may draw a point several times), so
+``real_normal`` scatters x into a half spectrum, ``irfft``s it to the
+values on the lattice, multiplies by h, ``rfft``s back and gathers: no
+transform to build it, and about 3M real numbers held.  The real
+right-hand side ``real_adjoint(w * f)`` is one ``rfft`` of the point sums
+of ``w * f``, gathered from the same slots.
 
 Arbitrary point sets use an explicit matrix.  On a symmetric set it is the
 real ``(L T^H)^T``, |I| x N float64, one contiguous row per frequency and
@@ -50,20 +54,12 @@ The lattice operator also owns what the certificates and the barrier
 greedy read off the lattice, from the same residues r and point sums.  The
 weight spectrum ``char[t] = sum_i w_i exp(2 pi i t j_i / M)`` over the rows
 j_i is one length-M FFT of the point sums, and the Gram ``L* W L`` has
-entry (k, l) ``char[r_l - r_k]`` (``gram``).  In the real basis
-(``real_gram``, ``real_normal`` as a matrix) products of the rows
-``[sqrt2 cos, 1, sqrt2 sin]`` of ``2 pi r_p j / M`` over the cos block's
-residues sum to ``char`` at ``r_p -+ r_q``: the cos-cos and sin-sin blocks
-are ``Re char[r_p - r_q] +- Re char[r_p + r_q]``, the cos-sin block ``Im
-char[r_q + r_p] + Im char[r_q - r_p]``, and the k = 0 row and column (m
-odd) ``sqrt2 Re/Im char[r_p]`` with ``char[0]`` on the diagonal.  The
-greedy's rows ``diag(s) L T^H`` (``real_rows``) read their cos and sin from
-one table of ``exp(2 pi i t / M)`` at ``t = r_p j_i mod M``.  Their
-products with real w and g are real: the product with w is ``conj(L) T^T
-w`` with ``T^T w = conj(T^H w)``, so one length-M FFT of ``T^T (w + i g)``
-scattered onto the residues (colliding residues add), gathered at the rows
-and scaled by s, yields both as its real and imaginary parts, with no
-N x |I| matrix formed.
+entry (k, l) ``char[r_l - r_k]`` (``gram``).  In the real basis the Gram
+(``real_gram``) follows from the map, as the weighted sum of the product
+of two tones, and so do the greedy's rows ``diag(s) L T^H``
+(``real_rows``): a row is the map at its point, and the products of all
+rows with real w and g are ``real_normal``'s scatter of both, one batched
+``irfft`` and a gather at the rows, with no N x |I| matrix formed.
 
 Operators are immutable and reentrant; residues are computed once per
 (lattice, index set) pair at construction and shared by masked views.  The
@@ -95,7 +91,6 @@ def _characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 _SQRT2 = math.sqrt(2.0)
-_RSQRT2 = 1.0 / _SQRT2  # what numpy's complex division by _SQRT2 multiplies by
 
 _GRAM_BLOCK = 512  # rows of the complex lattice Gram gathered at a time
 
@@ -110,8 +105,8 @@ def _real_blocks(m: int) -> tuple[slice, slice, slice]:
     real row of ``L T^H`` at x is ``sqrt2 cos 2 pi <k_p, x>`` in the cos
     block, 1 at k = 0 and ``sqrt2 sin 2 pi <k_p, x>`` in the sin block.
     ``_to_real``, ``_from_real``, ``_real_characters`` and the lattice
-    operator's ``real_adjoint``, ``real_normal``, ``real_gram`` and
-    ``real_rows`` all index through these blocks.
+    operator's real basis (``LatticeOperator._real_basis``, which its
+    real-basis methods read) all index through these blocks.
     """
     h = m // 2
     return slice(0, h), slice(h, m - h), slice(m - h, m)
@@ -366,136 +361,139 @@ class LatticeOperator(SystemOperator):
             G[lo:hi] = char[(r[None, :] - r[lo:hi, None]) % M]
         return G
 
-    def real_gram(self, weights: np.ndarray) -> np.ndarray:
-        """``T L* W L T^H``, the matrix of ``real_normal``, by the module's rules.
+    def _real_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real basis on the lattice: residues rho and factors sigma.
 
-        ``char`` is made exactly Hermitian first, so the result is exactly
-        symmetric.
+        Real coordinate q is the function ``Re(sigma_q exp(2 pi i rho_q j /
+        M))`` of the lattice point j: rho_q is the residue of the cos-block
+        frequency of q's pair (0 for k = 0) and sigma_q is sqrt2, 1 or -i
+        sqrt2 by block of ``_real_blocks``.  Every real-basis method of the
+        lattice reads the basis from here.
+        """
+        m = len(self._res)
+        cos, k0, sin = _real_blocks(m)
+        rho = np.zeros(m, dtype=np.int64)
+        rho[cos] = rho[sin] = self._res[cos]
+        sigma = np.empty(m, dtype=np.complex128)
+        sigma[cos], sigma[k0], sigma[sin] = _SQRT2, 1.0, -1j * _SQRT2
+        return rho, sigma
+
+    def _real_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The map read on a Hermitian half spectrum (slots 0..M//2).
+
+        Coordinate q sits at slot rho_q with factor c_q = sigma_q, or at slot
+        M - rho_q with c_q = conj(sigma_q) when 2 rho_q > M (the same real
+        function).  Returns each coordinate's index into the half spectrum
+        viewed as float64 ``[Re 0, Im 0, Re 1, Im 1, ...]``, and its gather
+        and scatter scales.  The gather reads ``Re(conj(c_q) F[slot])`` off
+        the half spectrum F of point sums.  The scatter puts half of ``c_q
+        x_q`` at its slot, as ``irfft`` adds the mirror, or all of it at a
+        self-mirrored slot (0, or M/2 when M is even), whose imaginary part
+        ``irfft`` ignores.
+        """
+        M = self.lattice.size
+        rho, sigma = self._real_basis()
+        mirror = 2 * rho > M
+        slot = np.where(mirror, M - rho, rho)
+        c = np.where(mirror, sigma.conj(), sigma)
+        idx = 2 * slot + (c.imag != 0)
+        gather = c.real + c.imag  # one of the two is 0
+        scatter = np.where((slot == 0) | (2 * slot == M), gather, gather / 2)
+        return idx, gather, scatter
+
+    def real_gram(self, weights: np.ndarray) -> np.ndarray:
+        """``T L* W L T^H``, the matrix of ``real_normal``, from the map.
+
+        Entry (q, q') sums two mapped tones' product over the points: ``Re(s
+        s' char[rho + rho'] + s conj(s') char[rho - rho']) / 2`` for s =
+        sigma_q, s' = sigma_q'.  On each block of the h x h pair grid both
+        products of factors are one of +-2 and +-2i, so a block sums one
+        signed part of ``char`` at each of two index grids.  The k = 0 row is
+        ``Re(sigma char[rho])``.  ``char`` is made exactly Hermitian first,
+        so the result is exactly symmetric.
         """
         self._check_symmetric()
         M = self.lattice.size
+        rho, sigma = self._real_basis()
         char = self._weight_spectrum(weights)
         char[: M // 2 : -1] = char[1 : (M + 1) // 2].conj()  # char[-t] = conj char[t]
-        m = len(self._res)
+        m = len(rho)
         cos, k0, sin = _real_blocks(m)
-        r = self._res[cos]
+        r = rho[cos]
+        twice = np.concatenate((char, char))  # char[t mod M] for 0 <= t < 2M
+        total, diff = r[:, None] + r, (r + M)[:, None] - r
         G = np.empty((m, m))
-        diff = char[(r[:, None] - r) % M]
-        total = char[(r[:, None] + r) % M]
-        np.add(diff.real, total.real, out=G[cos, cos])
-        np.subtract(diff.real, total.real, out=G[sin, sin])
-        np.subtract(total.imag, diff.imag, out=G[cos, sin])  # Im char[-t] = -Im char[t]
-        del diff, total
+        for a, b in ((cos, cos), (cos, sin), (sin, sin)) if len(r) else ():  # m <= 1: no pairs
+            s, t = sigma[a.start], sigma[b.start]
+            u, v = np.round(s * t / 2), np.round(s * t.conjugate() / 2)  # exactly +-1 or +-i
+            np.add((u * twice).real[total], (v * twice).real[diff], out=G[a, b])
         G[sin, cos] = G[cos, sin].T
         if m % 2:  # k = 0, the one position of its block
             z = k0.start
-            edge = char[r] * _SQRT2
-            G[z, cos] = G[cos, z] = edge.real
-            G[z, sin] = G[sin, z] = edge.imag
-            G[z, z] = char[0].real
+            G[z] = G[:, z] = (sigma * char[rho]).real
         return G
 
     def real_rows(self, scale: np.ndarray) -> tuple[Callable, Callable]:
         """``row(i)`` and ``products(w, g)`` of the rows of ``diag(scale) L T^H``.
 
-        ``row(i)`` is row i, real; ``products(w, g)`` returns the products of
-        all rows with real w and g, from one length-M FFT (module docstring).
-        It writes ``T^T (w + i g)`` straight from w and g, and returns its own
-        two buffers, which the next call overwrites.
+        ``row(i)`` is the map at row i's point, from one table of ``exp(2 pi
+        i t / M)``.  ``products(w, g)`` returns the products of all rows with
+        real w and g: ``real_normal``'s scatter of both, one batched
+        ``irfft`` and a gather at the rows.  It returns views of its own
+        buffer, which the next call overwrites.
         """
         self._check_symmetric()
         scale = self._check_values(scale, np.float64)
-        M, res = self.lattice.size, self._res
+        M = self.lattice.size
         j = np.arange(M) if self.rows is None else self.rows
-        m = len(res)
-        cos, k0, sin = _real_blocks(m)
-        table = np.exp((2j * np.pi / M) * np.arange(M))
-        half_res = res[cos]
-        spread, spectrum = np.zeros((2, M), dtype=np.complex128)
-        x = np.empty(m, dtype=np.complex128)
-        out_re, out_im = np.empty((2, len(j)))
-        x_re, x_im = x.real, x.imag
-        x_re_sin, x_im_sin = x_re[sin][::-1], x_im[sin][::-1]  # p at m-1-p
+        rho, sigma = self._real_basis()
+        # Re(sigma t) for sigma real or imaginary: one part of t, signed
+        part, coef = sigma.imag != 0, sigma.real - sigma.imag
+        table = np.exp((2j * np.pi / M) * np.arange(M)).view(np.float64)
+        idx, _, scatter = self._real_slots()
+        width = M // 2 + 1
+        targets = np.concatenate((idx, idx + 2 * width))  # w's half spectrum, then g's
+        half = np.empty((2, width), dtype=np.complex128)
+        flat = half.reshape(-1).view(np.float64)
+        spread, values = np.empty((2, len(idx))), np.empty((2, M))
+        out = np.empty((2, len(j)))
 
         def row(i):
-            t = table[half_res * j[i] % M]
-            scale_i = _SQRT2 * scale[i]
-            v = np.empty(m)
-            np.multiply(t.real, scale_i, out=v[cos])
-            v[k0] = scale[i]
-            np.multiply(t.imag, scale_i, out=v[sin])
-            return v
+            return table[2 * (rho * j[i] % M) + part] * (coef * scale[i])
 
         def products(w, g):
-            # x = T^T (w + i g) = conj(T^H (w - i g)), written out real and
-            # imaginary part at a time, with _from_real's scaling
-            ws, gs = w * _RSQRT2, g * _RSQRT2
-            np.subtract(ws[cos], gs[sin], out=x_re[cos])
-            np.add(ws[cos], gs[sin], out=x_re_sin)
-            np.add(gs[cos], ws[sin], out=x_im[cos])
-            np.subtract(gs[cos], ws[sin], out=x_im_sin)
-            x_re[k0], x_im[k0] = w[k0], g[k0]
-            spread[:] = 0.0
-            np.add.at(spread, res, x)  # colliding residues add
-            f = np.fft.fft(spread, out=spectrum)[j]
-            np.multiply(f.real, scale, out=out_re)
-            np.multiply(f.imag, scale, out=out_im)
-            return out_re, out_im
+            np.multiply(w, scatter, out=spread[0])
+            np.multiply(g, scatter, out=spread[1])
+            flat.fill(0.0)
+            np.add.at(flat, targets, spread.reshape(-1))  # colliding residues accumulate
+            np.fft.irfft(half, M, norm="forward", out=values)
+            np.multiply(np.take(values, j, axis=1, out=out), scale, out=out)
+            return out[0], out[1]
 
         return row, products
-
-    def _real_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where each real coordinate sits in a Hermitian half spectrum.
-
-        Residue r sits at its centred value c in (-M/2, M/2]; a conjugate-
-        symmetric vector spread onto the residues is Hermitian mod M, so only
-        slots 0..M//2 are kept: pair p (and its mirror) lands at slot |c_p|,
-        k = 0 at slot 0.  Returns the index of each coordinate into the half
-        spectrum viewed as float64 ``[Re 0, Im 0, Re 1, Im 1, ...]`` and the
-        scale that turns the entry there into the coordinate: ``sqrt2 Re`` in
-        the cos block, ``-sqrt2 Im`` in the sin block (``_real_blocks``), or
-        ``+sqrt2 Im`` where c_p < 0 and the slot holds the conjugate partner.
-        """
-        M, r = self.lattice.size, self._res
-        m = len(r)
-        cos, _, sin = _real_blocks(m)
-        centred = np.where(2 * r[cos] <= M, r[cos], r[cos] - M)
-        slot = np.abs(centred)
-        idx = np.zeros(m, dtype=np.int64)  # k = 0: Re of slot 0
-        idx[cos], idx[sin] = 2 * slot, 2 * slot + 1
-        scale = np.ones(m)
-        scale[cos] = _SQRT2
-        scale[sin] = np.where(centred < 0, _SQRT2, -_SQRT2)  # the mirror sits at +slot
-        return idx, scale
 
     def real_adjoint(self, values: np.ndarray) -> np.ndarray:
         """``T L* f`` from one ``rfft``: the point sums' half spectrum, gathered."""
         self._check_symmetric()
         f = self._check_values(values, np.float64)
-        idx, scale = self._real_slots()
+        idx, gather, _ = self._real_slots()
         flat = np.fft.rfft(self._spread(f)).view(np.float64)
-        return flat[idx] * scale
+        return flat[idx] * gather
 
     def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``normal`` in the real basis, on Hermitian half spectra.
 
-        For real coordinates x the spread onto the residues is Hermitian mod
-        M, and so is the result, so one call scatters x into the half spread
-        (``_real_slots``), ``irfft``s it to the values on the lattice,
-        multiplies by the point weights h, ``rfft``s back and gathers.  Holds
-        h (the weights themselves on a full lattice), a complex half spectrum
-        and a real work vector; building it runs no transform.  Writes into
-        its own buffers and is not reentrant.
+        One call scatters x into a half spectrum (``_real_slots``),
+        ``irfft``s it to the values on the lattice, multiplies by the point
+        weights h, ``rfft``s back and gathers.  Holds h (the weights
+        themselves on a full lattice), a complex half spectrum and a real
+        work vector; building it runs no transform.  Writes into its own
+        buffers and is not reentrant.
         """
         self._check_symmetric()
         h = self._spread(self._check_weights(weights))
         M = self.lattice.size
-        idx, scale_out = self._real_slots()
-        # the scatter undoes the gather: s / 2 = 1 / s for s = +-sqrt2, but a
-        # self-mirrored slot (0, or M/2 when M is even) takes both members of
-        # a pair, and irfft reads only its real part (k = 0: s = 1 at slot 0)
-        slot = idx >> 1
-        scale_in = np.where((slot == 0) | (2 * slot == M), scale_out, scale_out / 2)
+        idx, gather, scatter = self._real_slots()
         half = np.empty(M // 2 + 1, dtype=np.complex128)
         flat = half.view(np.float64)
         spec = np.empty(M)
@@ -503,11 +501,11 @@ class LatticeOperator(SystemOperator):
         def apply(coeffs: np.ndarray) -> np.ndarray:
             x = self._check_coeffs(coeffs, np.float64)
             flat.fill(0.0)
-            np.add.at(flat, idx, x * scale_in)  # colliding residues accumulate
+            np.add.at(flat, idx, x * scatter)  # colliding residues accumulate
             np.fft.irfft(half, M, norm="forward", out=spec)
             np.multiply(spec, h, out=spec)
             np.fft.rfft(spec, out=half)
-            return flat[idx] * scale_out
+            return flat[idx] * gather
 
         return apply
 

@@ -39,6 +39,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _strictly_increasing(freqs: np.ndarray) -> bool:
+    """Whether the rows are in strict lex order: each differs from the one
+    before it, and is larger at the first coordinate where they differ."""
+    n, d = freqs.shape
+    differ = freqs[1:] != freqs[:-1]
+    at = np.arange(n - 1) * d + differ.argmax(axis=1)  # first difference, flat
+    flat = freqs.reshape(-1)
+    return bool(differ.reshape(-1)[at].all() and (flat[at + d] > flat[at]).all())
+
+
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """An ordered, duplicate-free set of d-dimensional integer frequencies.
@@ -65,15 +75,17 @@ class IndexSet:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        freqs = np.asarray(self.frequencies, dtype=np.int64)
+        freqs = np.array(self.frequencies, dtype=np.int64)  # a copy the set owns
         if freqs.ndim != 2 or freqs.shape[1] != self.dimension:
             raise ValueError(
                 f"frequencies must have shape (n, {self.dimension}), got {freqs.shape}"
             )
-        freqs = freqs[np.lexsort(freqs.T[::-1])]  # first component most significant
-        if len(freqs) > 1 and np.any(np.all(freqs[1:] == freqs[:-1], axis=1)):
-            raise ValueError("duplicate frequency vectors are not allowed")
+        if not _strictly_increasing(freqs):  # sort only what is not in lex order
+            freqs = freqs[np.lexsort(freqs.T[::-1])]  # first component most significant
+            if not _strictly_increasing(freqs):
+                raise ValueError("duplicate frequency vectors are not allowed")
         object.__setattr__(self, "frequencies", _frozen(freqs))
+        object.__setattr__(self, "_symmetric", bool(np.array_equal(freqs[::-1], -freqs)))
 
     def __len__(self) -> int:
         return self.frequencies.shape[0]
@@ -88,7 +100,7 @@ class IndexSet:
     @property
     def symmetric(self) -> bool:
         """Whether I = -I; in lex order, frequency p is minus frequency m-1-p."""
-        return bool(np.array_equal(self.frequencies[::-1], -self.frequencies))
+        return self._symmetric
 
     def __contains__(self, k) -> bool:
         k = np.asarray(k, dtype=np.int64)

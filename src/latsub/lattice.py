@@ -88,7 +88,12 @@ class Rank1Lattice:
                 f"lattice size {self.size} exceeds the exact int64 range "
                 f"(at most {_INT64_SAFE_M})"
             )
-        z = np.asarray(self.generator, dtype=np.int64) % self.size
+        try:
+            z = np.asarray(self.generator, dtype=np.int64) % self.size
+        except OverflowError:
+            raise ValueError(
+                f"generator entries must fit in int64, got {self.generator!r}"
+            ) from None
         if z.shape != (self.dimension,):
             raise ValueError(
                 f"generator must have shape ({self.dimension},), got {z.shape}"

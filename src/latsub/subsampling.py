@@ -27,13 +27,13 @@ greedy each distinct row once and the greedy scores it once for all its
 copies.  On a lattice-backed stage-1 draw over a symmetric index set (I =
 -I, e.g. a hyperbolic cross) the draw's ``LatticeOperator`` supplies the
 rows in the real basis of ``fourier`` (``real_rows``): rows, resolvent and
-scores are real and both products come from one length-M FFT.  Any other
-input uses the dense complex rows.  Both share one loop.  The resolvent is
-held in full; each step's rank-1 update is queued and the queue is applied
-as one rank-``_FLUSH`` matrix product every ``_FLUSH`` steps, so a step
-costs two |I| x |I| matrix-vector products, O(M log M) on a lattice or
-O(N |I|) on dense rows, and O(N) score updates, N the number of distinct
-rows.
+scores are real and both products come from one batched length-M
+``irfft``.  Any other input uses the dense complex rows.  Both share one
+loop.  The resolvent is held in full; each step's rank-1 update is queued
+and the queue is applied as one rank-``_FLUSH`` matrix product every
+``_FLUSH`` steps, so a step costs two |I| x |I| matrix-vector products,
+O(M log M) on a lattice or O(N |I|) on dense rows, and O(N) score
+updates, N the number of distinct rows.
 
 Randomness policy: only the stage-1 draw is random.  Its generator is
 ``PCG64(SeedSequence([seed, _STREAM_DRAW]))``; a uniform density is drawn

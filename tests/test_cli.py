@@ -151,14 +151,17 @@ _CROSS = ["--d", "2", "--gamma", "1.0", "--radius", "2.0"]
     ["lattice-search", *_CROSS, "--out", "{missing}/lat.txt"],
     ["lattice-search", "--d", "2", "--gamma", "1.0"],
     ["mz-audit", "--lattice", "{over_long}", *_CROSS],
+    ["mz-audit", "--lattice", "{beyond_int64}", *_CROSS],
 ], ids=["audit-empty", "audit-missing", "search-missing", "search-empty",
         "exp1-missing", "exp1-unknown-field", "exp1-not-object", "search-out-unwritable",
-        "search-no-radius", "audit-over-long"])
+        "search-no-radius", "audit-over-long", "audit-beyond-int64"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {name: tmp_path / f"{name}.txt"
-             for name in ("empty", "missing", "unknown_field", "not_object", "over_long")}
+             for name in ("empty", "missing", "unknown_field", "not_object", "over_long",
+                          "beyond_int64")}
     paths["empty"].write_text("")
     paths["over_long"].write_text("2 101 1 5 7\n")
+    paths["beyond_int64"].write_text("2 101 1 99999999999999999999\n")
     paths["unknown_field"].write_text(json.dumps({"dimension": 2, "oversampling": 3}))
     paths["not_object"].write_text("[2, 0.5]")
     rc = main([a.format(**paths) for a in argv])
@@ -173,10 +176,13 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         assert "provide --index-set or all of --d/--gamma/--radius" in err[0]
     if "{over_long}" in argv:
         assert "must hold d = 2 generator entries, got 3" in err[0]
+    if "{beyond_int64}" in argv:
+        assert "generator entries must fit in int64" in err[0]
 
 
-@pytest.mark.parametrize("content", ["", "2 10", "2 101 1 5 7\n"],
-                         ids=["empty", "truncated", "over-long"])
+@pytest.mark.parametrize("content", ["", "2 10", "2 101 1 5 7\n",
+                                     "2 101 1 99999999999999999999\n"],
+                         ids=["empty", "truncated", "over-long", "beyond-int64"])
 def test_broken_lattice_cache_file_is_a_miss(tmp_path, capsys, content):
     # a run killed while writing the cache could once leave such a file, and
     # every later run with that --out then failed until it was deleted

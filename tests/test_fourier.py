@@ -1,5 +1,6 @@
 """FFT-accelerated operators against dense oracles."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -488,6 +489,64 @@ class TestRealBasis:
         op = LatticeOperator(lat, hyperbolic_cross(1, 1.0, 2.0))
         with pytest.raises(TypeError):
             op.real_normal(np.ones(7))(np.ones(len(op.index_set), dtype=complex))
+
+
+# Lattices for hyperbolic_cross(3, 0.5, 8.0) with Nyquist residues (14, 384,
+# 1440), colliding residues (30, 31), primes and 5-smooth sizes, each with
+# the sha256 prefix of its ``_real_slots`` index and gather arrays: the solver's
+# real slots, pinned bit for bit
+_MAP_LATTICES = [
+    (14, [1, 3, 5], "47235ec3ce95616001eaadcdd90d0e99"),
+    (30, [1, 4, 7], "a2e7d75be4f7d5864508d196c8e64c84"),
+    (31, [1, 2, 5], "5356a159c30f14339de77ae29faa8e01"),
+    (61, [1, 11, 21], "5a3e7d23aa3e0e77759a3b437fd35acc"),
+    (375, [1, 7, 49], "80ccdf32e2a0f63d5d8ceb22844507fb"),
+    (384, [1, 5, 25], "9d1564714f03f5663a55371a6a15e23f"),
+    (1024, [1, 33, 301], "d4838848e3a8de89fa8018d7abda1f86"),
+    (1440, [1, 37, 720], "f323494fe96bef214e390c1229b4c20b"),
+    (12800, [1, 113, 6007], "e022e13952acb24f64923cdf46c46906"),
+    (32400, [1, 181, 6007], "6d0365c7f66a538caac090cb8f3a6a16"),
+]
+_MAP_IDS = [f"M={M}" for M, _, _ in _MAP_LATTICES]
+
+
+class TestRealBasisMap:
+    """``LatticeOperator._real_basis``, the lattice's one statement of the real
+    basis, and its half-spectrum reading ``_real_slots``."""
+
+    @pytest.mark.parametrize("M, z, digest", _MAP_LATTICES, ids=_MAP_IDS)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_each_coordinate_is_its_tone_on_the_realified_characters(self, M, z, digest,
+                                                                       masked):
+        I = hyperbolic_cross(3, 0.5, 8.0)
+        m, h = len(I), len(I) // 2
+        lat = Rank1Lattice(dimension=3, generator=np.array(z), size=M)
+        op = LatticeOperator(lat, I)
+        if masked:
+            op = op.masked(np.random.default_rng(M).integers(0, M, size=2 * M))
+            assert len(np.unique(op.rows)) < op.row_count  # duplicate rows
+        rows = np.arange(M) if op.rows is None else op.rows
+        rho, sigma = op._real_basis()
+        idx, gather, _ = op._real_slots()
+        slot = idx // 2
+        factor = np.where(idx % 2, 1j * gather, gather)  # gather = Re(c) + Im(c)
+        assert np.all((0 <= slot) & (2 * slot <= M))
+        for lo in range(0, len(rows), 4096):  # a few MB at a time
+            j = rows[lo:lo + 4096]
+            C = _characters(lat.points(j), I.frequencies)
+            realified = np.hstack((np.sqrt(2) * C[:, :h].real, C[:, h:m - h].real,
+                                   np.sqrt(2) * C[:, :h].imag))
+            for t, c in ((rho, sigma), (slot, factor)):  # the map, and on half spectra
+                tone = (c * np.exp(2j * np.pi * (np.outer(j, t) % M) / M)).real
+                assert np.max(np.abs(tone - realified)) <= 1e-12
+
+    @pytest.mark.parametrize("M, z, digest", _MAP_LATTICES, ids=_MAP_IDS)
+    def test_real_slots_are_pinned(self, M, z, digest):
+        op = LatticeOperator(Rank1Lattice(dimension=3, generator=np.array(z), size=M),
+                             hyperbolic_cross(3, 0.5, 8.0))
+        idx, gather, _ = op._real_slots()
+        data = idx.astype("<i8").tobytes() + gather.astype("<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest()[:32] == digest
 
 
 class TestLatticeRealForms:

@@ -202,6 +202,29 @@ class TestIndexSetType:
         with pytest.raises(ValueError):
             I.frequencies[0, 0] = 99
 
+    @pytest.mark.parametrize("freqs", [
+        hyperbolic_cross(3, 0.5, 8.0).frequencies,  # symmetric
+        hyperbolic_cross(3, 0.5, 8.0).frequencies[1:],  # asymmetric
+        np.array([[0, 0]]), np.array([[1, -2]]),  # one row: symmetric, asymmetric
+        np.array([[-2**62, 3], [2**62, -3]]),  # a difference beyond int64
+        np.array([[3], [-1], [2], [-2], [1], [-3]]),
+    ], ids=["symmetric", "asymmetric", "zero", "one-row", "extreme", "d1"])
+    @pytest.mark.parametrize("order", ["ordered", "reversed", "shuffled"])
+    def test_construction_matches_a_full_sort(self, freqs, order):
+        # the oracle lex-sorts every input and then scans it for duplicates
+        d = freqs.shape[1]
+        want = freqs[np.lexsort(freqs.T[::-1])]
+        rows = {"ordered": want, "reversed": want[::-1],
+                "shuffled": np.random.default_rng(len(want)).permutation(want)}[order]
+        given_rows = rows.copy()
+        I = IndexSet(dimension=d, frequencies=rows)
+        assert np.array_equal(I.frequencies, want)
+        assert I.symmetric == np.array_equal(want[::-1], -want)
+        assert rows.flags.writeable and np.array_equal(rows, given_rows)  # the caller's array
+        for dup in (0, len(rows) - 1):  # a repeated row, adjacent or not once ordered
+            with pytest.raises(ValueError, match="duplicate frequency vectors"):
+                IndexSet(dimension=d, frequencies=np.vstack((rows, rows[dup])))
+
     def test_text_round_trip(self, tmp_path):
         I = hyperbolic_cross(3, 0.5, 9.0)
         text = I.to_text()

@@ -758,8 +758,8 @@ def fft_cross(sel, I, w, g):
 
 
 class TestScorerAtEveryLatticeSize:
-    """``LatticeOperator.real_rows`` runs one length-M FFT at every lattice size M:
-    prime, 5-smooth or neither."""
+    """``LatticeOperator.real_rows`` runs its FFTs at length M at every lattice
+    size M: prime, 5-smooth or neither."""
 
     @staticmethod
     def draw(M, colliding, z=None):
@@ -815,13 +815,13 @@ class TestScorerAtEveryLatticeSize:
         assert self.fft_lengths(M, monkeypatch) == {M}
 
     def fft_lengths(self, M, monkeypatch):
-        """The lengths of every FFT one greedy selection runs."""
+        """The lengths of every FFT one greedy selection runs: n, where given."""
         I, sel, _ = self.draw(M, colliding=False)
         lengths = []
-        for name in ("fft", "ifft"):
-            def spy(a, *args, _fft=getattr(np.fft, name), **kwargs):
-                lengths.append(np.shape(a)[-1])
-                return _fft(a, *args, **kwargs)
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def spy(a, n=None, *args, _fft=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[-1] if n is None else n)
+                return _fft(a, n, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, spy)
         m = len(I)
