@@ -243,6 +243,21 @@ def _dense_row_bytes(n: int, d: int, m: int) -> int:
     return 8 * n * m + n * (24 * d + 32) + m * (8 * d + 160) + _FIXED_BYTES
 
 
+def _bss_row_bytes(M: int, n: int, m: int) -> int:
+    """Bytes a ``bss_sub`` row holds on top of its round, for n draws.
+
+    Two real |I| x |I| matrices at a time (16 m^2): the rank check's and
+    the certificate's Gram and its eigensolver copy, or the greedy's
+    resolvent and the identity it is built from.  Per frequency the greedy's
+    two queues of ``_FLUSH`` vectors (512).  Per lattice point the Gram's
+    weight spectrum and its doubled and scaled copies, or the greedy's tone
+    table and transform buffers (96).  Per draw the indices and reweights,
+    their plan's copies, the grouping of repeated rows and the greedy's
+    per-row scores (128).  And the fixed bytes.
+    """
+    return 16 * m * m + 512 * m + 96 * M + 128 * n + _FIXED_BYTES
+
+
 class _Skip(Exception):
     """Raised by a strategy to skip its row; the message is the reason."""
 
@@ -320,10 +335,14 @@ def _bss_sub(s: _Round, seed: int) -> _Outcome:
 
     The guarantee is conditional on a usable draw; condition on that event by
     redrawing deterministically when the draw is rank-deficient or the
-    sparsifier cannot certify its bound.  A ValueError (a dense size cap, for
-    one) skips the row with its message.  Every attempt counts: draws plus
+    sparsifier cannot certify its bound.  A row whose bytes exceed the memory
+    cap is skipped before the first draw, and a ValueError (a dense size cap,
+    for one) skips it with its message.  Every attempt counts: draws plus
     rank checks towards the subsample time, sparsifier runs towards bss time.
     """
+    m = len(s.index_set)
+    if _bss_row_bytes(len(s.plan), s.n_draw, m) > s.cfg.memory_cap_bytes:
+        raise _Skip(f"plain sparsifier at |I| = {m} exceeds the memory cap")
     clock = _Clock()
     for attempt in range(8):
         try:
@@ -452,6 +471,8 @@ def emit_report(report: ExperimentReport, fmt: str, output_dir: str | None = Non
     Timing data is confined to ``time_vs_frequencies.csv`` (and the JSON), so
     every other CSV is byte-reproducible for a fixed config and seed.
     """
+    if fmt not in ("csv", "json", "both"):
+        raise ValueError(f"report format must be 'csv', 'json' or 'both', got {fmt!r}")
     out = output_dir or report.config.output_dir
     os.makedirs(out, exist_ok=True)
     written = []

@@ -61,8 +61,9 @@ of two tones, and so do the greedy's rows ``diag(s) L T^H``
 rows with real w and g are ``real_normal``'s scatter of both, one batched
 ``irfft`` and a gather at the rows, with no N x |I| matrix formed.
 
-Operators are immutable and reentrant; residues are computed once per
-(lattice, index set) pair at construction and shared by masked views.  The
+Operators hold read-only copies of their row masks (in range, never
+negative) and points, and are immutable and reentrant; residues are
+computed once per (lattice, index set) pair and shared by masked views.  The
 functions a lattice ``real_normal`` and ``real_rows`` return write into
 their own buffers, so each serves one caller at a time.
 """
@@ -74,7 +75,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .index_sets import IndexSet
+from .index_sets import IndexSet, _admit, _frozen, _index_list, _weight_vector
 from .lattice import Rank1Lattice, residues
 
 __all__ = ["SystemOperator", "LatticeOperator", "DenseOperator"]
@@ -244,14 +245,7 @@ class SystemOperator:
         raise NotImplementedError
 
     def _check_weights(self, weights: np.ndarray) -> np.ndarray:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (self.row_count,):
-            raise ValueError(
-                f"expected {self.row_count} weights, got shape {w.shape}"
-            )
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        return w
+        return _weight_vector(weights, self.row_count, f"{self.row_count} rows")
 
     def _check_symmetric(self) -> None:
         if not self.index_set.symmetric:
@@ -306,11 +300,7 @@ class LatticeOperator(SystemOperator):
             residues(lat, index_set.frequencies) if _residues is None else _residues
         )
         if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.ndim != 1:
-                raise ValueError("row mask must be a 1-d index list")
-            if len(rows) and (rows.min() < 0 or rows.max() >= lat.size):
-                raise ValueError("row mask indices out of range")
+            rows = _index_list(rows, lat.size, "row mask", "M")
         self.rows = rows
 
     @property
@@ -319,7 +309,7 @@ class LatticeOperator(SystemOperator):
 
     def masked(self, rows: np.ndarray) -> "LatticeOperator":
         if self.rows is not None:
-            rows = self.rows[np.asarray(rows, dtype=np.int64)]
+            rows = self.rows[_index_list(rows, len(self.rows), "row mask", "N")]
         return LatticeOperator(self.lattice, self.index_set, rows, self._res)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -528,13 +518,13 @@ class DenseOperator(SystemOperator):
     def __init__(
         self, points: np.ndarray, index_set: IndexSet, rows: np.ndarray | None = None
     ):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pts = np.atleast_2d(_admit(points, np.float64, "points"))
         if pts.shape[1] != index_set.dimension:
             raise ValueError(
                 f"points must have {index_set.dimension} columns, got {pts.shape[1]}"
             )
         if rows is not None:
-            pts = pts[np.asarray(rows, dtype=np.int64)]
+            pts = _frozen(pts[_index_list(rows, len(pts), "row mask", "N")])
         self.points = pts
         self.index_set = index_set
         self._real = index_set.symmetric

@@ -39,6 +39,46 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _admit(values, dtype, name: str) -> np.ndarray:
+    """An owned, read-only int64 or float64 copy of a caller's array, exact.
+
+    ValueError for anything else: int64 takes integers that fit in it (no
+    booleans, reals or larger integers), float64 finite integers and reals
+    (no booleans).  Empty input of any type passes.
+    """
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind == "b" or not np.can_cast(arr.dtype, dtype)):
+        if dtype is np.float64 or arr.dtype.kind not in "uO":
+            kind = "integers" if dtype is np.int64 else "real numbers"
+            raise ValueError(f"{name} must be {kind}, got dtype {arr.dtype}")
+        if arr.dtype.kind == "O" or arr.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"{name} must fit in int64, got {values!r}")
+    out = arr.astype(dtype)
+    if dtype is np.float64 and not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return _frozen(out)
+
+
+def _index_list(values, size: int, name: str, bound: str) -> np.ndarray:
+    """Admit a 1-d list of indices into ``[0, size)``; ``bound`` names the size."""
+    idx = _admit(values, np.int64, name)
+    if idx.ndim != 1:
+        raise ValueError(f"{name} of shape {idx.shape} must be a 1-d index list")
+    if idx.size and not 0 <= idx.min() <= idx.max() < size:
+        raise ValueError(f"{name} must lie in [0, {bound} = {size}): out of range")
+    return idx
+
+
+def _weight_vector(values, n: int | None, of: str, name: str = "weights") -> np.ndarray:
+    """Admit n (None: any number of) finite, nonnegative weights for ``of``."""
+    w = _admit(values, np.float64, name)
+    if w.ndim != 1 or n not in (None, len(w)):
+        raise ValueError(f"got {w.shape} {name} for {of}")
+    if np.any(w < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return w
+
+
 def _strictly_increasing(freqs: np.ndarray) -> bool:
     """Whether the rows are in strict lex order: each differs from the one
     before it, and is larger at the first coordinate where they differ."""
@@ -75,7 +115,7 @@ class IndexSet:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        freqs = np.array(self.frequencies, dtype=np.int64)  # a copy the set owns
+        freqs = _admit(self.frequencies, np.int64, "frequencies")
         if freqs.ndim != 2 or freqs.shape[1] != self.dimension:
             raise ValueError(
                 f"frequencies must have shape (n, {self.dimension}), got {freqs.shape}"
@@ -103,10 +143,11 @@ class IndexSet:
         return self._symmetric
 
     def __contains__(self, k) -> bool:
-        k = np.asarray(k, dtype=np.int64)
-        if k.shape != (self.dimension,):
+        try:
+            k = _admit(k, np.int64, "k")
+        except ValueError:  # not integers
             return False
-        return bool(np.any(np.all(self.frequencies == k, axis=1)))
+        return k.shape == (self.dimension,) and bool((self.frequencies == k).all(axis=1).any())
 
     def to_text(self) -> str:
         """Serialize to the line-oriented text format (bit-exact round trip)."""
@@ -124,8 +165,7 @@ class IndexSet:
         rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : 1 + count]]
         if len(rows) != count:
             raise ValueError(f"expected {count} frequency rows, found {len(rows)}")
-        freqs = np.array(rows, dtype=np.int64).reshape(count, d)
-        return cls(dimension=d, frequencies=freqs)
+        return cls(dimension=d, frequencies=np.reshape(rows, (count, d)))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -153,7 +193,7 @@ def hyperbolic_cross_product(k, gamma: float) -> float:
     (equality counts as inside).
     """
     p = 1.0
-    for kj in np.asarray(k, dtype=np.int64):
+    for kj in _admit(k, np.int64, "k"):
         p *= max(1.0, abs(float(kj)) / gamma)
     return p
 
@@ -244,7 +284,7 @@ def mixed_weight(freqs, s: float) -> np.ndarray | float:
     returns a scalar or an array of length n accordingly.
     """
     s = _check_smoothness(s)
-    k = np.asarray(freqs, dtype=np.int64)
+    k = _admit(freqs, np.int64, "frequencies")
     single = k.ndim == 1
     k = np.atleast_2d(k)
     w = np.sqrt(np.prod(1.0 + (2.0 * np.pi * np.abs(k)) ** (2.0 * s), axis=1))

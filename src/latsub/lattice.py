@@ -8,7 +8,9 @@ inner product with uniform weights 1/M (exact quadrature, tight frame).
 
 Residue arithmetic is exact and vectorized in int64: lattices are refused
 above ``_INT64_SAFE_M`` points, where every intermediate product provably
-fits, so nothing can wrap silently.
+fits, and every generator, row and frequency array a caller passes is
+refused unless int64 holds it exactly (``index_sets._admit``), so nothing
+can be truncated or wrap silently.
 
 :func:`search_generator` builds generators component by component with a
 fixed budget per size M (3 attempts of at most 24 random candidates per
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .index_sets import IndexSet
+from .index_sets import IndexSet, _admit, _frozen, _index_list, _weight_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mz import SpectralBounds
@@ -88,23 +90,16 @@ class Rank1Lattice:
                 f"lattice size {self.size} exceeds the exact int64 range "
                 f"(at most {_INT64_SAFE_M})"
             )
-        try:
-            z = np.asarray(self.generator, dtype=np.int64) % self.size
-        except OverflowError:
-            raise ValueError(
-                f"generator entries must fit in int64, got {self.generator!r}"
-            ) from None
+        z = _admit(self.generator, np.int64, "generator entries")
         if z.shape != (self.dimension,):
-            raise ValueError(
-                f"generator must have shape ({self.dimension},), got {z.shape}"
-            )
-        z.flags.writeable = False
-        object.__setattr__(self, "generator", z)
+            raise ValueError(f"generator must have shape ({self.dimension},), got {z.shape}")
+        object.__setattr__(self, "generator", _frozen(z % self.size))
         object.__setattr__(self, "size", int(self.size))
 
     def points(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Lattice points ``(i*z mod M)/M`` for all i, or the given row indices."""
-        i = np.arange(self.size, dtype=np.int64) if rows is None else np.asarray(rows)
+        i = (np.arange(self.size, dtype=np.int64) if rows is None
+             else _index_list(rows, self.size, "rows", "M"))
         # one column at a time: an (n, d) result and one int64 n-vector alive
         out = np.empty((len(i), self.dimension))
         col = np.empty(len(i), dtype=np.int64)
@@ -150,36 +145,24 @@ class SamplePlan:
     stores each point's lattice index in ``[0, M)`` (None: all M in order);
     reading ``points`` computes ``lattice.points(lattice_rows)``, so the rows
     and points cannot disagree.  ``bounds`` may record the MZ constants.
+    The plan holds read-only copies of the caller's arrays, not the arrays.
     """
 
     def __init__(self, points=None, *, weights, bounds: "SpectralBounds | None" = None,
                  lattice: Rank1Lattice | None = None, lattice_rows=None):
-        w = np.asarray(weights, dtype=np.float64)
         if lattice is None:
             if lattice_rows is not None:
                 raise ValueError("lattice_rows need a lattice")
-            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-            if not np.all(np.isfinite(points)):
-                raise ValueError("points must be finite")
-            points.flags.writeable = False
-            shape, of = points.shape[:1], f"{len(points)} points"
+            points = np.atleast_2d(_admit(points, np.float64, "points"))
+            n, of = len(points), f"{len(points)} points"
         elif points is not None:
             raise ValueError("a lattice plan takes no points: they are computed from its rows")
         elif lattice_rows is None:
-            shape, of = (lattice.size,), f"all M = {lattice.size} lattice points"
+            n, of = lattice.size, f"all M = {lattice.size} lattice points"
         else:
-            rows = lattice_rows = np.asarray(lattice_rows, dtype=np.int64)
-            if rows.size and not 0 <= rows.min() <= rows.max() < lattice.size:
-                raise ValueError(f"lattice_rows must lie in [0, M = {lattice.size})")
-            rows.flags.writeable = False
-            shape, of = rows.shape, f"lattice_rows of shape {rows.shape}"
-        if w.ndim != 1 or w.shape != shape:
-            raise ValueError(f"got {w.shape} weights for {of}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        w.flags.writeable = False
+            lattice_rows = _index_list(lattice_rows, lattice.size, "lattice_rows", "M")
+            n, of = len(lattice_rows), f"lattice_rows of shape {lattice_rows.shape}"
+        w = _weight_vector(weights, n, of)
         for name, value in (("_points", points), ("weights", w), ("bounds", bounds),
                             ("lattice", lattice), ("lattice_rows", lattice_rows)):
             object.__setattr__(self, name, value)
@@ -209,11 +192,9 @@ def lattice_points(lat: Rank1Lattice) -> SamplePlan:
 
 def residues(lat: Rank1Lattice, freqs: np.ndarray) -> np.ndarray:
     """Exact residues ``<k, z> mod M`` for every frequency row of ``freqs``."""
-    K = np.asarray(freqs, dtype=np.int64)
+    K = _admit(freqs, np.int64, "frequencies")
     if K.ndim != 2 or K.shape[1] != lat.dimension:
-        raise ValueError(
-            f"frequencies must have shape (n, {lat.dimension}), got {K.shape}"
-        )
+        raise ValueError(f"frequencies must have shape (n, {lat.dimension}), got {K.shape}")
     M = lat.size
     z = lat.generator
     # (k mod M) * z_j <= (M-1)^2 < 2^62; reduce each term before the sum.

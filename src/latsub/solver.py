@@ -123,11 +123,7 @@ def least_squares(
     (every imaginary part 0) it runs in the real basis.
     """
     cfg = cfg or SolverConfig()
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (op.row_count,):
-        raise ValueError(f"expected {op.row_count} weights, got {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    w = op._check_weights(weights)
     f = np.asarray(samples)
     if f.shape != (op.row_count,):
         raise ValueError(f"expected {op.row_count} samples, got {f.shape}")

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import mz
 from .fourier import LatticeOperator, _characters
-from .index_sets import IndexSet
+from .index_sets import IndexSet, _index_list, _weight_vector
 from .lattice import SamplePlan
 from .mz import mz_constants
 
@@ -98,14 +98,10 @@ class DensityWeights:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=np.float64)
-        if rho.ndim != 1:
-            raise ValueError("rho must be one-dimensional")
-        if np.any(rho < 0):
-            raise ValueError("density weights must be nonnegative")
+        rho = _weight_vector(self.rho, None, "a one-dimensional density",
+                             "density weights")
         if abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError(f"density must sum to 1, got {rho.sum()!r}")
-        rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
     def __len__(self) -> int:
@@ -120,7 +116,8 @@ class SubsampleSelection:
     For the random stage ``reweights = w_i / (n * rho_i)``; the weighted BSS
     stage multiplies those by its nonnegative scalars ``s_i`` (kept in
     ``bss_weights``); the plain stage carries ``w_i / rho_i`` scaled by
-    ``1/|I|``.  Duplicate indices are permitted and kept.
+    ``1/|I|``.  Duplicate indices are permitted and kept.  Indices and
+    weights are read-only copies the selection owns.
     """
 
     parent: SamplePlan
@@ -132,22 +129,14 @@ class SubsampleSelection:
     bss_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        rw = np.asarray(self.reweights, dtype=np.float64)
-        if idx.shape != rw.shape or idx.ndim != 1:
-            raise ValueError("indices and reweights must be aligned 1-d arrays")
-        if len(idx) and (idx.min() < 0 or idx.max() >= len(self.parent)):
-            raise ValueError("selection indices out of range of the parent plan")
-        if np.any(rw < 0):
-            raise ValueError("reweights must be nonnegative")
-        idx.flags.writeable = False
-        rw.flags.writeable = False
+        idx = _index_list(self.indices, len(self.parent), "selection indices", "N")
+        of = f"{len(idx)} indices: indices and weights must be aligned 1-d arrays"
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "reweights", rw)
+        object.__setattr__(self, "reweights",
+                           _weight_vector(self.reweights, len(idx), of, "reweights"))
         if self.bss_weights is not None:
-            s = np.asarray(self.bss_weights, dtype=np.float64)
-            s.flags.writeable = False
-            object.__setattr__(self, "bss_weights", s)
+            object.__setattr__(self, "bss_weights",
+                               _weight_vector(self.bss_weights, len(idx), of, "bss_weights"))
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -23,6 +23,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .index_sets import _admit
+
 __all__ = [
     "KINK_SCALE",
     "KinkFunction",
@@ -77,7 +79,7 @@ def kink_coeff_1d(k) -> np.ndarray | float:
     Real and even in k: the shift to 1/2 contributes ``(-1)^k`` and the even
     parabola kills the imaginary part.  ``k = 0`` gives ``5^(1/4)/sqrt(3)``.
     """
-    k_arr = np.asarray(k, dtype=np.int64)
+    k_arr = _admit(k, np.int64, "k")
     single = k_arr.ndim == 0
     k_arr = np.abs(np.atleast_1d(k_arr))  # even in k; evaluate on |k|
     out = np.full(k_arr.shape, 5.0**0.25 / np.sqrt(3.0))
@@ -95,7 +97,7 @@ def kink_coeff_1d(k) -> np.ndarray | float:
 
 def kink_coefficients(freqs: np.ndarray) -> np.ndarray:
     """d-dimensional coefficients as products of univariate ones (lazy, per row)."""
-    K = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
+    K = np.atleast_2d(_admit(freqs, np.int64, "frequencies"))
     return np.prod(kink_coeff_1d(K.ravel()).reshape(K.shape), axis=1)
 
 

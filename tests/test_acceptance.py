@@ -12,6 +12,7 @@ machine; every repetition is checked.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_criterion_6_experiment2_reproduction(tmp_path):
             failures.append("sparsifier time not logged")
     emit_report(report, "both")
     time_panel = os.path.join(cfg.output_dir, "time_vs_frequencies.csv")
-    assert "bss_avg" in open(time_panel).readline()
+    assert "bss_avg" in Path(time_panel).read_text().splitlines()[0]
     _report(6, not failures,
             (failures[0] if failures else
              f"{len(bss_rows)} sparsified repetitions: |X'| <= 2|I|, "
@@ -362,8 +363,8 @@ def test_criterion_9_determinism(tmp_path):
             if name == "report.json":
                 import json
 
-                rows_a = json.load(open(pa))["rows"]
-                rows_b = json.load(open(pb))["rows"]
+                rows_a = json.loads(Path(pa).read_text())["rows"]
+                rows_b = json.loads(Path(pb).read_text())["rows"]
                 for ra, rb in zip(rows_a, rows_b):
                     for key in ("setup_time_s", "subsample_time_s",
                                 "solve_time_s", "bss_time_s"):
@@ -372,7 +373,7 @@ def test_criterion_9_determinism(tmp_path):
                     ok = False
                     detail.append(f"{kind} JSON rows differ")
                 continue
-            if open(pa, "rb").read() != open(pb, "rb").read():
+            if Path(pa).read_bytes() != Path(pb).read_bytes():
                 ok = False
                 detail.append(f"{kind}:{name} differs")
     _report(9, ok,

@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,6 +211,42 @@ class TestRunExperiment1:
             finally:
                 tracemalloc.stop()
             assert 0 < peaks[-1] <= needed
+
+    @pytest.mark.parametrize("d, R", [(2, 16.0), (5, 10.0), (5, 12.0), (5, 16.0)])
+    def test_bss_estimate_counts_the_row(self, tmp_path, monkeypatch, d, R):
+        # two |I| x |I| matrices at a time (a Gram and its eigensolver copy,
+        # or the resolvent and its identity); per frequency the greedy's two
+        # queues; per lattice point the weight spectrum's copies or the
+        # greedy's transform buffers; per draw the draw, its plan's copies,
+        # its grouping and the greedy's scores; fixed bytes
+        run = latsub.experiments._STRATEGIES["bss_sub"]
+        peaks = []
+
+        def measured(s, seed):  # the row's own peak, on top of its round
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run(s, seed)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setitem(latsub.experiments._STRATEGIES, "bss_sub", measured)
+        cfg = desk_config(tmp_path, dimension=d, radii=(R,), repetitions=1,
+                          strategies=("bss_sub",))
+        m = len(hyperbolic_cross(d, 0.5, R))
+        n = math.ceil(m * math.log(m))
+        M = latsub.experiments._lattice_for(cfg, hyperbolic_cross(d, 0.5, R), R).size
+        needed = (16 * m * m + 512 * m + 96 * M + 128 * n
+                  + latsub.experiments._FIXED_BYTES)
+        (row,) = run_experiment_2(replace(cfg, memory_cap_bytes=needed)).rows
+        assert not row.skipped
+        (row,) = run_experiment_2(replace(cfg, memory_cap_bytes=needed - 1)).rows
+        assert row.skipped and "exceeds the memory cap" in row.skip_reason
+        tracemalloc.start()
+        try:
+            run_experiment_2(cfg)
+        finally:
+            tracemalloc.stop()
+        assert 0 < peaks[-1] <= needed
 
     def test_lattice_estimate_counts_the_round(self, tmp_path):
         # held: per lattice point the weights, density and real values; per
@@ -453,7 +490,7 @@ class TestReports:
         assert names == {
             "error_vs_frequencies.csv", "points_vs_frequencies.csv",
             "error_vs_points.csv", "time_vs_frequencies.csv", "report.json"}
-        header = open(paths[0]).readline().strip().split(",")
+        header = Path(paths[0]).read_text().splitlines()[0].split(",")
         assert {"truncation_min", "truncation_avg", "truncation_max"} <= set(header)
 
     def test_json_round_trip(self, tmp_path):
@@ -467,12 +504,19 @@ class TestReports:
         assert again.rows == report.rows
         assert again.kind == report.kind
 
+    def test_unknown_format_is_refused(self, tmp_path):
+        cfg = desk_config(tmp_path)
+        report = ExperimentReport(kind="exp1", config=cfg)
+        with pytest.raises(ValueError, match="'csv', 'json' or 'both', got 'xml'"):
+            emit_report(report, "xml")
+        assert not os.path.exists(cfg.output_dir)  # nothing written
+
     def test_empty_report_header_only(self, tmp_path):
         cfg = desk_config(tmp_path)
         report = ExperimentReport(kind="exp1", config=cfg)
         paths = emit_report(report, "csv")
         for p in paths:
-            lines = open(p).read().splitlines()
+            lines = Path(p).read_text().splitlines()
             assert len(lines) == 1  # header only
 
     def test_determinism_byte_identical_modulo_timing(self, tmp_path):
@@ -485,7 +529,7 @@ class TestReports:
         for pa, pb in zip(paths_a, paths_b):
             if "time" in os.path.basename(pa):
                 continue  # timing panel excluded from the determinism check
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_check_report_flags_bad_counts(self, tmp_path):
         cfg = desk_config(tmp_path)
