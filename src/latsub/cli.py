@@ -40,7 +40,9 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, help="sparsification oversampling factor")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--reps", type=int, help="repetitions per configuration")
-    p.add_argument("--mem-cap", type=int, help="memory cap in bytes")
+    p.add_argument("--mem-cap", type=int, help=(
+        "memory cap in bytes: a row runs only when its round's and its own "
+        "estimated arrays fit (imported modules are not counted)"))
     p.add_argument("--out", help="output directory")
     p.add_argument(
         "--format", choices=["csv", "json", "both"], default="both",

@@ -116,13 +116,21 @@ class ExperimentConfig:
             _check_field(f.name, getattr(self, f.name), f.type)
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if list(self.radii) != sorted(self.radii):
-            raise ValueError("radii schedule must be sorted ascending")
+        for name in ("repetitions", "solver_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        radii = self.radii
+        if not radii:
+            raise ValueError("radii schedule must not be empty")
+        if any(a >= b for a, b in zip(radii, radii[1:])):
+            raise ValueError(f"radii schedule must be sorted strictly ascending, got {radii}")
         unknown = set(self.strategies) - set(KNOWN_STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ValueError(f"strategies must be distinct, got {self.strategies}")
 
 
 @dataclass
@@ -199,8 +207,10 @@ def _draw_count(m: int) -> int:
     return max(1, math.ceil(m * math.log(m)))
 
 
-#: Bytes of Python objects and numpy's small arrays that every round holds on
-#: top of its per-size terms; they dominate rounds of a few hundred points.
+#: A row runs only if these bytes (Python objects and numpy's small arrays)
+#: plus its round's and its own fit the memory cap, checked in ``_run``.  The
+#: budget counts arrays, not imported modules: the first FFT of a process
+#: imports ``numpy.fft`` (about 125 kB), which no estimate counts.
 _FIXED_BYTES = 32 << 10
 
 
@@ -210,52 +220,50 @@ def _lattice_round_bytes(M: int, d: int, m: int) -> int:
     What the round holds throughout, plus the largest of its phases, which
     never hold memory at the same time.  Held: per lattice point the weights,
     the density and the kink's real values (24); per frequency of the |I| = m
-    the frequencies (8d), the residues and the reference and full
-    coefficients (32); and the fixed bytes.  Phases: the kink, which holds
-    the lattice points computed for it and its two temporaries (8d + 16 per
-    point); or the full adjoint's complex copy of the values and its
-    spectrum (32 per point) and its gather (16 per frequency); or one solve,
-    which holds the draw's indices, reweights, masked values and their
-    weighted product (32 per draw), the right-hand side's point sums and
-    half spectrum (16 per point) and then, after them, the Hermitian apply's
-    total weight per point, complex half spectrum and real work vector (24
-    per point), and per frequency the right-hand side and its gather
-    temporary, the slots of the apply's scatter and the complex result (40),
-    the five real CG vectors (40), and the apply's slot index, its two scale
-    vectors and their build temporaries (48).
+    the frequencies (8d), the residues and the reference and full coefficients
+    (32).  Phases: the kink, which holds the lattice points computed for it and
+    its two temporaries (8d + 16 per point); or the full adjoint's complex copy
+    of the values and its spectrum (32 per point) and its gather (16 per
+    frequency); or one solve, which holds the draw's indices, reweights, masked
+    values and their weighted product (32 per draw), the right-hand side's
+    point sums and half spectrum (16 per point) and then, after them, the
+    Hermitian apply's total weight per point, complex half spectrum and real
+    work vector (24 per point), and per frequency the right-hand side and its
+    gather temporary, the slots of the apply's scatter and the complex result
+    (40), the five real CG vectors (40), and the apply's slot index, its two
+    scale vectors and their build temporaries (48).
     """
     kink = (8 * d + 16) * M
     adjoint = 32 * M + 16 * m
     solve = 24 * M + 32 * _draw_count(m) + 128 * m
-    return 24 * M + m * (8 * d + 32) + max(kink, adjoint, solve) + _FIXED_BYTES
+    return 24 * M + m * (8 * d + 32) + max(kink, adjoint, solve)
 
 
-def _dense_row_bytes(n: int, d: int, m: int) -> int:
-    """Bytes a ``continuous_random`` row holds on top of its round.
+def _dense_row_bytes(M: int, d: int, m: int) -> int:
+    """Bytes a ``continuous_random`` row of n draws holds on top of its round.
 
-    The real n x |I| matrix (8nm).  Per point: the points (8d); the build's
-    two real d x n tone tables, or later the kink's two n x d temporaries
-    (16d); the values and the weights (16); the build's row temporary, or
-    later the two n-vectors of a normal apply (16).  Per frequency: the
-    build's key tuples and lookup table, the CG vectors and the coefficients
-    (8d + 160).  And the fixed bytes.
+    The real n x |I| matrix (8nm).  Per point: the points (8d); the build's two
+    real d x n tone tables, or later the kink's two n x d temporaries (16d);
+    the values and the weights (16); the build's row temporary, or later the
+    two n-vectors of a normal apply (16).  Per frequency: the build's key
+    tuples and lookup table, the CG vectors and the coefficients (8d + 160).
     """
-    return 8 * n * m + n * (24 * d + 32) + m * (8 * d + 160) + _FIXED_BYTES
+    n = _draw_count(m)
+    return 8 * n * m + n * (24 * d + 32) + m * (8 * d + 160)
 
 
-def _bss_row_bytes(M: int, n: int, m: int) -> int:
-    """Bytes a ``bss_sub`` row holds on top of its round, for n draws.
+def _bss_row_bytes(M: int, d: int, m: int) -> int:
+    """Bytes a ``bss_sub`` row of n draws holds on top of its round.
 
-    Two real |I| x |I| matrices at a time (16 m^2): the rank check's and
-    the certificate's Gram and its eigensolver copy, or the greedy's
-    resolvent and the identity it is built from.  Per frequency the greedy's
-    two queues of ``_FLUSH`` vectors (512).  Per lattice point the Gram's
-    weight spectrum and its doubled and scaled copies, or the greedy's tone
-    table and transform buffers (96).  Per draw the indices and reweights,
-    their plan's copies, the grouping of repeated rows and the greedy's
-    per-row scores (128).  And the fixed bytes.
+    Two real |I| x |I| matrices at a time (16 m^2): the rank check's and the
+    certificate's Gram and its eigensolver copy, or the greedy's resolvent and
+    the identity it is built from.  Per frequency the greedy's two queues of
+    ``_FLUSH`` vectors (512).  Per lattice point the Gram's weight spectrum and
+    its doubled and scaled copies, or the greedy's tone table and transform
+    buffers (96).  Per draw the indices and reweights, their plan's copies, the
+    grouping of repeated rows and the greedy's per-row scores (128).
     """
-    return 16 * m * m + 512 * m + 96 * M + 128 * n + _FIXED_BYTES
+    return 16 * m * m + 512 * m + 96 * M + 128 * _draw_count(m)
 
 
 class _Skip(Exception):
@@ -335,14 +343,10 @@ def _bss_sub(s: _Round, seed: int) -> _Outcome:
 
     The guarantee is conditional on a usable draw; condition on that event by
     redrawing deterministically when the draw is rank-deficient or the
-    sparsifier cannot certify its bound.  A row whose bytes exceed the memory
-    cap is skipped before the first draw, and a ValueError (a dense size cap,
-    for one) skips it with its message.  Every attempt counts: draws plus
+    sparsifier cannot certify its bound.  A ValueError (``mz.DENSE_CAP_BYTES``,
+    for one) skips the row with its message.  Every attempt counts: draws plus
     rank checks towards the subsample time, sparsifier runs towards bss time.
     """
-    m = len(s.index_set)
-    if _bss_row_bytes(len(s.plan), s.n_draw, m) > s.cfg.memory_cap_bytes:
-        raise _Skip(f"plain sparsifier at |I| = {m} exceeds the memory cap")
     clock = _Clock()
     for attempt in range(8):
         try:
@@ -363,9 +367,7 @@ def _bss_sub(s: _Round, seed: int) -> _Outcome:
 
 
 def _continuous_random(s: _Round, seed: int) -> _Outcome:
-    n, d, m = s.n_draw, s.cfg.dimension, len(s.index_set)
-    if _dense_row_bytes(n, d, m) > s.cfg.memory_cap_bytes:
-        raise _Skip(f"dense matrix of {n}x{m} exceeds the memory cap")
+    n, d = s.n_draw, s.cfg.dimension
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 17])))
     clock = _Clock()
     with clock.phase("subsample"):
@@ -374,13 +376,13 @@ def _continuous_random(s: _Round, seed: int) -> _Outcome:
     return _solve(s, op, np.full(n, 1.0 / n), KinkFunction(d)(pts), seed, clock)
 
 
-#: The strategies in report order.  A strategy's position is its seed
-#: stream, so reordering the table changes every derived seed.
+#: The strategies in report order, each with its row's own bytes.  A
+#: strategy's position is its seed stream, so reordering changes every seed.
 _STRATEGIES = {
-    "full": _full,
-    "random_sub": _random_sub,
-    "bss_sub": _bss_sub,
-    "continuous_random": _continuous_random,
+    "full": (_full, lambda M, d, m: 0),
+    "random_sub": (_random_sub, lambda M, d, m: 0),
+    "bss_sub": (_bss_sub, _bss_row_bytes),
+    "continuous_random": (_continuous_random, _dense_row_bytes),
 }
 
 KNOWN_STRATEGIES = tuple(_STRATEGIES)
@@ -388,6 +390,7 @@ KNOWN_STRATEGIES = tuple(_STRATEGIES)
 
 def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     report = ExperimentReport(kind=kind, config=cfg)
+    cap = cfg.memory_cap_bytes
     for r_index, radius in enumerate(cfg.radii):
         clock = _Clock()
         with clock.phase("setup"):
@@ -398,16 +401,18 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
                     f"b = {cfg.b} violates b > 1 + 1/|I| = {1 + 1 / m:.6g} at R={radius}"
                 )
             lat = _lattice_for(cfg, index_set, radius)
-            needed = _lattice_round_bytes(lat.size, cfg.dimension, m)
-            s = _Round(cfg, index_set, lat) if needed <= cfg.memory_cap_bytes else None
+            round_bytes = _FIXED_BYTES + _lattice_round_bytes(lat.size, cfg.dimension, m)
+            s = _Round(cfg, index_set, lat) if round_bytes <= cap else None
 
         for strategy in cfg.strategies:
+            run, row_bytes = _STRATEGIES[strategy]
+            needed = round_bytes + row_bytes(lat.size, cfg.dimension, m)
             for rep in range(cfg.repetitions):
                 seed = _derived_seed(cfg.seed, r_index, strategy, rep)
                 try:
-                    if s is None:
-                        raise _Skip(f"lattice of size {lat.size} exceeds the memory cap")
-                    out = _STRATEGIES[strategy](s, seed)
+                    if needed > cap:
+                        raise _Skip(f"needs {needed} bytes, over the memory cap of {cap}")
+                    out = run(s, seed)
                 except _Skip as skip:
                     out = _Outcome(None, 0, cfg.seed, _Clock().seconds)
                     trunc_sq = alias_sq = math.nan

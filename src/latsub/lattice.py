@@ -312,7 +312,7 @@ def search_generator(
     5-smooth sizes, each the smallest >= twice the size before, and ends at
     ``_INT64_SAFE_M``.  Sizes below |I| cannot reconstruct
     (pigeonhole) and are skipped.  The whole search is deterministic given
-    ``rng_seed``.
+    ``rng_seed``, a nonnegative integer.
 
     Raises
     ------
@@ -320,6 +320,8 @@ def search_generator(
         If no generator is found before the schedule is exhausted, or the
         schedule holds a size beyond ``_INT64_SAFE_M``.
     """
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     m = len(index_set)
     if m < 1:
         raise ValueError("index set must be nonempty")

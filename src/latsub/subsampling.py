@@ -125,7 +125,6 @@ class SubsampleSelection:
     reweights: np.ndarray
     stage: str
     seed: int | None = None
-    draw_count: int | None = None
     bss_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -234,7 +233,6 @@ def random_subsample(
         reweights=reweights,
         stage="random",
         seed=seed,
-        draw_count=n,
     )
 
 
@@ -579,7 +577,6 @@ def bss_subsample(
         reweights=s_all[chosen] * selection.reweights[chosen],
         stage="bss_weighted",
         seed=selection.seed,
-        draw_count=selection.draw_count,
         bss_weights=s_all[chosen],
     )
 
@@ -619,8 +616,6 @@ def plain_bss_subsample(
     m = len(index_set)
     if b <= 1.0 + 1.0 / m:
         raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m:.6g}, got {b}")
-    if selection.draw_count is None:
-        raise ValueError("stage-1 selection must record its draw count")
 
     # |row_i|^2 = rw_i |I| exactly: every character has unit modulus
     norms = selection.reweights * m
@@ -636,9 +631,9 @@ def plain_bss_subsample(
     else:
         scorer = _dense_scorer(_stage1_rows(distinct, index_set))
     chosen = _barrier_greedy(norms, m, b, *scorer, groups=groups)
-    n = selection.draw_count
-    # w_i / rho_i = n * stage-1 reweight; the certified sum carries 1/|I|
-    reweights = selection.reweights[chosen] * (n / m)
+    # w_i / rho_i = n * stage-1 reweight for the n draws; the certified sum
+    # carries 1/|I|
+    reweights = selection.reweights[chosen] * (len(selection) / m)
 
     result = SubsampleSelection(
         parent=selection.parent,
@@ -646,7 +641,6 @@ def plain_bss_subsample(
         reweights=reweights,
         stage="plain_bss",
         seed=selection.seed,
-        draw_count=selection.draw_count,
     )
     certified = (b - 1.0) ** 3 / (178.0 * (b + 1.0) ** 2) * A
     achieved = mz_constants(result.as_plan(), index_set).A

@@ -83,10 +83,36 @@ def test_memory_cap_below_every_round_skips_and_summarizes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     summary = [line for line in captured.out.splitlines() if line.startswith("skipped")]
-    assert summary == ["skipped 8 rows: lattice of size 29 exceeds the memory cap; "
-                       "lattice of size 59 exceeds the memory cap"]
+    # the rounds at M = 29 and 59: fixed bytes plus round, no row bytes
+    assert summary == ["skipped 8 rows: needs 37536 bytes, over the memory cap of 1; "
+                       "needs 43840 bytes, over the memory cap of 1"]
     report = json.loads((tmp_path / "capped" / "report.json").read_text())
     assert len(report["rows"]) == 8 and all(row["skipped"] for row in report["rows"])
+
+
+@pytest.mark.parametrize("argv, loaded, message", [
+    (["exp1", "--strategies", "full,full"], {},
+     "strategies must be distinct, got ('full', 'full')"),
+    (["exp1", "--radii", "4,4"], {},
+     "radii schedule must be sorted strictly ascending, got (4.0, 4.0)"),
+    (["exp1"], {"radii": []}, "radii schedule must not be empty"),
+    (["exp2", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+    (["exp2"], {"solver_iterations": 0}, "solver_iterations must be >= 1, got 0"),
+], ids=["repeated-strategy", "repeated-radius", "empty-radii", "negative-seed",
+        "no-solver-iterations"])
+def test_config_refused_before_any_output(tmp_path, capsys, argv, loaded, message):
+    # each once ran: repeated strategies and radii wrote every CSV line twice,
+    # empty radii wrote header-only CSVs, and the others failed only after
+    # the first lattice search had run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dimension": 2, "radii": [4.0], "repetitions": 1,
+                                    "strategies": ["full"],
+                                    "output_dir": str(tmp_path / "out"), **loaded}))
+    rc = main([*argv, "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_exp2_infeasible_b_exits_nonzero(tmp_path, capsys):
@@ -152,9 +178,10 @@ _CROSS = ["--d", "2", "--gamma", "1.0", "--radius", "2.0"]
     ["lattice-search", "--d", "2", "--gamma", "1.0"],
     ["mz-audit", "--lattice", "{over_long}", *_CROSS],
     ["mz-audit", "--lattice", "{beyond_int64}", *_CROSS],
+    ["lattice-search", *_CROSS, "--seed", "-1"],
 ], ids=["audit-empty", "audit-missing", "search-missing", "search-empty",
         "exp1-missing", "exp1-unknown-field", "exp1-not-object", "search-out-unwritable",
-        "search-no-radius", "audit-over-long", "audit-beyond-int64"])
+        "search-no-radius", "audit-over-long", "audit-beyond-int64", "search-negative-seed"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {name: tmp_path / f"{name}.txt"
              for name in ("empty", "missing", "unknown_field", "not_object", "over_long",
@@ -178,6 +205,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         assert "must hold d = 2 generator entries, got 3" in err[0]
     if "{beyond_int64}" in argv:
         assert "generator entries must fit in int64" in err[0]
+    if "-1" in argv:
+        assert err[0] == "error: rng_seed must be >= 0, got -1"
 
 
 @pytest.mark.parametrize("content", ["", "2 10", "2 101 1 5 7\n",

@@ -59,6 +59,42 @@ def desk_config(tmp_path, **over):
     return ExperimentConfig(**fields)
 
 
+def assert_budget_bounds_run(run, cfg, row_bytes):
+    """A row's budget, round plus ``row_bytes(M, n, |I|)``, bounds the run.
+
+    At a cap of exactly that budget every row runs and the whole run's
+    tracemalloc peak stays within it; one byte lower every row is skipped.
+    The round holds, per lattice point, the weights, density and real
+    values; per frequency the frequencies, residues and reference and full
+    coefficients; the fixed bytes; and its largest phase: the kink (the
+    points computed for it and two temporaries), the full adjoint's complex
+    copy and spectrum and its gather, or one solve (per draw indices,
+    reweights, masked values and their product; per point the Hermitian
+    apply's weights and two buffers; per frequency the solve's vectors and
+    the apply's index and scales).  A first run fills the lattice cache and
+    imports ``numpy.fft``, which the budget does not count.
+    """
+    (R,) = cfg.radii
+    d, index_set = cfg.dimension, hyperbolic_cross(cfg.dimension, cfg.gamma, R)
+    run(cfg)
+    M, m = latsub.experiments._lattice_for(cfg, index_set, R).size, len(index_set)
+    n = math.ceil(m * math.log(m))
+    needed = (24 * M + m * (8 * d + 32)
+              + max((8 * d + 16) * M, 32 * M + 16 * m, 24 * M + 32 * n + 128 * m)
+              + latsub.experiments._FIXED_BYTES + row_bytes(M, n, m))
+    tracemalloc.start()
+    try:
+        rows = run(replace(cfg, memory_cap_bytes=needed)).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(r.skipped for r in rows)
+    assert 0 < peak <= needed
+    rows = run(replace(cfg, memory_cap_bytes=needed - 1)).rows
+    assert [r.skip_reason for r in rows] == [
+        f"needs {needed} bytes, over the memory cap of {needed - 1}"] * len(rows)
+
+
 class TestConfig:
     def test_radii_must_be_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -177,110 +213,49 @@ class TestRunExperiment1:
         assert row.subsample_time_s == 100.0
         assert row.solve_time_s == 1000.0
 
-    def test_dense_estimate_counts_one_matrix(self, tmp_path, monkeypatch):
+    def test_dense_estimate_counts_one_matrix(self, tmp_path):
         # the operator holds one real n x |I| matrix; per point the points,
         # the tone tables or kink temporaries, values, weights, and a row
         # temporary or a normal apply's two vectors (the weighted residual
         # is never read); per frequency the build's keys and the solve's
-        # vectors; fixed bytes
-        run = latsub.experiments._STRATEGIES["continuous_random"]
-        peaks = []
-
-        def measured(s, seed):  # the row's own peak, on top of its round
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = run(s, seed)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return out
-
-        monkeypatch.setitem(latsub.experiments._STRATEGIES, "continuous_random", measured)
+        # vectors
         for d in (2, 5):
             cfg = desk_config(tmp_path, dimension=d, radii=(8.0,), repetitions=1,
                               strategies=("continuous_random",))
-            m = len(hyperbolic_cross(d, 0.5, 8.0))
-            n = math.ceil(m * math.log(m))
-            needed = (8 * n * m + n * (24 * d + 32) + m * (8 * d + 160)
-                      + latsub.experiments._FIXED_BYTES)
-            (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
-            assert not row.skipped
-            (row,) = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
-            assert row.skipped and "exceeds the memory cap" in row.skip_reason
-            tracemalloc.start()
-            try:
-                run_experiment_1(cfg)
-            finally:
-                tracemalloc.stop()
-            assert 0 < peaks[-1] <= needed
+            assert_budget_bounds_run(run_experiment_1, cfg, lambda M, n, m: (
+                8 * n * m + n * (24 * d + 32) + m * (8 * d + 160)))
+
+    def test_row_estimate_alone_does_not_fit(self, tmp_path):
+        # a cap at the row's own bytes leaves nothing for the round it runs on
+        m = len(hyperbolic_cross(5, 0.5, 8.0))
+        n = math.ceil(m * math.log(m))
+        own = 8 * n * m + n * (24 * 5 + 32) + m * (8 * 5 + 160) + latsub.experiments._FIXED_BYTES
+        cfg = desk_config(tmp_path, dimension=5, radii=(8.0,), repetitions=1,
+                          strategies=("continuous_random",), memory_cap_bytes=own)
+        (row,) = run_experiment_1(cfg).rows
+        assert row.skipped
+        assert row.skip_reason.endswith(f"over the memory cap of {own}")
 
     @pytest.mark.parametrize("d, R", [(2, 16.0), (5, 10.0), (5, 12.0), (5, 16.0)])
-    def test_bss_estimate_counts_the_row(self, tmp_path, monkeypatch, d, R):
+    def test_bss_estimate_counts_the_row(self, tmp_path, d, R):
         # two |I| x |I| matrices at a time (a Gram and its eigensolver copy,
         # or the resolvent and its identity); per frequency the greedy's two
         # queues; per lattice point the weight spectrum's copies or the
         # greedy's transform buffers; per draw the draw, its plan's copies,
-        # its grouping and the greedy's scores; fixed bytes
-        run = latsub.experiments._STRATEGIES["bss_sub"]
-        peaks = []
-
-        def measured(s, seed):  # the row's own peak, on top of its round
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = run(s, seed)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return out
-
-        monkeypatch.setitem(latsub.experiments._STRATEGIES, "bss_sub", measured)
+        # its grouping and the greedy's scores
         cfg = desk_config(tmp_path, dimension=d, radii=(R,), repetitions=1,
                           strategies=("bss_sub",))
-        m = len(hyperbolic_cross(d, 0.5, R))
-        n = math.ceil(m * math.log(m))
-        M = latsub.experiments._lattice_for(cfg, hyperbolic_cross(d, 0.5, R), R).size
-        needed = (16 * m * m + 512 * m + 96 * M + 128 * n
-                  + latsub.experiments._FIXED_BYTES)
-        (row,) = run_experiment_2(replace(cfg, memory_cap_bytes=needed)).rows
-        assert not row.skipped
-        (row,) = run_experiment_2(replace(cfg, memory_cap_bytes=needed - 1)).rows
-        assert row.skipped and "exceeds the memory cap" in row.skip_reason
-        tracemalloc.start()
-        try:
-            run_experiment_2(cfg)
-        finally:
-            tracemalloc.stop()
-        assert 0 < peaks[-1] <= needed
+        assert_budget_bounds_run(run_experiment_2, cfg, lambda M, n, m: (
+            16 * m * m + 512 * m + 96 * M + 128 * n))
 
     def test_lattice_estimate_counts_the_round(self, tmp_path):
-        # held: per lattice point the weights, density and real values; per
-        # frequency the frequencies, residues and reference and full
-        # coefficients; fixed bytes.  Plus the largest phase: the kink (the
-        # points computed for it and two temporaries), the full adjoint's
-        # complex copy and spectrum and its gather, or one solve
-        # (per draw indices, reweights, masked values and their product; per
-        # point the Hermitian apply's weights and two buffers; per frequency
-        # the solve's vectors and the apply's index and scales).  d = 2,
-        # R = 16 is a round small enough for the fixed bytes to dominate;
-        # d = 5, R = 16 is one the summed phases overestimated twofold.
+        # d = 2, R = 16 is a round small enough for the fixed bytes to
+        # dominate; d = 5, R = 16 is one the summed phases overestimated
+        # twofold.  A full or random_sub row holds nothing of its own.
         for d, radius in ((5, 8.0), (2, 16.0), (5, 16.0)):
             cfg = desk_config(tmp_path, dimension=d, radii=(radius,), repetitions=1,
                               strategies=("full", "random_sub"))
-            full, _ = run_experiment_1(cfg).rows  # also fills the lattice cache
-            M, m = full.num_points, full.num_frequencies
-            n = math.ceil(m * math.log(m))
-            needed = (24 * M + m * (8 * d + 32)
-                      + max((8 * d + 16) * M, 32 * M + 16 * m,
-                            24 * M + 32 * n + 128 * m)
-                      + latsub.experiments._FIXED_BYTES)
-            rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed)).rows
-            assert not any(r.skipped for r in rows)
-            rows = run_experiment_1(replace(cfg, memory_cap_bytes=needed - 1)).rows
-            assert all(r.skipped and "exceeds the memory cap" in r.skip_reason
-                       for r in rows)
-            tracemalloc.start()
-            try:
-                run_experiment_1(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= needed
+            assert_budget_bounds_run(run_experiment_1, cfg, lambda M, n, m: 0)
 
     def test_memory_cap_skips_with_reason(self, tmp_path):
         cfg = desk_config(tmp_path, memory_cap_bytes=40_000,

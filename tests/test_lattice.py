@@ -169,6 +169,10 @@ class TestSearchGenerator:
         with pytest.raises(ValueError, match="index set must be nonempty"):
             search_generator(IndexSet(dimension=2, frequencies=np.zeros((0, 2))), rng_seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+            search_generator(interval_set(-2, 2), rng_seed=-1)
+
     def test_interval_needs_at_least_card_points(self):
         I = interval_set(-2, 2)
         lat = search_generator(I, rng_seed=0)

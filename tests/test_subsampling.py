@@ -485,7 +485,7 @@ class TestWeightedSparsification:
         bad = SubsampleSelection(
             parent=sel.parent, indices=sel.indices,
             reweights=sel.reweights * 10.0,  # breaks the [A/2, 3B/2] window
-            stage="random", seed=sel.seed, draw_count=sel.draw_count)
+            stage="random", seed=sel.seed)
         with pytest.raises(ValueError, match="window"):
             bss_subsample(bad, I, b=16.0)
 
@@ -545,7 +545,7 @@ class TestPlainSparsification:
     def test_reweights_carry_draw_scaling(self):
         I, sel = stage1_selection(1, 1.0, 3.0, seed=16, n_factor=4)
         out = plain_bss_subsample(sel, I, b=2.0)
-        n, m = sel.draw_count, len(I)
+        n, m = len(sel), len(I)
         # each reweight is (w_i / rho_i) / |I| = stage-1 reweight * n / |I|;
         # on a uniform lattice that is exactly 1/|I|
         assert np.allclose(out.reweights, sel.reweights[0] * n / m)
@@ -571,12 +571,10 @@ class TestPlainSparsification:
         with pytest.raises(ValueError, match="input rows span nothing"):
             bss_select_weighted(np.zeros((30, 2), dtype=complex), b=2.0)
 
-    def test_requires_stage1_selection_with_draw_count_and_bounds(self):
+    def test_requires_stage1_selection_and_bounds(self):
         I, sel = stage1_selection(1, 1.0, 2.0, seed=18, n_factor=4)
         with pytest.raises(ValueError, match="expects a stage-1 selection"):
             plain_bss_subsample(replace(sel, stage="plain_bss"), I, b=2.0)
-        with pytest.raises(ValueError, match="must record its draw count"):
-            plain_bss_subsample(replace(sel, draw_count=None), I, b=2.0)
         bare = SamplePlan(weights=sel.parent.weights, lattice=sel.parent.lattice)
         with pytest.raises(ValueError, match="no spectral bounds supplied"):
             plain_bss_subsample(replace(sel, parent=bare), I, b=2.0)
@@ -731,7 +729,7 @@ class TestLatticeScoredSparsification:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         sel = SubsampleSelection(parent=parent, indices=np.array(idx),
                                  reweights=rng.random(len(idx)) + 0.1,
-                                 stage="random", draw_count=len(idx))
+                                 stage="random")
         w, g = rng.standard_normal((2, len(I)))
         rows = realified(_stage1_rows(sel, I))
         row, cross = lattice_scorer(sel, I)
@@ -777,7 +775,7 @@ class TestScorerAtEveryLatticeSize:
         idx[3] = idx[2]  # the draw repeats a parent row
         sel = SubsampleSelection(parent=parent, indices=idx,
                                  reweights=rng.random(len(idx)) + 0.1,
-                                 stage="random", draw_count=len(idx))
+                                 stage="random")
         return I, sel, rng
 
     @pytest.mark.parametrize("colliding", [False, True], ids=["generic", "colliding"])
