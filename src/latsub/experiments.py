@@ -12,8 +12,9 @@ reconstructs it with up to four strategies, one function each in the
   bss_sub            the random draw sparsified further to <= ceil(b |I|)
                      points (plain variant); sparsifier time logged apart
   continuous_random  n i.i.d. uniform points on the torus with a dense
-                     operator, as the unstructured baseline; the operator
-                     build counts as subsample time, not solve time
+                     operator stored in float32, as the unstructured
+                     baseline; the operator build counts as subsample time,
+                     not solve time
 
 Each takes the state shared at one radius and a row seed, and returns the
 coefficients, point count, seed used and seconds per phase, or raises
@@ -121,6 +122,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
         radii = self.radii
         if not radii:
             raise ValueError("radii schedule must not be empty")
@@ -242,14 +245,17 @@ def _lattice_round_bytes(M: int, d: int, m: int) -> int:
 def _dense_row_bytes(M: int, d: int, m: int) -> int:
     """Bytes a ``continuous_random`` row of n draws holds on top of its round.
 
-    The real n x |I| matrix (8nm).  Per point: the points (8d); the build's two
-    real d x n tone tables, or later the kink's two n x d temporaries (16d);
-    the values and the weights (16); the build's row temporary, or later the
-    two n-vectors of a normal apply (16).  Per frequency: the build's key
-    tuples and lookup table, the CG vectors and the coefficients (8d + 160).
+    The real n x |I| matrix in float32 (4nm).  Per point: the points and the
+    operator's copy of them (16d); the build's float64 phases and cos table
+    and its two tone tables cast to float32 (20d), or later the kink's two
+    n x d temporaries (16d); the values and the weights (16); the build's
+    float32 row temporary, or later the right-hand side's weighted values and
+    their float32 cast, or a normal apply's float32 n-vector (16).  Per
+    frequency: the build's key tuples and lookup table, the CG vectors and
+    the coefficients (8d + 160).
     """
     n = _draw_count(m)
-    return 8 * n * m + n * (24 * d + 32) + m * (8 * d + 160)
+    return 4 * n * m + n * (36 * d + 32) + m * (8 * d + 160)
 
 
 def _bss_row_bytes(M: int, d: int, m: int) -> int:
@@ -372,7 +378,7 @@ def _continuous_random(s: _Round, seed: int) -> _Outcome:
     clock = _Clock()
     with clock.phase("subsample"):
         pts = rng.random((n, d))
-        op = DenseOperator(pts, s.index_set)
+        op = DenseOperator(pts, s.index_set, dtype=np.float32)
     return _solve(s, op, np.full(n, 1.0 / n), KinkFunction(d)(pts), seed, clock)
 
 
@@ -389,6 +395,9 @@ KNOWN_STRATEGIES = tuple(_STRATEGIES)
 
 
 def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
+    # the list is final here: run_experiment_2 reads () as bss_sub alone
+    if not cfg.strategies:
+        raise ValueError("strategies must not be empty")
     report = ExperimentReport(kind=kind, config=cfg)
     cap = cfg.memory_cap_bytes
     for r_index, radius in enumerate(cfg.radii):

@@ -37,17 +37,20 @@ right-hand side ``real_adjoint(w * f)`` is one ``rfft`` of the point sums
 of ``w * f``, gathered from the same slots.
 
 Arbitrary point sets use an explicit matrix.  On a symmetric set it is the
-real ``(L T^H)^T``, |I| x N float64, one contiguous row per frequency and
-half the bytes of the complex matrix: its normal apply is two real
-matrix-vector products, and complex ``forward``/``adjoint`` go through
-``T`` with real products.  Its rows are built by recursion on the
-frequencies: a frequency's parent is the frequency with its last nonzero
-coordinate ``j`` moved one step towards 0, and when the parent is in the
-set its (cos, sin) row pair is the parent's pair rotated by the tone
-``exp(+-2*pi*i*x_j)``, four real multiplies per point, filled level by level
-in ``|k|_1``.  Only the tone tables and the rows of frequencies whose parent
-is missing go through ``cos`` and ``sin``.  On other sets the matrix is the
-complex ``L`` of ``_characters``, one ``exp`` per entry, and the adjoint is
+real ``(L T^H)^T``, |I| x N float64 by default or float32 when asked, one
+contiguous row per frequency and half the bytes of the complex matrix (a
+quarter in float32): its normal apply is two real matrix-vector products,
+and complex ``forward``/``adjoint`` go through ``T`` with real products.
+float32 storage casts every vector at the operator's boundary, so callers
+see float64 and the matrix is never promoted.  Its rows are built by
+recursion on the frequencies: a frequency's parent is the frequency with
+its last nonzero coordinate ``j`` moved one step towards 0, and when the
+parent is in the set its (cos, sin) row pair is the parent's pair rotated
+by the tone ``exp(+-2*pi*i*x_j)``, four real multiplies per point in the
+storage type, filled level by level in ``|k|_1``.  Only the tone tables
+and the rows of frequencies whose parent is missing go through ``cos`` and
+``sin``, in float64.  On other sets the matrix is the complex ``L`` of
+``_characters``, one ``exp`` per entry, and the adjoint is
 ``conj(conj(f) @ L)``, which makes no copy of it.
 
 The lattice operator also owns what the certificates and the barrier
@@ -141,27 +144,29 @@ def _from_real(y: np.ndarray) -> np.ndarray:
     return a
 
 
-def _real_characters(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def _real_characters(points: np.ndarray, freqs: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The real rows ``(L T^H)^T`` over the points, for a symmetric ``freqs``.
 
-    Returns a C-contiguous (len(freqs), len(points)) float64 array: row p <
-    h holds ``sqrt2 cos 2 pi <k_p, x>``, row m-h+p the matching ``sqrt2
+    Returns a C-contiguous (len(freqs), len(points)) array of ``dtype``: row
+    p < h holds ``sqrt2 cos 2 pi <k_p, x>``, row m-h+p the matching ``sqrt2
     sin``, and row h (k = 0, m odd) ones.  The first h frequencies are those
     whose first nonzero coordinate is negative, so each one's parent (last
     nonzero coordinate moved one step towards 0) is among them or is k = 0.
     A row pair whose parent pair is present is that pair rotated by the tone
     of coordinate j, in place; a parent k = 0 gives the scaled tone itself,
-    and the rest get ``cos``/``sin`` of their phases.
+    and the rest get ``cos``/``sin`` of their phases.  Phases, ``cos`` and
+    ``sin`` are float64 and the two tone tables are cast to ``dtype`` once,
+    so the recursion runs in ``dtype`` and no float64 matrix is formed.
     """
     m, n = len(freqs), points.shape[0]
     cos, k0, sin = _real_blocks(m)
-    out = np.empty((m, n))
+    out = np.empty((m, n), dtype=dtype)
     out[k0] = 1.0
     cos_rows, sin_rows = out[cos], out[sin]
     phase = 2.0 * np.pi * np.ascontiguousarray(points.T)
-    cos_t = np.cos(phase)
-    sin_t = np.sin(phase, out=phase)
-    tmp = np.empty(n)
+    cos_t = np.cos(phase).astype(dtype, copy=False)
+    sin_t = np.sin(phase, out=phase).astype(dtype, copy=False)
+    tmp = np.empty(n, dtype=dtype)
     keys = [tuple(k) for k in freqs[cos].tolist()]
     row_of = {k: p for p, k in enumerate(keys)}
     # level by level in |k|_1, so every parent pair is filled before its children
@@ -507,37 +512,56 @@ class DenseOperator(SystemOperator):
     """Explicit-matrix operator for arbitrary point sets.
 
     On a symmetric index set the matrix is stored real, as ``(L T^H)^T``
-    (|I| x N float64), and complex products go through the real basis;
-    otherwise it is the complex ``L^T``, a view of ``_characters``: one
-    ``exp`` per entry, with complex temporaries of the same size.  No
-    pipeline run builds that one, as every hyperbolic cross is symmetric.
+    (|I| x N of ``dtype``, float64 by default), and complex products go
+    through the real basis; otherwise it is the complex ``L^T``, a view of
+    ``_characters``: one ``exp`` per entry, with complex temporaries of the
+    same size.  No pipeline run builds that one, as every hyperbolic cross
+    is symmetric.  float32 storage, which only the real matrix takes, halves
+    the bytes built, held and read; every method casts its vectors to the
+    storage type and back at its boundary, so float64 callers get float64
+    results and the matrix is never promoted to a full-size float64 copy.
     """
 
     kind = "dense"
 
     def __init__(
-        self, points: np.ndarray, index_set: IndexSet, rows: np.ndarray | None = None
+        self,
+        points: np.ndarray,
+        index_set: IndexSet,
+        rows: np.ndarray | None = None,
+        dtype=np.float64,
     ):
         pts = np.atleast_2d(_admit(points, np.float64, "points"))
         if pts.shape[1] != index_set.dimension:
             raise ValueError(
                 f"points must have {index_set.dimension} columns, got {pts.shape[1]}"
             )
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dense storage must be float32 or float64, got {dtype}")
+        if dtype != np.float64 and not index_set.symmetric:
+            raise ValueError("float32 storage needs a symmetric index set (I = -I)")
         if rows is not None:
             pts = _frozen(pts[_index_list(rows, len(pts), "row mask", "N")])
         self.points = pts
         self.index_set = index_set
+        self.dtype = dtype
         self._real = index_set.symmetric
         freqs = index_set.frequencies
         # (L T^H)^T when real, else L^T
-        self._rows = _real_characters(pts, freqs) if self._real else _characters(pts, freqs).T
+        self._rows = (_real_characters(pts, freqs, dtype) if self._real
+                      else _characters(pts, freqs).T)
 
     @property
     def row_count(self) -> int:
         return self.points.shape[0]
 
     def masked(self, rows: np.ndarray) -> "DenseOperator":
-        return DenseOperator(self.points, self.index_set, rows)
+        return DenseOperator(self.points, self.index_set, rows, self.dtype)
+
+    def _stored(self, v: np.ndarray) -> np.ndarray:
+        """A real vector or stack in the storage type, for a product with the matrix."""
+        return v.astype(self.dtype, copy=False)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         a = self._check_coeffs(coeffs)
@@ -545,28 +569,37 @@ class DenseOperator(SystemOperator):
             return a @ self._rows
         y = _to_real(a)  # L a = (L T^H)(T a): real and imaginary parts apart
         values = np.empty(self.row_count, dtype=np.complex128)
-        values.real, values.imag = np.stack((y.real, y.imag)) @ self._rows
+        values.real, values.imag = self._stored(np.stack((y.real, y.imag))) @ self._rows
         return values
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
         f = self._check_values(values)
         if not self._real:
             return (self._rows @ f.conj()).conj()
-        c = self._rows @ np.column_stack((f.real, f.imag))  # L* f = T^H (L T^H)^T f
+        # L* f = T^H (L T^H)^T f
+        c = (self._rows @ self._stored(np.column_stack((f.real, f.imag)))).astype(
+            np.float64, copy=False)
         return _from_real(c[:, 0] + 1j * c[:, 1])
 
     def real_adjoint(self, values: np.ndarray) -> np.ndarray:
         self._check_symmetric()
-        return self._rows @ self._check_values(values, np.float64)
+        f = self._stored(self._check_values(values, np.float64))
+        return (self._rows @ f).astype(np.float64, copy=False)
 
     def real_normal(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``x -> B^T W B x`` with B = L T^H real: two real matrix-vector products."""
+        """``x -> B^T W B x`` with B = L T^H real: two real matrix-vector products.
+
+        Both products run in the storage type, and the weighting writes
+        into the first one's result, so an apply holds one N-vector.
+        """
         self._check_symmetric()
         w = self._check_weights(weights)
         rows = self._rows
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
-            return rows @ (w * (self._check_coeffs(coeffs, np.float64) @ rows))
+            t = self._stored(self._check_coeffs(coeffs, np.float64)) @ rows
+            np.multiply(t, w, out=t)
+            return (rows @ t).astype(np.float64, copy=False)
 
         return apply
 

@@ -284,6 +284,8 @@ def _barrier_greedy(
     and two with the queue, one ``cross``, and a fixed number of vector
     operations over the groups, in preallocated buffers.
     """
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if b <= 1.0 + 1.0 / m:
         raise ValueError(f"b must exceed 1 + 1/|I| = {1 + 1 / m}, got {b}")
     active = norms > 0
@@ -409,6 +411,8 @@ def bss_select_weighted(
     Returns (row positions, weights) over the full input (zeros where
     unselected rows); the number of positive weights is at most ceil(b*m).
     """
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if b <= 1.0:
         raise ValueError(f"b must exceed 1, got {b}")
     rows = np.ascontiguousarray(rows, dtype=np.complex128)

@@ -98,12 +98,16 @@ def test_memory_cap_below_every_round_skips_and_summarizes(tmp_path, capsys):
     (["exp1"], {"radii": []}, "radii schedule must not be empty"),
     (["exp2", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
     (["exp2"], {"solver_iterations": 0}, "solver_iterations must be >= 1, got 0"),
+    (["exp2", "--b", "inf"], {}, "b must be finite, got inf"),
+    (["exp2", "--b", "nan"], {}, "b must be finite, got nan"),
+    (["exp1"], {"strategies": []}, "strategies must not be empty"),
 ], ids=["repeated-strategy", "repeated-radius", "empty-radii", "negative-seed",
-        "no-solver-iterations"])
+        "no-solver-iterations", "infinite-b", "nan-b", "empty-strategies"])
 def test_config_refused_before_any_output(tmp_path, capsys, argv, loaded, message):
     # each once ran: repeated strategies and radii wrote every CSV line twice,
-    # empty radii wrote header-only CSVs, and the others failed only after
-    # the first lattice search had run
+    # empty radii or strategies wrote header-only CSVs, an infinite b ended
+    # in an OverflowError traceback, a NaN b skipped its rows, and the others
+    # failed only after the first lattice search had run
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"dimension": 2, "radii": [4.0], "repetitions": 1,
                                     "strategies": ["full"],

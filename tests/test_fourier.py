@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,62 @@ class TestDenseCharacters:
         got = LatticeOperator(lat, I).masked(rows).dense_matrix()
         want = DenseOperator(lat.points(), I, rows=rows).dense_matrix()
         assert np.array_equal(got, want)
+
+
+class TestFloat32Storage:
+    """The float32 dense operator against the float64 one on a d = 5 cross."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        I = hyperbolic_cross(5, 0.5, 16.0)  # the recursion runs 10 levels deep
+        pts = np.random.default_rng(5).random((1500, 5))
+        return DenseOperator(pts, I), DenseOperator(pts, I, dtype=np.float32)
+
+    def test_build_matches_float64(self, ops):
+        op64, op32 = ops
+        assert op32._rows.dtype == np.float32 and op32._rows.flags.c_contiguous
+        assert np.max(np.abs(op32._rows - op64._rows)) <= 2e-6
+
+    def test_products_match_float64(self, ops):
+        op64, op32 = ops
+        rng = np.random.default_rng(6)
+        m, n = len(op64.index_set), op64.row_count
+        w, x, f = rng.random(n), rng.standard_normal(m), rng.standard_normal(n)
+        a, g = crandn(rng, m), crandn(rng, n)
+        for method, arg in [(lambda op: op.real_normal(w), x), (lambda op: op.real_adjoint, f),
+                            (lambda op: op.forward, a), (lambda op: op.adjoint, g)]:
+            got, want = method(op32)(arg), method(op64)(arg)
+            assert got.dtype == want.dtype  # cast back at the boundary
+            assert relative_error(got, want) <= 1e-5
+
+    def test_masked_keeps_the_storage_type(self, ops):
+        _, op32 = ops
+        masked = op32.masked(np.array([3, 3, 0, 1499]))
+        assert masked.dtype == np.float32 and masked._rows.dtype == np.float32
+        assert np.array_equal(masked._rows, op32._rows[:, [3, 3, 0, 1499]])
+
+    def test_normal_apply_makes_no_matrix_sized_temporary(self, ops):
+        # a float64 product would promote the stored matrix to a float64 copy
+        _, op32 = ops
+        rng = np.random.default_rng(7)
+        apply = op32.real_normal(rng.random(op32.row_count))
+        x = rng.standard_normal(len(op32.index_set))
+        apply(x)
+        tracemalloc.start()
+        try:
+            apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op32._rows.nbytes < 8 * op32._rows.size
+
+    def test_float32_needs_a_real_matrix(self):
+        pts = np.random.default_rng(8).random((4, 2))
+        I = IndexSet(dimension=2, frequencies=[[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="float32 storage needs a symmetric index set"):
+            DenseOperator(pts, I, dtype=np.float32)
+        with pytest.raises(ValueError, match="dense storage must be float32 or float64"):
+            DenseOperator(pts, hyperbolic_cross(2, 0.5, 4.0), dtype=np.float16)
 
 
 def cross_without_zero(d, gamma, R):

@@ -3,6 +3,7 @@
 import bisect
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -564,6 +565,17 @@ class TestPlainSparsification:
             plain_bss_subsample(sel, I, b=1.0 + 0.5 / len(I))
         with pytest.raises(ValueError, match="1 \\+ 1/"):
             bss_select_plain(np.eye(4, dtype=complex), b=1.2)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_non_finite_b_refused(self, b):
+        # inf once overflowed in ceil(b m); NaN passed every b <= bound check
+        # and failed later converting ceil(b m) to an integer
+        I, sel = stage1_selection(1, 1.0, 2.0, seed=18, n_factor=4)
+        rows = np.eye(4, dtype=complex)
+        for select in (partial(plain_bss_subsample, sel, I), partial(bss_select_plain, rows),
+                       partial(bss_select_weighted, rows)):
+            with pytest.raises(ValueError, match=f"^b must be finite, got {b}$"):
+                select(b)
 
     def test_all_zero_rows_rejected(self):
         with pytest.raises(ValueError, match="input rows carry no mass"):
